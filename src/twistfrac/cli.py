@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -55,6 +56,9 @@ from .relations import (
 
 FORMATS = ("text", "json-lines", "csv")
 
+# ASCII digits only: `\d` would also accept digits of other scripts.
+_INTEGER = re.compile(r"-?[0-9]+")
+
 
 # ---------------------------------------------------------------- parsing
 
@@ -73,11 +77,11 @@ class _Tokens:
                 self.tokens.append(ch)
                 i += 1
                 continue
-            mo = re.match(r"-?\d+", text[i:])
+            mo = _INTEGER.match(text, i)
             if not mo:
                 raise ValueError(f"unexpected character {ch!r} in tuple text")
             self.tokens.append(mo.group())
-            i += len(mo.group())
+            i = mo.end()
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -197,10 +201,17 @@ def render_listing(sets, fmt: str, out, both_kinds: bool = False) -> None:
             writer.writerow(_enumerate_csv_row(d))
 
 
+class _OutputError(Exception):
+    """The --output path cannot be written; main() reports it and exits 1."""
+
+
 def _open_output(path: str | None, fallback):
     if path is None:
         return nullcontext(fallback)
-    return open(path, "w", encoding="utf-8")
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc}") from None
 
 
 # --------------------------------------------------------------- commands
@@ -223,7 +234,7 @@ def cmd_validate(args, out) -> int:
                 continue
             try:
                 d = parse_record_line(line, kind)
-            except (ValueError, json.JSONDecodeError) as exc:
+            except (ValueError, RecursionError) as exc:
                 print(f"line {number}: {exc}", file=sys.stderr)
                 return 1
             rows.append(validate(d))
@@ -255,7 +266,7 @@ def cmd_validate(args, out) -> int:
 
 
 def _parse_exponent(text: str) -> tuple[int, int]:
-    mo = re.fullmatch(r"(\d+)/(\d+)", text.strip())
+    mo = re.fullmatch(r"([0-9]+)/([0-9]+)", text.strip())
     if not mo:
         raise ValueError(f"exponent must look like 'l/order', got {text!r}")
     l, order = int(mo.group(1)), int(mo.group(2))
@@ -353,7 +364,7 @@ def cmd_decompose(args, out) -> int:
         return 1
     try:
         d = parse_record_line(args.record, args.kind)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"bad record: {exc}", file=sys.stderr)
         return 1
 
@@ -469,15 +480,21 @@ def cmd_audit(args, out) -> int:
 
 # ------------------------------------------------------------------ main
 
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -527,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="root/power decomposition of one record")
     p.add_argument("record", help="data set as tuple text or JSON")
     p.add_argument("--kind", choices=("sp", "se"), required=True)
-    p.add_argument("--r", type=int, default=None,
+    p.add_argument("--r", type=_integer, default=None,
                    help="divisor of l for side-exchanging decomposition")
     add_common(p)
     p.set_defaults(handler=cmd_decompose)
@@ -557,7 +574,17 @@ def main(argv=None, stdout=None) -> int:
         # argparse exits 2 on usage errors; our contract reserves 1 for
         # input problems and 2 for validation failures.
         return 0 if exc.code in (0, None) else 1
-    return args.handler(args, out)
+    if args.output is not None:
+        # Refuse a missing directory before computing anything.
+        parent = os.path.dirname(os.path.abspath(args.output))
+        if not os.path.isdir(parent):
+            print(f"cannot write {args.output}: no directory {parent}", file=sys.stderr)
+            return 1
+    try:
+        return args.handler(args, out)
+    except _OutputError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

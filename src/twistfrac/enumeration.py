@@ -18,14 +18,17 @@ Output contract shared by both: canonical data sets only, no duplicates,
 sorted by (order, l, g0, residues, cones).  Enumeration may be sharded
 over the order variable (`jobs`); shards share nothing and the merge
 sorts, so the result is identical for every schedule.
+
+`spectra` lists nothing: it counts the essential sets from residue loops
+that mirror the pruned engine with one or two cones.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations_with_replacement, product
+from functools import lru_cache, partial
+from itertools import combinations_with_replacement, groupby, product
 from math import gcd
 
 from .arith import cone_signatures, divisors, units_mod
@@ -40,8 +43,9 @@ from .datasets import (
 # The naive engine is quadratic-ish in everything; keep it on a leash.
 ORACLE_MAX_GENUS = 8
 
-# Cap for the spectra table; the search above this is still exact, just slow.
-SPECTRA_MAX_GENUS = 64
+# Cap for the spectra table; the count above this is still exact, only slower
+# (genus 1..128 takes about 1.5 s in all).
+SPECTRA_MAX_GENUS = 128
 
 
 class OracleBoundError(ValueError):
@@ -82,6 +86,26 @@ class SpectraRow:
     n_se: int
 
 
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple[int, ...]:
+    """The units of Z/n, ascending; computed once per modulus."""
+    return tuple(sorted(units_mod(n)))
+
+
+def _runs(signature) -> list[tuple[int, int]]:
+    """Split an ascending cone signature into (order, count) runs of equal order."""
+    return [(order, len(list(group))) for order, group in groupby(signature)]
+
+
+def _se_exponents(a: int, n: int) -> tuple[int, ...]:
+    """The exponents l in [2, 2n-1] of a side-exchanging set with residue a.
+
+    The twist relation 2 = l*a (mod n) fixes l mod n.
+    """
+    base = 2 * pow(a, -1, n) % n
+    return tuple(l for l in (base, base + n) if 2 <= l <= 2 * n - 1)
+
+
 def _k_assignments(ambient: int, signature, residual: int):
     """Canonical twist assignments for the cones of one signature.
 
@@ -99,20 +123,14 @@ def _k_assignments(ambient: int, signature, residual: int):
             yield ()
         return
 
-    runs: list[list[int]] = []
-    for order in signature:
-        if runs and runs[-1][0] == order:
-            runs[-1][1] += 1
-        else:
-            runs.append([order, 1])
+    runs = _runs(signature)
     last_order, last_count = runs[-1]
-    prefix_runs = [(order, count) for order, count in runs[:-1]]
+    prefix_runs = runs[:-1]
     if last_count > 1:
         prefix_runs.append((last_order, last_count - 1))
 
-    unit_lists = {order: sorted(units_mod(order)) for order, _ in runs}
     prefix_choices = [
-        combinations_with_replacement(unit_lists[order], count)
+        combinations_with_replacement(_units(order), count)
         for order, count in prefix_runs
     ]
     cofactor = ambient // last_order
@@ -141,7 +159,7 @@ def _sp_order_sets(g: int, f: Filters, n: int) -> list[SpDataSet]:
     out: list[SpDataSet] = []
     if f.exponent is not None and f.exponent[1] != n:
         return out
-    units = sorted(units_mod(n))
+    units = _units(n)
     inverse = {u: pow(u, -1, n) for u in units}
     for g0 in range(g // n + 1):
         if f.g0 is not None and g0 != f.g0:
@@ -151,7 +169,8 @@ def _sp_order_sets(g: int, f: Filters, n: int) -> list[SpDataSet]:
         target = 2 * (g - g0 * n)
         if target <= 0:
             continue  # a valid set has at least one cone
-        for sig in sorted(cone_signatures(n, target)):
+        max_count = 1 if f.essential_only else f.cone_count
+        for sig in sorted(cone_signatures(n, target, max_count)):
             if not sig:
                 continue
             if f.essential_only and len(sig) != 1:
@@ -180,7 +199,7 @@ def _se_order_sets(g: int, f: Filters, two_n: int) -> list[SeDataSet]:
     if f.exponent is not None and f.exponent[1] != two_n:
         return out
     n = two_n // 2
-    units_n = sorted(units_mod(n))
+    units_n = _units(n)
     for g0 in range((g + n) // (2 * n) + 1):
         if f.g0 is not None and g0 != f.g0:
             continue
@@ -189,7 +208,8 @@ def _se_order_sets(g: int, f: Filters, two_n: int) -> list[SeDataSet]:
         target = 2 * (g + n) - 4 * g0 * n  # = sum (2n/m)(m-1)
         if target <= 0:
             continue
-        for sig in sorted(cone_signatures(two_n, target)):
+        max_count = 2 if f.essential_only else f.cone_count
+        for sig in sorted(cone_signatures(two_n, target, max_count)):
             if not sig:
                 continue
             if f.essential_only and len(sig) != 2:
@@ -201,12 +221,8 @@ def _se_order_sets(g: int, f: Filters, two_n: int) -> list[SeDataSet]:
                 # subgroup: nothing generates, no assignment can be valid.
                 continue
             for a in units_n:
-                exponents = []
-                base = 2 * pow(a, -1, n) % n
-                for l in (base, base + n):
-                    if 2 <= l <= two_n - 1:
-                        if f.exponent is None or l == f.exponent[0]:
-                            exponents.append(l)
+                exponents = [l for l in _se_exponents(a, n)
+                             if f.exponent is None or l == f.exponent[0]]
                 if not exponents:
                     continue
                 residual = (-2 * a) % two_n
@@ -254,15 +270,14 @@ def enumerate_se(g: int, filters: Filters | None = None, jobs: int = 1) -> list[
 def _oracle_sp(g: int) -> list[SpDataSet]:
     out = []
     for n in range(2, 4 * g + 1):
-        units = sorted(units_mod(n))
+        units = _units(n)
         pair_choices = [(a, b) for i, a in enumerate(units) for b in units[i:]]
         parts = [m for m in divisors(n) if m > 1]
         size_cap = (2 * g) // max(1, n // 2)  # every cone weighs >= n/2 >= 1
-        unit_lists = {m: sorted(units_mod(m)) for m in parts}
         for g0 in range(g // n + 1):
             for size in range(size_cap + 1):
                 for sig in combinations_with_replacement(parts, size):
-                    for cones in _oracle_twists(sig, unit_lists):
+                    for cones in _oracle_twists(sig):
                         for l in range(1, n):
                             for a, b in pair_choices:
                                 if sp_genus_if_valid(l, n, g0, a, b, cones) == g:
@@ -276,14 +291,13 @@ def _oracle_se(g: int) -> list[SeDataSet]:
     out = []
     for two_n in range(4, 4 * g + 3, 2):
         n = two_n // 2
-        units_n = sorted(units_mod(n))
+        units_n = _units(n)
         parts = [m for m in divisors(two_n) if m > 1]
         size_cap = (2 * (g + n)) // max(1, n)  # every cone weighs >= n/2
-        unit_lists = {m: sorted(units_mod(m)) for m in parts}
         for g0 in range((g + n) // (2 * n) + 1):
             for size in range(size_cap + 1):
                 for sig in combinations_with_replacement(parts, size):
-                    for cones in _oracle_twists(sig, unit_lists):
+                    for cones in _oracle_twists(sig):
                         for l in range(2, two_n):
                             for a in units_n:
                                 if se_genus_if_valid(l, two_n, g0, a, cones) == g:
@@ -293,16 +307,11 @@ def _oracle_se(g: int) -> list[SeDataSet]:
     return out
 
 
-def _oracle_twists(signature, unit_lists):
+def _oracle_twists(signature):
     """Every canonical unit-twist assignment for a signature, unfiltered."""
-    runs: list[list[int]] = []
-    for order in signature:
-        if runs and runs[-1][0] == order:
-            runs[-1][1] += 1
-        else:
-            runs.append([order, 1])
+    runs = _runs(signature)
     run_choices = [
-        combinations_with_replacement(unit_lists[order], count)
+        combinations_with_replacement(_units(order), count)
         for order, count in runs
     ]
     for combo in product(*run_choices):
@@ -331,17 +340,73 @@ def enumerate_oracle(g: int, kind: str,
     return out
 
 
+def _essential_sp_counts(g: int) -> tuple[int, int]:
+    """(exponents, sets) of the essential side-preserving sets of genus g.
+
+    Essential means g0 = 0 and one cone m of weight (n/m)(m-1) = 2g.  The
+    cone twist solves (n/m)k = r with r = -(a+b) mod n, so it exists iff
+    c = n/m divides r, i.e. b = -a (mod c), and is then k = r/c, a unit
+    iff gcd(r/c, m) = 1.
+    """
+    exponents = set()
+    count = 0
+    for n in range(2, 4 * g + 1):
+        for (m,) in cone_signatures(n, 2 * g, 1):
+            c = n // m
+            inverse = {u: pow(u, -1, n) for u in _units(n)}
+            for a, a_inv in inverse.items():
+                for b in range(a + (-2 * a) % c, n, c):
+                    b_inv = inverse.get(b)
+                    # l = 0 would mean b = -a, so r = 0 and k = 0 fails here
+                    if b_inv is not None and gcd((-(a + b)) % n // c, m) == 1:
+                        count += 1
+                        exponents.add(((a_inv + b_inv) % n, n))
+    return len(exponents), count
+
+
+def _essential_se_counts(g: int) -> tuple[int, int]:
+    """(exponents, sets) of the essential side-exchanging sets of genus g.
+
+    Essential means g0 = 0 and two cones m1 <= m2.  For each unit a mod n
+    the twist k1 runs over the units mod m1 and k2 is solved from
+    (2n/m1)k1 + (2n/m2)k2 = -2a (mod 2n); each admissible exponent l
+    makes one set per solution.
+    """
+    exponents = set()
+    count = 0
+    for two_n in range(4, 4 * g + 3, 2):
+        n = two_n // 2
+        for sig in cone_signatures(two_n, 2 * (g + n), 2):
+            if len(sig) != 2 or all((two_n // m) % 2 == 0 for m in sig):
+                continue  # see the generation prune in _se_order_sets
+            m1, m2 = sig
+            c1, c2 = two_n // m1, two_n // m2
+            for a in _units(n):
+                residual = (-2 * a) % two_n
+                solutions = 0
+                for k1 in _units(m1):
+                    remainder = (residual - c1 * k1) % two_n
+                    if remainder % c2:
+                        continue
+                    k2 = remainder // c2
+                    if gcd(k2, m2) == 1 and (m1 != m2 or k1 <= k2):
+                        solutions += 1
+                if solutions:
+                    ls = _se_exponents(a, n)
+                    count += solutions * len(ls)
+                    exponents.update((l, two_n) for l in ls)
+    return len(exponents), count
+
+
 def spectra(g: int, jobs: int = 1) -> SpectraRow:
-    """Exponent and class counts of the essential data sets of genus g."""
+    """Exponent and class counts of the essential data sets of genus g.
+
+    The counts come from residue loops, not from listing the sets, so
+    `jobs` has no effect; it is accepted for interface stability.
+    """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
-    essential = Filters(essential_only=True)
-    sp = enumerate_sp(g, essential, jobs=jobs)
-    se = enumerate_se(g, essential, jobs=jobs)
-    return SpectraRow(
-        genus_plus_one=g + 1,
-        e_sp=len({d.exponent for d in sp}),
-        e_se=len({d.exponent for d in se}),
-        n_sp=len(sp),
-        n_se=len(se),
-    )
+    e_sp, n_sp = _essential_sp_counts(g)
+    e_se, n_se = _essential_se_counts(g)
+    return SpectraRow(genus_plus_one=g + 1, e_sp=e_sp, e_se=e_se,
+                      n_sp=n_sp, n_se=n_se)

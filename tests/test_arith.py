@@ -129,3 +129,12 @@ def test_cone_signatures_match_brute_force_at_large_orders(order):
     buckets = _signatures_by_bucketing(order, 2 * order)
     for target in range(0, 2 * order + 1):
         assert cone_signatures(order, target) == buckets[target], (order, target)
+
+
+@pytest.mark.parametrize("order", range(2, 61))
+def test_cone_signatures_cap_filters_uncapped(order):
+    for target in range(0, 2 * order + 1):
+        uncapped = cone_signatures(order, target)
+        for max_count in range(4):
+            assert cone_signatures(order, target, max_count) == {
+                s for s in uncapped if len(s) <= max_count}

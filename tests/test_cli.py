@@ -352,3 +352,78 @@ def test_validate_reads_stdin():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "valid genus=4\n"
+
+
+# ---------------------------------------------------------- hardened input
+
+def test_validate_non_ascii_digit_exits_1(tmp_path, capsys):
+    path = tmp_path / "records.txt"
+    path.write_text("((٢, 9), 0, (1, 1); (7, 9))\n", encoding="utf-8")
+    code, out = run_cli("validate", str(path), "--kind", "sp")
+    assert code == 1 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_enumerate_non_ascii_exponent_exits_1(capsys):
+    code, out = run_cli("enumerate", "--genus", "4", "--exponent", "٢/9")
+    assert code == 1 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_non_ascii_integer_flag_exits_1():
+    assert run_cli("families", "--genus", "٢")[0] == 1
+
+
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    record = '{"kind":' + "[" * 100_000
+    path = tmp_path / "records.txt"
+    path.write_text(record + "\n")
+    code, out = run_cli("validate", str(path))
+    assert code == 1 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+    code, out = run_cli("decompose", "--kind", "sp", record)
+    assert code == 1 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+OUTPUT_COMMANDS = {
+    "validate": ["validate", "RECORDS"],
+    "enumerate": ["enumerate", "--genus", "2"],
+    "spectra": ["spectra", "--from", "1", "--to", "2"],
+    "decompose": ["decompose", "--kind", "sp", "((2, 9), 0, (1, 1); (7, 9))"],
+    "families": ["families", "--genus", "2"],
+    "audit": ["audit", "--from", "1", "--to", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_output_into_missing_directory_exits_1(command, tmp_path, capsys):
+    records = tmp_path / "records.txt"
+    records.write_text("((1, 9), 0, (2, 2); (5, 9))\n")
+    argv = [str(records) if a == "RECORDS" else a for a in OUTPUT_COMMANDS[command]]
+    target = tmp_path / "missing" / "out.txt"
+    code, out = run_cli(*argv, "--output", str(target))
+    assert code == 1 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not target.parent.exists()
+
+
+def test_output_checked_before_computing(tmp_path, monkeypatch):
+    import twistfrac.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("computed before checking --output")
+
+    monkeypatch.setattr(cli_mod, "spectra", fail)
+    target = tmp_path / "missing" / "x.csv"
+    assert run_cli("spectra", "--from", "1", "--to", "2",
+                   "--output", str(target))[0] == 1
+
+
+def test_output_open_error_exits_1(tmp_path, capsys):
+    # the path is an existing directory: open() itself fails
+    code, out = run_cli("spectra", "--from", "1", "--to", "1",
+                        "--output", str(tmp_path))
+    assert code == 1 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1

@@ -8,6 +8,7 @@ from twistfrac import (
     OracleBoundError,
     SeDataSet,
     SpDataSet,
+    SpectraRow,
     canonicalize,
     enumerate_oracle,
     enumerate_se,
@@ -162,6 +163,15 @@ def test_spectra_counts_are_consistent():
 def test_genus_helper_matches_enumeration():
     for d in enumerate_sp(3) + enumerate_se(3):
         assert genus(d) == 3
+
+
+@pytest.mark.parametrize("g", range(1, 41))
+def test_spectra_counter_matches_enumeration(g):
+    sp = enumerate_sp(g, ESSENTIAL)
+    se = enumerate_se(g, ESSENTIAL)
+    assert spectra(g) == SpectraRow(g + 1, len({d.exponent for d in sp}),
+                                    len({d.exponent for d in se}),
+                                    len(sp), len(se))
 
 
 def test_spectra_stays_healthy_past_the_reference_range():
