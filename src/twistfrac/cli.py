@@ -22,8 +22,11 @@ import csv
 import json
 import os
 import re
+import stat
 import sys
-from contextlib import nullcontext
+import tempfile
+from contextlib import contextmanager, nullcontext, suppress
+from itertools import chain
 
 from .datasets import (
     ConePair,
@@ -31,6 +34,7 @@ from .datasets import (
     SpDataSet,
     from_record,
     is_essential,
+    record_line,
     to_record,
     validate,
 )
@@ -41,6 +45,8 @@ from .enumeration import (
     enumerate_oracle,
     enumerate_se,
     enumerate_sp,
+    iter_se,
+    iter_sp,
     spectra,
 )
 from .laws import audit
@@ -55,6 +61,10 @@ from .relations import (
 )
 
 FORMATS = ("text", "json-lines", "csv")
+
+# A json-lines listing is written in strings of at most this many records,
+# so a large order chunk is not rendered into one string.
+RECORDS_PER_WRITE = 1024
 
 # ASCII digits only: `\d` would also accept digits of other scripts.
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -169,35 +179,41 @@ def _enumerate_csv_row(d) -> list:
     return ["SE", d.l, d.two_n, d.g0, d.a, "", _cones_cell(d)]
 
 
-def render_listing_text(sets, out) -> None:
-    """Data sets grouped under 'Exponent l/order' headers."""
-    current = None
-    for d in sets:
-        exponent = d.exponent
-        if exponent != current:
-            out.write(f"Exponent {exponent[0]}/{exponent[1]}\n")
-            current = exponent
-        out.write(f"  {d}\n")
-
-
 def render_listing(sets, fmt: str, out, both_kinds: bool = False) -> None:
+    """Write a listing to `out`, each chunk of `sets` as soon as it arrives.
+
+    `sets` is the listing in order as an iterable of chunks, lists of data
+    sets (the enumerator yields one per order); it may be lazy and is
+    consumed once.  With `both_kinds` the side-preserving chunks come
+    first, and text output puts each kind under its own heading.  Text
+    groups sets under 'Exponent l/order' headers.
+    """
     if fmt == "text":
         if both_kinds:
-            sp = [d for d in sets if isinstance(d, SpDataSet)]
-            se = [d for d in sets if isinstance(d, SeDataSet)]
             out.write("side-preserving:\n")
-            render_listing_text(sp, out)
+        # with both kinds, the second heading goes before the first SE set
+        exchanging = not both_kinds
+        current = None
+        for d in chain.from_iterable(sets):
+            if not exchanging and isinstance(d, SeDataSet):
+                out.write("side-exchanging:\n")
+                exchanging, current = True, None
+            exponent = d.exponent
+            if exponent != current:
+                out.write(f"Exponent {exponent[0]}/{exponent[1]}\n")
+                current = exponent
+            out.write(f"  {d}\n")
+        if not exchanging:
             out.write("side-exchanging:\n")
-            render_listing_text(se, out)
-        else:
-            render_listing_text(sets, out)
     elif fmt == "json-lines":
-        for d in sets:
-            out.write(_json_line(to_record(d)) + "\n")
+        for chunk in sets:
+            for start in range(0, len(chunk), RECORDS_PER_WRITE):
+                lines = map(record_line, chunk[start:start + RECORDS_PER_WRITE])
+                out.write("\n".join(lines) + "\n")
     else:
         writer = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
         writer.writerow(["kind", "l", "order", "g0", "a", "b", "cones"])
-        for d in sets:
+        for d in chain.from_iterable(sets):
             writer.writerow(_enumerate_csv_row(d))
 
 
@@ -205,13 +221,50 @@ class _OutputError(Exception):
     """The --output path cannot be written; main() reports it and exits 1."""
 
 
+@contextmanager
 def _open_output(path: str | None, fallback):
+    """The sink for --output PATH, or `fallback` (stdout) without one.
+
+    PATH is written atomically: through a temporary file beside it that
+    replaces PATH, with PATH's mode, only once the command has written
+    everything.  If the command fails, the temporary file is removed and
+    PATH is left as it was.  Symlinks are followed, and a PATH that is not
+    a regular file, such as a pipe or a device, is written directly: it
+    cannot be replaced.  An OSError becomes an _OutputError.
+    """
     if path is None:
-        return nullcontext(fallback)
+        yield fallback
+        return
+    target = os.path.realpath(path)
+    temp = None
     try:
-        return open(path, "w", encoding="utf-8")
+        if os.path.exists(target) and not os.path.isfile(target):
+            sink = open(target, "w", encoding="utf-8")
+        else:
+            fd, temp = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.",
+                                        suffix=".tmp", dir=os.path.dirname(target))
+            sink = open(fd, "w", encoding="utf-8")
+        with sink:
+            yield sink
+        if temp is not None:
+            os.chmod(temp, _file_mode(target))
+            os.replace(temp, target)
+            temp = None
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc}") from None
+    finally:
+        if temp is not None:
+            with suppress(OSError):
+                os.unlink(temp)
+
+
+def _file_mode(path: str) -> int:
+    """The permission bits of the file at `path`, or those open() gives a new file."""
+    if os.path.isfile(path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
 # --------------------------------------------------------------- commands
@@ -284,12 +337,6 @@ def cmd_enumerate(args, out) -> int:
     filters = Filters(kind=args.kind, essential_only=args.essential,
                       exponent=exponent, g0=args.g0, cone_count=args.cones)
 
-    sets = []
-    if args.kind in ("sp", "both"):
-        sets.extend(enumerate_sp(args.genus, filters, jobs=args.jobs))
-    if args.kind in ("se", "both"):
-        sets.extend(enumerate_se(args.genus, filters, jobs=args.jobs))
-
     if args.oracle:
         if args.kind == "both":
             print("--oracle needs --kind sp or --kind se", file=sys.stderr)
@@ -299,6 +346,8 @@ def cmd_enumerate(args, out) -> int:
         except OracleBoundError as exc:
             print(exc, file=sys.stderr)
             return 1
+        enumerate_kind = enumerate_sp if args.kind == "sp" else enumerate_se
+        sets = enumerate_kind(args.genus, filters, jobs=args.jobs)
         # The pruned output is unfiltered only when no filters were given;
         # compare against the oracle through the same filters.
         expected = [d for d in reference if _passes(d, filters)]
@@ -310,9 +359,15 @@ def cmd_enumerate(args, out) -> int:
             for d in extra:
                 print(f"enumerator only: {d}", file=sys.stderr)
             return 3
+        chunks = [sets]
+    else:
+        # Lazy: the sets of each order are written as they are enumerated.
+        sp = iter_sp(args.genus, filters, args.jobs) if args.kind != "se" else ()
+        se = iter_se(args.genus, filters, args.jobs) if args.kind != "sp" else ()
+        chunks = chain(sp, se)
 
     with _open_output(args.output, out) as sink:
-        render_listing(sets, args.format, sink, both_kinds=args.kind == "both")
+        render_listing(chunks, args.format, sink, both_kinds=args.kind == "both")
     return 0
 
 

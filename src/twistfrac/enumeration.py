@@ -15,9 +15,13 @@ Two independent engines produce the same sets:
   It is deliberately slow and refuses genus above its bound.
 
 Output contract shared by both: canonical data sets only, no duplicates,
-sorted by (order, l, g0, residues, cones).  Enumeration may be sharded
-over the order variable (`jobs`); shards share nothing and the merge
-sorts, so the result is identical for every schedule.
+sorted by (order, l, g0, residues, cones).  The pruned engine works one
+order at a time: it collects plain tuples that sort like the data sets,
+sorts them, and builds the data sets of that order only then.  Orders are
+visited ascending, so the chunks concatenate into the sorted listing and
+`iter_sp` / `iter_se` can stream it.  With `jobs` > 1 the orders are
+shared out to worker processes and their chunks are taken back in order,
+so the result is identical for every schedule.
 
 `spectra` lists nothing: it counts the essential sets from residue loops
 that mirror the pruned engine with one or two cones.
@@ -26,9 +30,10 @@ that mirror the pruned engine with one or two cones.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, groupby, product
+from itertools import chain, combinations_with_replacement, groupby, product
 from math import gcd
 
 from .arith import cone_signatures, divisors, units_mod
@@ -109,8 +114,8 @@ def _se_exponents(a: int, n: int) -> tuple[int, ...]:
 def _k_assignments(ambient: int, signature, residual: int):
     """Canonical twist assignments for the cones of one signature.
 
-    Yields tuples of (twist, order) pairs, ascending by (order, twist),
-    each a unit in its order, satisfying
+    Yields ascending tuples of (order, twist) pairs, so a tuple is its own
+    sort key; each twist is a unit in its order, and
 
         sum (ambient/order) * twist = residual  (mod ambient).
 
@@ -142,23 +147,28 @@ def _k_assignments(ambient: int, signature, residual: int):
             step = ambient // order
             for k in twists:
                 partial_sum += step * k
-                flat.append((k, order))
+                flat.append((order, k))
         remainder = (residual - partial_sum) % ambient
         if remainder % cofactor:
             continue
         k_last = remainder // cofactor
         if gcd(k_last, last_order) != 1:
             continue
-        if last_count > 1 and k_last < flat[-1][0]:
+        if last_count > 1 and k_last < flat[-1][1]:
             continue
-        yield tuple(flat) + ((k_last, last_order),)
+        yield tuple(flat) + ((last_order, k_last),)
 
 
-def _sp_order_sets(g: int, f: Filters, n: int) -> list[SpDataSet]:
-    """All valid canonical side-preserving sets of genus g with this order."""
-    out: list[SpDataSet] = []
+def _sp_order_rows(g: int, f: Filters, n: int) -> list[tuple]:
+    """Rows (l, g0, a, b, cones) of the side-preserving sets of genus g, order n.
+
+    `cones` is the (order, twist) tuple from `_k_assignments`, so the rows
+    sort like `SpDataSet.sort_key` within the order; they are returned
+    sorted.
+    """
+    rows: list[tuple] = []
     if f.exponent is not None and f.exponent[1] != n:
-        return out
+        return rows
     units = _units(n)
     inverse = {u: pow(u, -1, n) for u in units}
     for g0 in range(g // n + 1):
@@ -170,13 +180,15 @@ def _sp_order_sets(g: int, f: Filters, n: int) -> list[SpDataSet]:
         if target <= 0:
             continue  # a valid set has at least one cone
         max_count = 1 if f.essential_only else f.cone_count
-        for sig in sorted(cone_signatures(n, target, max_count)):
+        for sig in cone_signatures(n, target, max_count):
             if not sig:
                 continue
             if f.essential_only and len(sig) != 1:
                 continue
             if f.cone_count is not None and len(sig) != f.cone_count:
                 continue
+            # many pairs (a, b) share a residual -(a+b): solve each once
+            assignments: dict[int, list] = {}
             for i, a in enumerate(units):
                 for b in units[i:]:
                     # twist relation a+b = l*a*b fixes the exponent
@@ -186,18 +198,24 @@ def _sp_order_sets(g: int, f: Filters, n: int) -> list[SpDataSet]:
                     if f.exponent is not None and l != f.exponent[0]:
                         continue
                     residual = (-(a + b)) % n
-                    for cones in _k_assignments(n, sig, residual):
-                        out.append(SpDataSet(
-                            l, n, g0, a, b,
-                            tuple(ConePair(k, m) for k, m in cones)))
-    return out
+                    cones_list = assignments.get(residual)
+                    if cones_list is None:
+                        cones_list = assignments[residual] = list(
+                            _k_assignments(n, sig, residual))
+                    for cones in cones_list:
+                        rows.append((l, g0, a, b, cones))
+    rows.sort()
+    return rows
 
 
-def _se_order_sets(g: int, f: Filters, two_n: int) -> list[SeDataSet]:
-    """All valid canonical side-exchanging sets of genus g with this order."""
-    out: list[SeDataSet] = []
+def _se_order_rows(g: int, f: Filters, two_n: int) -> list[tuple]:
+    """Rows (l, g0, a, cones) of the side-exchanging sets of genus g, order 2n.
+
+    As `_sp_order_rows`: sorted like `SeDataSet.sort_key` within the order.
+    """
+    rows: list[tuple] = []
     if f.exponent is not None and f.exponent[1] != two_n:
-        return out
+        return rows
     n = two_n // 2
     units_n = _units(n)
     for g0 in range((g + n) // (2 * n) + 1):
@@ -209,7 +227,7 @@ def _se_order_sets(g: int, f: Filters, two_n: int) -> list[SeDataSet]:
         if target <= 0:
             continue
         max_count = 2 if f.essential_only else f.cone_count
-        for sig in sorted(cone_signatures(two_n, target, max_count)):
+        for sig in cone_signatures(two_n, target, max_count):
             if not sig:
                 continue
             if f.essential_only and len(sig) != 2:
@@ -227,44 +245,87 @@ def _se_order_sets(g: int, f: Filters, two_n: int) -> list[SeDataSet]:
                     continue
                 residual = (-2 * a) % two_n
                 for cones in _k_assignments(two_n, sig, residual):
-                    pairs = tuple(ConePair(k, m) for k, m in cones)
                     for l in exponents:
-                        out.append(SeDataSet(l, two_n, g0, a, pairs))
+                        rows.append((l, g0, a, cones))
+    rows.sort()
+    return rows
+
+
+def _cone_pairs(cache: dict, cones) -> tuple[ConePair, ...]:
+    """The ConePair tuple of (order, twist) pairs, shared by equal `cones`."""
+    pairs = cache.get(cones)
+    if pairs is None:
+        pairs = cache[cones] = tuple([ConePair(k, m) for m, k in cones])
+    return pairs
+
+
+def _sp_sets(n: int, rows: list[tuple]) -> list[SpDataSet]:
+    """The data sets of sorted `_sp_order_rows` rows, freeing rows as it goes."""
+    cache: dict = {}
+    rows.reverse()
+    out = []
+    while rows:
+        l, g0, a, b, cones = rows.pop()
+        out.append(SpDataSet(l, n, g0, a, b, _cone_pairs(cache, cones)))
     return out
 
 
-def _map_orders(worker, g: int, f: Filters, orders, jobs: int) -> list:
-    order_list = list(orders)
-    if jobs > 1 and len(order_list) > 1:
+def _se_sets(two_n: int, rows: list[tuple]) -> list[SeDataSet]:
+    """The data sets of sorted `_se_order_rows` rows, freeing rows as it goes."""
+    cache: dict = {}
+    rows.reverse()
+    out = []
+    while rows:
+        l, g0, a, cones = rows.pop()
+        out.append(SeDataSet(l, two_n, g0, a, _cone_pairs(cache, cones)))
+    return out
+
+
+def _order_chunks(order_rows, build, g: int, f: Filters, orders: range, jobs: int):
+    """Yield the sorted data sets of each order in turn, ascending by order.
+
+    Rows come from `map` or, with jobs > 1, from an ordered `Pool.imap`
+    whose workers send back the plain rows.
+    """
+    pool = None
+    if jobs > 1 and len(orders) > 1:
         try:
-            with multiprocessing.Pool(min(jobs, len(order_list))) as pool:
-                chunks = pool.map(partial(worker, g, f), order_list)
+            pool = multiprocessing.Pool(min(jobs, len(orders)))
         except OSError:
-            # Restricted environments may deny semaphores; keep going.
-            chunks = [worker(g, f, n) for n in order_list]
-    else:
-        chunks = [worker(g, f, n) for n in order_list]
-    return [d for chunk in chunks for d in chunk]
+            pass  # restricted environments may deny semaphores; run serially
+    work = partial(order_rows, g, f)
+    with pool or nullcontext():
+        chunks = map(work, orders) if pool is None else pool.imap(work, orders)
+        for n, rows in zip(orders, chunks):
+            yield build(n, rows)
+
+
+def _checked_filters(g: int, filters: Filters | None) -> Filters:
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
+    return filters if filters is not None else Filters()
+
+
+def iter_sp(g: int, filters: Filters | None = None, jobs: int = 1):
+    """`enumerate_sp` one order at a time: an iterator of sorted lists."""
+    return _order_chunks(_sp_order_rows, _sp_sets, g, _checked_filters(g, filters),
+                         range(2, 4 * g + 1), jobs)
+
+
+def iter_se(g: int, filters: Filters | None = None, jobs: int = 1):
+    """`enumerate_se` one order at a time: an iterator of sorted lists."""
+    return _order_chunks(_se_order_rows, _se_sets, g, _checked_filters(g, filters),
+                         range(4, 4 * g + 3, 2), jobs)
 
 
 def enumerate_sp(g: int, filters: Filters | None = None, jobs: int = 1) -> list[SpDataSet]:
     """All valid canonical side-preserving data sets of genus g, sorted."""
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    f = filters if filters is not None else Filters()
-    out = _map_orders(_sp_order_sets, g, f, range(2, 4 * g + 1), jobs)
-    out.sort(key=SpDataSet.sort_key)
-    return out
+    return list(chain.from_iterable(iter_sp(g, filters, jobs)))
 
 
 def enumerate_se(g: int, filters: Filters | None = None, jobs: int = 1) -> list[SeDataSet]:
     """All valid canonical side-exchanging data sets of genus g, sorted."""
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    f = filters if filters is not None else Filters()
-    out = _map_orders(_se_order_sets, g, f, range(4, 4 * g + 3, 2), jobs)
-    out.sort(key=SeDataSet.sort_key)
-    return out
+    return list(chain.from_iterable(iter_se(g, filters, jobs)))
 
 
 def _oracle_sp(g: int) -> list[SpDataSet]:
@@ -343,16 +404,18 @@ def enumerate_oracle(g: int, kind: str,
 def _essential_sp_counts(g: int) -> tuple[int, int]:
     """(exponents, sets) of the essential side-preserving sets of genus g.
 
-    Essential means g0 = 0 and one cone m of weight (n/m)(m-1) = 2g.  The
-    cone twist solves (n/m)k = r with r = -(a+b) mod n, so it exists iff
-    c = n/m divides r, i.e. b = -a (mod c), and is then k = r/c, a unit
-    iff gcd(r/c, m) = 1.
+    Essential means g0 = 0 and one cone m of weight (n/m)(m-1) = 2g, that
+    is n - c = 2g with c = n/m: the cone exists iff c = n - 2g >= 1
+    divides n, and m = n/c >= 2 holds for every n <= 4g.  The cone twist
+    solves ck = r with r = -(a+b) mod n, so it exists iff c divides r,
+    i.e. b = -a (mod c), and is then k = r/c, a unit iff gcd(r/c, m) = 1.
     """
     exponents = set()
     count = 0
-    for n in range(2, 4 * g + 1):
-        for (m,) in cone_signatures(n, 2 * g, 1):
-            c = n // m
+    for n in range(2 * g + 1, 4 * g + 1):
+        c = n - 2 * g
+        if n % c == 0:
+            m = n // c
             inverse = {u: pow(u, -1, n) for u in _units(n)}
             for a, a_inv in inverse.items():
                 for b in range(a + (-2 * a) % c, n, c):
@@ -378,7 +441,7 @@ def _essential_se_counts(g: int) -> tuple[int, int]:
         n = two_n // 2
         for sig in cone_signatures(two_n, 2 * (g + n), 2):
             if len(sig) != 2 or all((two_n // m) % 2 == 0 for m in sig):
-                continue  # see the generation prune in _se_order_sets
+                continue  # see the generation prune in _se_order_rows
             m1, m2 = sig
             c1, c2 = two_n // m1, two_n // m2
             for a in _units(n):

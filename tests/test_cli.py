@@ -1,12 +1,26 @@
+import csv
+import errno
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
-from twistfrac import ConePair, SeDataSet, SpDataSet, enumerate_sp, from_record, to_record
+from twistfrac import (
+    ConePair,
+    Filters,
+    SeDataSet,
+    SpDataSet,
+    enumerate_se,
+    enumerate_sp,
+    from_record,
+    to_record,
+)
 from twistfrac.cli import main, parse_record_line, parse_tuple_text
+from twistfrac.datasets import record_line
 
 
 def run_cli(*argv):
@@ -187,6 +201,121 @@ def test_enumerate_output_file(tmp_path):
     _, direct = run_cli("enumerate", "--genus", "4", "--kind", "sp",
                         "--essential")
     assert target.read_text(encoding="utf-8") == direct
+
+
+# The streamed listing must be byte-identical to rendering the finished
+# lists, as `enumerate` did before it streamed.  Filter flags at genus 6,
+# chosen so that both kinds list something under each.
+STREAM_FILTERS = {
+    "none": ([], Filters()),
+    "essential": (["--essential"], Filters(essential_only=True)),
+    "g0": (["--g0", "1"], Filters(g0=1)),
+    "cones": (["--cones", "2"], Filters(cone_count=2)),
+    "exponent": (["--exponent", "4/14"], Filters(exponent=(4, 14))),
+}
+
+
+def _materialised_listing(g, kind, fmt, filters):
+    sp = enumerate_sp(g, filters) if kind in ("sp", "both") else []
+    se = enumerate_se(g, filters) if kind in ("se", "both") else []
+    out = io.StringIO()
+    if fmt == "text":
+        def grouped(sets):
+            current = None
+            for d in sets:
+                if d.exponent != current:
+                    out.write(f"Exponent {d.exponent[0]}/{d.exponent[1]}\n")
+                    current = d.exponent
+                out.write(f"  {d}\n")
+        if kind == "both":
+            out.write("side-preserving:\n")
+            grouped(sp)
+            out.write("side-exchanging:\n")
+            grouped(se)
+        else:
+            grouped(sp + se)
+    elif fmt == "json-lines":
+        for d in sp + se:
+            out.write(json.dumps(to_record(d), separators=(",", ":")) + "\n")
+    else:
+        writer = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+        writer.writerow(["kind", "l", "order", "g0", "a", "b", "cones"])
+        for d in sp + se:
+            cones = ";".join(f"{c.twist}:{c.order}" for c in d.cones)
+            if isinstance(d, SpDataSet):
+                writer.writerow(["SP", d.l, d.n, d.g0, d.a, d.b, cones])
+            else:
+                writer.writerow(["SE", d.l, d.two_n, d.g0, d.a, "", cones])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("filter_name", sorted(STREAM_FILTERS))
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+@pytest.mark.parametrize("kind", ["sp", "se", "both"])
+def test_streamed_listing_equals_materialised(kind, fmt, jobs, filter_name):
+    flags, filters = STREAM_FILTERS[filter_name]
+    code, out = run_cli("enumerate", "--genus", "6", "--kind", kind,
+                        "--format", fmt, "--jobs", jobs, *flags)
+    assert code == 0
+    assert out == _materialised_listing(6, kind, fmt, filters)
+    assert out.count("\n") > (kind == "both") * 2 + (fmt == "csv")
+
+
+@pytest.mark.parametrize("g, flags, filters", [
+    (1, [], Filters()),  # the last SP and the first SE exponent are both 2/4
+    (6, ["--exponent", "1/13"], Filters(exponent=(1, 13))),  # SP sets only
+    (6, ["--exponent", "3/26"], Filters(exponent=(3, 26))),  # SE sets only
+])
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+def test_streamed_both_kinds_at_the_kind_boundary(g, flags, filters, fmt):
+    code, out = run_cli("enumerate", "--genus", str(g), "--kind", "both",
+                        "--format", fmt, *flags)
+    assert code == 0
+    assert out == _materialised_listing(g, "both", fmt, filters)
+
+
+def test_json_lines_writes_large_chunks_in_parts(monkeypatch):
+    import twistfrac.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "RECORDS_PER_WRITE", 7)
+    code, out = run_cli("enumerate", "--genus", "6", "--format", "json-lines")
+    assert code == 0
+    assert out == _materialised_listing(6, "both", "json-lines", Filters())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+def test_enumerate_writes_each_order_before_the_next(fmt, monkeypatch):
+    import twistfrac.cli as cli_mod
+
+    real_iter_sp = cli_mod.iter_sp
+    out = io.StringIO()
+    progress = []  # (sets enumerated, set lines written) whenever a chunk is asked for
+
+    def watched_iter_sp(*args, **kwargs):
+        enumerated = 0
+        for chunk in real_iter_sp(*args, **kwargs):
+            yield chunk
+            enumerated += len(chunk)
+            lines = out.getvalue().splitlines()
+            if fmt == "text":
+                written = sum(line.startswith("  ") for line in lines)
+            else:
+                written = len(lines) - (fmt == "csv")
+            progress.append((enumerated, written))
+
+    monkeypatch.setattr(cli_mod, "iter_sp", watched_iter_sp)
+    argv = ["enumerate", "--genus", "5", "--kind", "sp", "--format", fmt]
+    assert main(argv, stdout=out) == 0
+    assert len(progress) == 19  # orders 2..20
+    assert all(enumerated == written for enumerated, written in progress)
+    assert progress[-1][0] == len(enumerate_sp(5))
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_record_line_is_compact_json_of_to_record(g):
+    for d in enumerate_sp(g) + enumerate_se(g):
+        assert record_line(d) == json.dumps(to_record(d), separators=(",", ":"))
 
 
 def test_enumerate_bad_exponent_exit_1(capsys):
@@ -427,3 +556,74 @@ def test_output_open_error_exits_1(tmp_path, capsys):
                         "--output", str(tmp_path))
     assert code == 1 and out == ""
     assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_output_file_mode_follows_umask(tmp_path):
+    target = tmp_path / "rows.csv"
+    assert run_cli("spectra", "--from", "1", "--to", "2",
+                   "--output", str(target))[0] == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+@pytest.mark.parametrize("error", [OSError(errno.ENOSPC, "No space left on device"),
+                                   RuntimeError("render failed")])
+def test_output_failure_mid_listing_leaves_no_file(error, tmp_path, monkeypatch, capsys):
+    import twistfrac.cli as cli_mod
+
+    real_iter_sp = cli_mod.iter_sp
+    during = []
+
+    def failing_iter_sp(*args, **kwargs):
+        chunks = (chunk for chunk in real_iter_sp(*args, **kwargs) if chunk)
+        yield next(chunks)
+        during.extend(tmp_path.iterdir())
+        raise error
+
+    monkeypatch.setattr(cli_mod, "iter_sp", failing_iter_sp)
+    target = tmp_path / "listing.txt"
+    target.write_text("previous\n")
+    argv = ["enumerate", "--genus", "4", "--kind", "sp", "--output", str(target)]
+    if isinstance(error, OSError):
+        code, out = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert len(capsys.readouterr().err.splitlines()) == 1
+    else:
+        with pytest.raises(RuntimeError):
+            run_cli(*argv)
+    # the first chunk went to a temporary file beside the target ...
+    assert len(during) == 2 and target in during
+    # ... which is gone, and the target is as it was
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "previous\n"
+
+
+def test_output_through_a_symlink_keeps_the_link_and_the_mode(tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("previous\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    code, out = run_cli("spectra", "--from", "1", "--to", "2", "--output", str(link))
+    assert code == 0 and out == ""
+    assert link.is_symlink()
+    assert real.read_text() == run_cli("spectra", "--from", "1", "--to", "2")[1]
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_output_to_a_pipe_writes_through_it(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # so the CLI's open() does not block
+    try:
+        code, out = run_cli("spectra", "--from", "1", "--to", "2", "--output", str(pipe))
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert code == 0 and out == ""
+    assert data.decode() == run_cli("spectra", "--from", "1", "--to", "2")[1]
+    assert stat.S_ISFIFO(pipe.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]

@@ -62,7 +62,7 @@ def test_exponent_counts_at_genus4():
     assert len(se) == 33 and len({d.exponent for d in se}) == 22
 
 
-@pytest.mark.parametrize("g", range(1, 9))
+@pytest.mark.parametrize("g", range(1, 15))
 def test_emitted_sets_are_valid_canonical_sorted_unique(g):
     for sets in (enumerate_sp(g), enumerate_se(g)):
         assert len(set(sets)) == len(sets)
