@@ -33,7 +33,6 @@ from .datasets import (
     SeDataSet,
     SpDataSet,
     from_record,
-    is_essential,
     record_line,
     to_record,
     validate,
@@ -281,16 +280,21 @@ def cmd_validate(args, out) -> int:
 
     kind = None if args.kind == "auto" else args.kind
     rows = []
-    with stream as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                d = parse_record_line(line, kind)
-            except (ValueError, RecursionError) as exc:
-                print(f"line {number}: {exc}", file=sys.stderr)
-                return 1
-            rows.append(validate(d))
+    try:
+        with stream as handle:
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    d = parse_record_line(line, kind)
+                except (ValueError, RecursionError) as exc:
+                    print(f"line {number}: {exc}", file=sys.stderr)
+                    return 1
+                rows.append(validate(d))
+    except UnicodeDecodeError as exc:
+        # raised by the reads, which decode ahead of the line being parsed
+        print(f"input is not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
 
     with _open_output(args.output, out) as sink:
         if args.format == "text":
@@ -334,8 +338,8 @@ def cmd_enumerate(args, out) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 1
-    filters = Filters(kind=args.kind, essential_only=args.essential,
-                      exponent=exponent, g0=args.g0, cone_count=args.cones)
+    filters = Filters(essential_only=args.essential, exponent=exponent,
+                      g0=args.g0, cone_count=args.cones)
 
     if args.oracle:
         if args.kind == "both":
@@ -347,10 +351,9 @@ def cmd_enumerate(args, out) -> int:
             print(exc, file=sys.stderr)
             return 1
         enumerate_kind = enumerate_sp if args.kind == "sp" else enumerate_se
-        sets = enumerate_kind(args.genus, filters, jobs=args.jobs)
-        # The pruned output is unfiltered only when no filters were given;
-        # compare against the oracle through the same filters.
-        expected = [d for d in reference if _passes(d, filters)]
+        sets = enumerate_kind(args.genus, filters)
+        # the oracle lists every set of the genus
+        expected = [d for d in reference if filters.accepts(d)]
         if sets != expected:
             missing = [d for d in expected if d not in sets]
             extra = [d for d in sets if d not in expected]
@@ -362,25 +365,13 @@ def cmd_enumerate(args, out) -> int:
         chunks = [sets]
     else:
         # Lazy: the sets of each order are written as they are enumerated.
-        sp = iter_sp(args.genus, filters, args.jobs) if args.kind != "se" else ()
-        se = iter_se(args.genus, filters, args.jobs) if args.kind != "sp" else ()
+        sp = iter_sp(args.genus, filters) if args.kind != "se" else ()
+        se = iter_se(args.genus, filters) if args.kind != "sp" else ()
         chunks = chain(sp, se)
 
     with _open_output(args.output, out) as sink:
         render_listing(chunks, args.format, sink, both_kinds=args.kind == "both")
     return 0
-
-
-def _passes(d, f: Filters) -> bool:
-    if f.essential_only and not is_essential(d):
-        return False
-    if f.exponent is not None and d.exponent != f.exponent:
-        return False
-    if f.g0 is not None and d.g0 != f.g0:
-        return False
-    if f.cone_count is not None and len(d.cones) != f.cone_count:
-        return False
-    return True
 
 
 def cmd_spectra(args, out) -> int:
@@ -391,7 +382,7 @@ def cmd_spectra(args, out) -> int:
     if hi > SPECTRA_MAX_GENUS:
         print(f"spectra is capped at genus {SPECTRA_MAX_GENUS}", file=sys.stderr)
         return 1
-    rows = [spectra(g, jobs=args.jobs) for g in range(lo, hi + 1)]
+    rows = [spectra(g) for g in range(lo, hi + 1)]
     with _open_output(args.output, out) as sink:
         if args.format == "text":
             sink.write("surface_genus  e_sp  e_se  n_sp  n_se\n")
@@ -503,8 +494,7 @@ def cmd_audit(args, out) -> int:
         print(f"need 1 <= --from <= --to, got {lo}..{hi}", file=sys.stderr)
         return 1
     kinds = ("sp", "se") if args.kind == "both" else (args.kind,)
-    results = [audit(g, kind, jobs=args.jobs)
-               for g in range(lo, hi + 1) for kind in kinds]
+    results = [audit(g, kind) for g in range(lo, hi + 1) for kind in kinds]
     total_violations = sum(len(r.violations) for r in results)
     with _open_output(args.output, out) as sink:
         if args.format == "text":
@@ -583,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g0", type=_nonnegative_int, default=None)
     p.add_argument("--cones", type=_nonnegative_int, default=None,
                    help="keep only sets with this many cone pairs")
-    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the naive enumerator")
     add_common(p)
@@ -592,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="exponent/class counts per genus")
     p.add_argument("--from", dest="start", type=_positive_int, required=True)
     p.add_argument("--to", dest="end", type=_positive_int, required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
     add_common(p)
     p.set_defaults(handler=cmd_spectra)
 
@@ -613,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=_positive_int, required=True)
     p.add_argument("--to", dest="end", type=_positive_int, required=True)
     p.add_argument("--kind", choices=("sp", "se", "both"), default="both")
-    p.add_argument("--jobs", type=_positive_int, default=1)
     add_common(p)
     p.set_defaults(handler=cmd_audit)
 

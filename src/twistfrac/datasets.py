@@ -51,13 +51,13 @@ a <= b and the cones ascending by (order, twist).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Union
 
 
 class IntegralityError(ValueError):
-    """Raised when a genus evaluates to a half-integer."""
+    """Raised when a data set has no integral genus: its cone weight is odd,
+    or it fails condition (i), for instance by a cone order not dividing n."""
 
 
 class ConePair(NamedTuple):
@@ -299,22 +299,18 @@ def se_genus_if_valid(l: int, two_n: int, g0: int, a: int, cones) -> int | None:
 
 def genus_sp(d: SpDataSet) -> int:
     """Genus g0*n + (1/2) sum (n/m)*(m-1) of a side-preserving data set."""
-    # Exact rationals: unvalidated inputs may have orders not dividing n,
-    # and those must surface as integrality errors, not floor division.
-    value = Fraction(d.g0 * d.n) + Fraction(
-        sum(Fraction(d.n * (c.order - 1), c.order) for c in d.cones), 2)
-    if value.denominator != 1:
-        raise IntegralityError(f"half-integral genus for {d}")
-    return int(value)
+    return _integral_genus(d, validate_sp(d))
 
 
 def genus_se(d: SeDataSet) -> int:
     """Genus n*(2*g0 - 1) + sum (n/m)*(m-1) of a side-exchanging data set."""
-    value = (Fraction(d.two_n, 2) * (2 * d.g0 - 1)
-             + sum(Fraction(d.two_n * (c.order - 1), 2 * c.order) for c in d.cones))
-    if value.denominator != 1:
-        raise IntegralityError(f"half-integral genus for {d}")
-    return int(value)
+    return _integral_genus(d, validate_se(d))
+
+
+def _integral_genus(d: DataSet, report: ValidationReport) -> int:
+    if report.genus is None:
+        raise IntegralityError(f"no integral genus for {d}")
+    return report.genus
 
 
 def genus(d: DataSet) -> int:

@@ -19,9 +19,7 @@ sorted by (order, l, g0, residues, cones).  The pruned engine works one
 order at a time: it collects plain tuples that sort like the data sets,
 sorts them, and builds the data sets of that order only then.  Orders are
 visited ascending, so the chunks concatenate into the sorted listing and
-`iter_sp` / `iter_se` can stream it.  With `jobs` > 1 the orders are
-shared out to worker processes and their chunks are taken back in order,
-so the result is identical for every schedule.
+`iter_sp` / `iter_se` can stream it.
 
 `spectra` lists nothing: it counts the essential sets from residue loops
 that mirror the pruned engine with one or two cones.
@@ -29,18 +27,18 @@ that mirror the pruned engine with one or two cones.
 
 from __future__ import annotations
 
-import multiprocessing
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby, product
 from math import gcd
 
 from .arith import cone_signatures, divisors, units_mod
 from .datasets import (
     ConePair,
+    DataSet,
     SeDataSet,
     SpDataSet,
+    is_essential,
     se_genus_if_valid,
     sp_genus_if_valid,
 )
@@ -61,23 +59,26 @@ class OracleBoundError(ValueError):
 class Filters:
     """Enumeration filters.
 
-    `kind` is dispatch information for callers that handle both families;
-    the enumerators themselves ignore it.  `exponent` is an unreduced
-    (l, order) pair, where order means n for side-preserving sets and 2n
-    for side-exchanging ones.
+    `exponent` is an unreduced (l, order) pair, where order means n for
+    side-preserving sets and 2n for side-exchanging ones.  `accepts` is
+    the meaning of the filters; the enumerators prune to the same sets.
     """
 
-    kind: str = "both"
     essential_only: bool = False
     exponent: tuple[int, int] | None = None
     g0: int | None = None
     cone_count: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("sp", "se", "both"):
-            raise ValueError(f"kind must be 'sp', 'se' or 'both', got {self.kind!r}")
         if self.exponent is not None and self.exponent[1] < 2:
             raise ValueError(f"exponent order must be >= 2, got {self.exponent[1]}")
+
+    def accepts(self, d: DataSet) -> bool:
+        """Whether the data set `d` passes every filter."""
+        return ((not self.essential_only or is_essential(d))
+                and (self.exponent is None or d.exponent == self.exponent)
+                and (self.g0 is None or d.g0 == self.g0)
+                and (self.cone_count is None or len(d.cones) == self.cone_count))
 
 
 @dataclass(frozen=True)
@@ -180,11 +181,8 @@ def _sp_order_rows(g: int, f: Filters, n: int) -> list[tuple]:
         if target <= 0:
             continue  # a valid set has at least one cone
         max_count = 1 if f.essential_only else f.cone_count
+        # target > 0, so every signature has 1..max_count cones
         for sig in cone_signatures(n, target, max_count):
-            if not sig:
-                continue
-            if f.essential_only and len(sig) != 1:
-                continue
             if f.cone_count is not None and len(sig) != f.cone_count:
                 continue
             # many pairs (a, b) share a residual -(a+b): solve each once
@@ -228,8 +226,6 @@ def _se_order_rows(g: int, f: Filters, two_n: int) -> list[tuple]:
             continue
         max_count = 2 if f.essential_only else f.cone_count
         for sig in cone_signatures(two_n, target, max_count):
-            if not sig:
-                continue
             if f.essential_only and len(sig) != 2:
                 continue
             if f.cone_count is not None and len(sig) != f.cone_count:
@@ -281,51 +277,33 @@ def _se_sets(two_n: int, rows: list[tuple]) -> list[SeDataSet]:
     return out
 
 
-def _order_chunks(order_rows, build, g: int, f: Filters, orders: range, jobs: int):
-    """Yield the sorted data sets of each order in turn, ascending by order.
-
-    Rows come from `map` or, with jobs > 1, from an ordered `Pool.imap`
-    whose workers send back the plain rows.
-    """
-    pool = None
-    if jobs > 1 and len(orders) > 1:
-        try:
-            pool = multiprocessing.Pool(min(jobs, len(orders)))
-        except OSError:
-            pass  # restricted environments may deny semaphores; run serially
-    work = partial(order_rows, g, f)
-    with pool or nullcontext():
-        chunks = map(work, orders) if pool is None else pool.imap(work, orders)
-        for n, rows in zip(orders, chunks):
-            yield build(n, rows)
-
-
 def _checked_filters(g: int, filters: Filters | None) -> Filters:
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")
     return filters if filters is not None else Filters()
 
 
-def iter_sp(g: int, filters: Filters | None = None, jobs: int = 1):
+def iter_sp(g: int, filters: Filters | None = None):
     """`enumerate_sp` one order at a time: an iterator of sorted lists."""
-    return _order_chunks(_sp_order_rows, _sp_sets, g, _checked_filters(g, filters),
-                         range(2, 4 * g + 1), jobs)
+    f = _checked_filters(g, filters)
+    return (_sp_sets(n, _sp_order_rows(g, f, n)) for n in range(2, 4 * g + 1))
 
 
-def iter_se(g: int, filters: Filters | None = None, jobs: int = 1):
+def iter_se(g: int, filters: Filters | None = None):
     """`enumerate_se` one order at a time: an iterator of sorted lists."""
-    return _order_chunks(_se_order_rows, _se_sets, g, _checked_filters(g, filters),
-                         range(4, 4 * g + 3, 2), jobs)
+    f = _checked_filters(g, filters)
+    return (_se_sets(two_n, _se_order_rows(g, f, two_n))
+            for two_n in range(4, 4 * g + 3, 2))
 
 
-def enumerate_sp(g: int, filters: Filters | None = None, jobs: int = 1) -> list[SpDataSet]:
+def enumerate_sp(g: int, filters: Filters | None = None) -> list[SpDataSet]:
     """All valid canonical side-preserving data sets of genus g, sorted."""
-    return list(chain.from_iterable(iter_sp(g, filters, jobs)))
+    return list(chain.from_iterable(iter_sp(g, filters)))
 
 
-def enumerate_se(g: int, filters: Filters | None = None, jobs: int = 1) -> list[SeDataSet]:
+def enumerate_se(g: int, filters: Filters | None = None) -> list[SeDataSet]:
     """All valid canonical side-exchanging data sets of genus g, sorted."""
-    return list(chain.from_iterable(iter_se(g, filters, jobs)))
+    return list(chain.from_iterable(iter_se(g, filters)))
 
 
 def _oracle_sp(g: int) -> list[SpDataSet]:
@@ -461,11 +439,10 @@ def _essential_se_counts(g: int) -> tuple[int, int]:
     return len(exponents), count
 
 
-def spectra(g: int, jobs: int = 1) -> SpectraRow:
+def spectra(g: int) -> SpectraRow:
     """Exponent and class counts of the essential data sets of genus g.
 
-    The counts come from residue loops, not from listing the sets, so
-    `jobs` has no effect; it is accepted for interface stability.
+    The counts come from residue loops, not from listing the sets.
     """
     if g < 1:
         raise ValueError(f"genus must be >= 1, got {g}")

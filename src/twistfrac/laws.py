@@ -14,7 +14,7 @@ from math import gcd
 from typing import Union
 
 from .datasets import SeDataSet, SpDataSet, genus_se, genus_sp, is_essential
-from .enumeration import Filters, enumerate_se, enumerate_sp
+from .enumeration import enumerate_se, enumerate_sp
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,13 @@ class AuditResult:
         return not self.violations
 
 
-def audit(g: int, kind: str, jobs: int = 1) -> AuditResult:
+def audit(g: int, kind: str) -> AuditResult:
     """Run the matching law checker over the full enumeration at genus g."""
     if kind == "sp":
-        sets = enumerate_sp(g, Filters(), jobs=jobs)
+        sets = enumerate_sp(g)
         checker = check_sp_laws
     elif kind == "se":
-        sets = enumerate_se(g, Filters(), jobs=jobs)
+        sets = enumerate_se(g)
         checker = check_se_laws
     else:
         raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import io
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistfrac import (
     ConePair,
@@ -89,6 +92,45 @@ def test_validate_unparseable_exits_1(tmp_path, capsys):
     code, _ = run_cli("validate", str(path))
     assert code == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_validate_bytes_not_utf8_exit_1(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "records.txt"
+    path.write_bytes(b"\xff(\n")
+    code, out = run_cli("validate", str(path))
+    assert code == 1 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+    strict_stdin = io.TextIOWrapper(io.BytesIO(b"((1, 9), 0, (2, 2); (5, 9))\n\xff(\n"),
+                                    encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", strict_stdin)
+    code, out = run_cli("validate")
+    assert code == 1 and out == ""
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+RECORD_LINES = [
+    b"((1, 9), 0, (2, 2); (5, 9))",
+    b'{"kind":"SE","l":17,"two_n":18,"g0":0,"a":7,"cones":[[1,2],[13,18]]}',
+    b"((3, 10), 0, 4; (6, 10), (6, 10))",  # parses, but is invalid
+]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.one_of(
+    st.sampled_from(RECORD_LINES),
+    st.binary(max_size=16),
+    st.text(alphabet='(),;- 0123456789{}[]:"kindSPEabcl_ntwog\r\n\x00\u0662',
+            max_size=40).map(str.encode),
+), max_size=6).map(b"\n".join))
+def test_validate_any_bytes_exits_cleanly(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("validate") / "records.txt"
+    path.write_bytes(data)
+    errors = io.StringIO()
+    with contextlib.redirect_stderr(errors):
+        code, _ = run_cli("validate", str(path))
+    assert code in (0, 1, 2)
+    assert len(errors.getvalue().splitlines()) <= 1
 
 
 def test_validate_json_lines_format(tmp_path):
@@ -186,13 +228,6 @@ def test_enumerate_oracle_bound_exit_1(capsys):
     assert "bounded" in capsys.readouterr().err
 
 
-def test_enumerate_jobs_identical_bytes():
-    _, serial = run_cli("enumerate", "--genus", "6", "--kind", "both")
-    _, sharded = run_cli("enumerate", "--genus", "6", "--kind", "both",
-                         "--jobs", "3")
-    assert serial == sharded
-
-
 def test_enumerate_output_file(tmp_path):
     target = tmp_path / "listing.txt"
     code, out = run_cli("enumerate", "--genus", "4", "--kind", "sp",
@@ -249,14 +284,19 @@ def _materialised_listing(g, kind, fmt, filters):
     return out.getvalue()
 
 
+# `per_write` is the json-lines write size; text and csv ignore it.
 @pytest.mark.parametrize("filter_name", sorted(STREAM_FILTERS))
-@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+@pytest.mark.parametrize("per_write", [1, 2, 3])
 @pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
 @pytest.mark.parametrize("kind", ["sp", "se", "both"])
-def test_streamed_listing_equals_materialised(kind, fmt, jobs, filter_name):
+def test_streamed_listing_equals_materialised(kind, fmt, per_write, filter_name,
+                                              monkeypatch):
+    import twistfrac.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "RECORDS_PER_WRITE", per_write)
     flags, filters = STREAM_FILTERS[filter_name]
     code, out = run_cli("enumerate", "--genus", "6", "--kind", kind,
-                        "--format", fmt, "--jobs", jobs, *flags)
+                        "--format", fmt, *flags)
     assert code == 0
     assert out == _materialised_listing(6, kind, fmt, filters)
     assert out.count("\n") > (kind == "both") * 2 + (fmt == "csv")
@@ -442,7 +482,7 @@ def test_audit_violation_exits_3(monkeypatch):
 
     witness = SpDataSet(1, 9, 0, 2, 2, (ConePair(5, 9),))
     fake = AuditResult(1, "sp", 1, (LawReport("sp:order-le-4g", False, witness),))
-    monkeypatch.setattr(cli_mod, "audit", lambda g, kind, jobs=1: fake)
+    monkeypatch.setattr(cli_mod, "audit", lambda g, kind: fake)
     code, out = run_cli("audit", "--from", "1", "--to", "1", "--kind", "sp")
     assert code == 3
     assert "sp:order-le-4g" in out
@@ -463,6 +503,10 @@ def test_argparse_errors_map_to_exit_1():
     assert run_cli("no-such-command")[0] == 1
     assert run_cli("--help")[0] == 0
     assert run_cli("enumerate", "--genus", "0")[0] == 1
+    # --jobs is gone: every command is one serial engine
+    assert run_cli("enumerate", "--genus", "4", "--jobs", "2")[0] == 1
+    assert run_cli("spectra", "--from", "1", "--to", "1", "--jobs", "2")[0] == 1
+    assert run_cli("audit", "--from", "1", "--to", "1", "--jobs", "2")[0] == 1
 
 
 def test_console_script_entry_point():

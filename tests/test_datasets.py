@@ -152,6 +152,9 @@ def test_genus_integrality_errors():
         genus_se(se(2, 10, 0, 1, [(9, 10)]))  # single half-weight cone
     with pytest.raises(IntegralityError):
         genus_sp(sp(1, 10, 0, 1, 1, [(1, 4)]))  # order not dividing n
+    with pytest.raises(IntegralityError):
+        # 4 does not divide 10, although the cone weights sum to an integer
+        genus_sp(sp(1, 10, 0, 1, 1, [(1, 4)] * 4))
 
 
 # ---------------------------------------------------------- canonical form

@@ -19,6 +19,7 @@ from twistfrac import (
     sp_root_decompose,
     validate,
 )
+from twistfrac.enumeration import iter_se, iter_sp
 from reference_data import SE_ESSENTIAL_G4, SP_ESSENTIAL_G4
 
 ESSENTIAL = Filters(essential_only=True)
@@ -70,20 +71,26 @@ def test_emitted_sets_are_valid_canonical_sorted_unique(g):
         for d in sets:
             report = validate(d)
             assert report.valid and report.genus == g
+            assert genus(d) == g
             assert canonicalize(d) == d
 
 
 def test_unfiltered_enumeration_contains_filtered():
-    full = enumerate_sp(5)
-    essential = enumerate_sp(5, ESSENTIAL)
-    assert set(essential) <= set(full)
-    assert [d for d in full if is_essential(d)] == essential
-
-    g0_only = enumerate_sp(5, Filters(g0=1))
-    assert [d for d in full if d.g0 == 1] == g0_only
-
-    two_cones = enumerate_se(5, Filters(cone_count=2))
-    assert [d for d in enumerate_se(5) if len(d.cones) == 2] == two_cones
+    # The enumerators prune to exactly the sets `Filters.accepts` keeps.
+    for g in range(1, 9):
+        for enumerate_kind in (enumerate_sp, enumerate_se):
+            full = enumerate_kind(g)
+            middle = full[len(full) // 2]
+            grid = [ESSENTIAL]
+            grid += [Filters(g0=g0) for g0 in range(3)]
+            grid += [Filters(cone_count=count) for count in range(5)]
+            grid += [Filters(exponent=e) for e in sorted({d.exponent for d in full})]
+            grid.append(Filters(essential_only=is_essential(middle),
+                                exponent=middle.exponent, g0=middle.g0,
+                                cone_count=len(middle.cones)))
+            for f in grid:
+                assert enumerate_kind(g, f) == [d for d in full if f.accepts(d)], (g, f)
+            assert enumerate_kind(g, grid[-1])  # the combination keeps `middle`
 
 
 def test_essential_sp_order_floor():
@@ -131,19 +138,16 @@ def test_enumeration_rejects_bad_genus():
         enumerate_sp(0)
     with pytest.raises(ValueError):
         enumerate_se(-1)
+    # the streaming forms refuse when called, not at their first chunk
+    with pytest.raises(ValueError):
+        iter_sp(0)
+    with pytest.raises(ValueError):
+        iter_se(0)
 
 
 def test_filters_validate_their_fields():
     with pytest.raises(ValueError):
-        Filters(kind="spx")
-    with pytest.raises(ValueError):
         Filters(exponent=(3, 1))
-
-
-def test_jobs_do_not_change_output():
-    assert enumerate_sp(6, jobs=3) == enumerate_sp(6)
-    assert enumerate_se(6, jobs=2) == enumerate_se(6)
-    assert enumerate_sp(4, ESSENTIAL, jobs=4) == enumerate_sp(4, ESSENTIAL)
 
 
 def test_spectra_genus4():
