@@ -61,8 +61,9 @@ from .relations import (
 
 FORMATS = ("text", "json-lines", "csv")
 
-# A json-lines listing is written in strings of at most this many records,
-# so a large order chunk is not rendered into one string.
+# A json-lines listing, and `validate` output, is written in strings of at
+# most this many records, so a large order chunk or input is not rendered
+# into one string.
 RECORDS_PER_WRITE = 1024
 
 # ASCII digits only: `\d` would also accept digits of other scripts.
@@ -71,83 +72,32 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 # ---------------------------------------------------------------- parsing
 
-class _Tokens:
-    """Tokenizer/cursor for the tuple text syntax."""
-
-    def __init__(self, text: str):
-        self.tokens: list[str] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in "(),;":
-                self.tokens.append(ch)
-                i += 1
-                continue
-            mo = _INTEGER.match(text, i)
-            if not mo:
-                raise ValueError(f"unexpected character {ch!r} in tuple text")
-            self.tokens.append(mo.group())
-            i = mo.end()
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def expect(self, token: str) -> None:
-        got = self.peek()
-        if got != token:
-            raise ValueError(f"expected {token!r}, got {got!r}")
-        self.pos += 1
-
-    def integer(self) -> int:
-        got = self.peek()
-        if got is None or got in "(),;":
-            raise ValueError(f"expected an integer, got {got!r}")
-        self.pos += 1
-        return int(got)
-
-    def pair(self) -> tuple[int, int]:
-        self.expect("(")
-        first = self.integer()
-        self.expect(",")
-        second = self.integer()
-        self.expect(")")
-        return first, second
-
-    def end(self) -> None:
-        if self.pos != len(self.tokens):
-            raise ValueError(f"trailing tokens after tuple: {self.tokens[self.pos:]}")
+# The whole tuple text grammar, '((l, order), g0, (a, b); (k, m), ...)' or,
+# side-exchanging, '((l, order), g0, a; (k, m), ...)': ASCII integers, any
+# whitespace around each token, at least one cone.  Groups: l, order, g0,
+# then a and b of the SP shape or a of the SE shape, then the cone text.
+_INT = r"\s*(-?[0-9]+)\s*"
+_CONE = r"\s*\(\s*-?[0-9]+\s*,\s*-?[0-9]+\s*\)\s*"
+_TUPLE_TEXT = re.compile(
+    rf"\s*\(\s*\({_INT},{_INT}\)\s*,{_INT},(?:\s*\({_INT},{_INT}\)\s*|{_INT});"
+    rf"({_CONE}(?:,{_CONE})*)\)\s*")
+_CONE_PAIR = re.compile(r"(-?[0-9]+)\s*,\s*(-?[0-9]+)")
 
 
 def parse_tuple_text(text: str, kind: str | None = None):
     """Parse the tuple text syntax; shape decides SP vs SE unless pinned."""
-    t = _Tokens(text)
-    t.expect("(")
-    l, order = t.pair()
-    t.expect(",")
-    g0 = t.integer()
-    t.expect(",")
-    if t.peek() == "(":
-        shape = "sp"
-        a, b = t.pair()
-    else:
-        shape = "se"
-        a = t.integer()
-    t.expect(";")
-    cones = [ConePair(*t.pair())]
-    while t.peek() == ",":
-        t.expect(",")
-        cones.append(ConePair(*t.pair()))
-    t.expect(")")
-    t.end()
+    mo = _TUPLE_TEXT.fullmatch(text)
+    if mo is None:
+        more = "..." if len(text) > 40 else ""
+        raise ValueError(f"not a data set in tuple text: {text[:40]!r}{more}")
+    l, order, g0, a, b, a_se, cone_text = mo.groups()
+    shape = "sp" if a_se is None else "se"
     if kind is not None and kind != shape:
         raise ValueError(f"record is {shape.upper()}-shaped but --kind {kind} was given")
+    cones = tuple([ConePair(int(k), int(m)) for k, m in _CONE_PAIR.findall(cone_text)])
     if shape == "sp":
-        return SpDataSet(l, order, g0, a, b, tuple(cones))
-    return SeDataSet(l, order, g0, a, tuple(cones))
+        return SpDataSet(int(l), int(order), int(g0), int(a), int(b), cones)
+    return SeDataSet(int(l), int(order), int(g0), int(a_se), cones)
 
 
 def parse_record_line(line: str, kind: str | None = None):
@@ -279,7 +229,11 @@ def cmd_validate(args, out) -> int:
         stream = nullcontext(sys.stdin)
 
     kind = None if args.kind == "auto" else args.kind
-    rows = []
+    # A listing holds few distinct reports: each is rendered once, and
+    # `lines` holds the shared output line of every record.
+    rendered = {}
+    lines = []
+    all_valid = True
     try:
         with stream as handle:
             for number, line in enumerate(handle, start=1):
@@ -290,36 +244,40 @@ def cmd_validate(args, out) -> int:
                 except (ValueError, RecursionError) as exc:
                     print(f"line {number}: {exc}", file=sys.stderr)
                     return 1
-                rows.append(validate(d))
+                report = validate(d)
+                text = rendered.get(report)
+                if text is None:
+                    text = rendered[report] = _report_line(report, args.format)
+                    all_valid = all_valid and report.valid
+                lines.append(text)
     except UnicodeDecodeError as exc:
         # raised by the reads, which decode ahead of the line being parsed
         print(f"input is not UTF-8 text: {exc}", file=sys.stderr)
         return 1
 
+    # Nothing is written before the whole input has parsed.
     with _open_output(args.output, out) as sink:
-        if args.format == "text":
-            for report in rows:
-                if report.valid:
-                    sink.write(f"valid genus={report.genus}\n")
-                else:
-                    sink.write(f"invalid: {', '.join(report.failed())}\n")
-        elif args.format == "json-lines":
-            for report in rows:
-                sink.write(_json_line({
-                    "valid": report.valid,
-                    "genus": report.genus,
-                    "failed": report.failed(),
-                }) + "\n")
-        else:
-            writer = csv.writer(sink, lineterminator="\n")
-            writer.writerow(["valid", "genus", "failed"])
-            for report in rows:
-                writer.writerow([
-                    str(report.valid).lower(),
-                    "" if report.genus is None else report.genus,
-                    ";".join(report.failed()),
-                ])
-    return 0 if all(r.valid for r in rows) else 2
+        if args.format == "csv":
+            sink.write("valid,genus,failed\n")
+        for start in range(0, len(lines), RECORDS_PER_WRITE):
+            sink.write("".join(lines[start:start + RECORDS_PER_WRITE]))
+    return 0 if all_valid else 2
+
+
+def _report_line(report, fmt: str) -> str:
+    """One `validate` output line, newline included, for `report` in `fmt`."""
+    failed = report.failed()
+    if fmt == "text":
+        if report.valid:
+            return f"valid genus={report.genus}\n"
+        return f"invalid: {', '.join(failed)}\n"
+    if fmt == "json-lines":
+        return _json_line({"valid": report.valid, "genus": report.genus,
+                           "failed": failed}) + "\n"
+    # No condition label holds a comma, a quote or a newline, so no csv
+    # field needs quoting.
+    genus = "" if report.genus is None else report.genus
+    return f"{str(report.valid).lower()},{genus},{';'.join(failed)}\n"
 
 
 def _parse_exponent(text: str) -> tuple[int, int]:

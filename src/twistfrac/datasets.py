@@ -180,65 +180,64 @@ def validate_sp(d: SpDataSet) -> ValidationReport:
     The verdict only depends on the residue classes of a, b and the cone
     twists, so representatives may be given in any form.
     """
-    n = d.n
-    structure = (
-        n >= 2 and d.g0 >= 0
-        and all(c.order >= 2 and n % c.order == 0 for c in d.cones)
-    )
-    l_in_range = n >= 2 and 1 <= d.l <= n - 1
-    if not structure:
-        return ValidationReport(structure, False, False, False, l_in_range,
-                                False, False, False, None)
+    l, n, g0, a, b = d.l, d.n, d.g0, d.a, d.b
+    l_in_range = 1 <= l <= n - 1
+    if n < 2 or g0 < 0:
+        return _broken(l_in_range)
+    residues = gcd(a, n) == 1 and gcd(b, n) == 1
+    total = a + b
+    weight = 0
+    for k, m in d.cones:
+        if m < 2 or n % m:
+            return _broken(l_in_range)
+        residues = residues and gcd(k, m) == 1
+        q = n // m
+        total += q * k
+        weight += q * (m - 1)
 
-    residues = gcd(d.a, n) == 1 and gcd(d.b, n) == 1 and all(
-        gcd(c.twist, c.order) == 1 for c in d.cones)
-    twist_relation = (d.a + d.b - d.l * d.a * d.b) % n == 0
-    cone_sum = (d.a + d.b + sum((n // c.order) * c.twist for c in d.cones)) % n == 0
-
-    weight = sum((n // c.order) * (c.order - 1) for c in d.cones)
+    twist_relation = (a + b - l * a * b) % n == 0
     genus_integral = weight % 2 == 0
-    genus = d.g0 * n + weight // 2 if genus_integral else None
+    genus = g0 * n + weight // 2 if genus_integral else None
     genus_positive = genus is not None and genus >= 1
-
-    return ValidationReport(structure, residues, twist_relation, cone_sum,
+    return ValidationReport(True, residues, twist_relation, total % n == 0,
                             l_in_range, genus_integral, genus_positive,
                             True, genus)
 
 
 def validate_se(d: SeDataSet) -> ValidationReport:
     """Check every side-exchanging validity condition; never raises."""
-    two_n = d.two_n
+    l, two_n, g0, a = d.l, d.two_n, d.g0, d.a
     n = two_n // 2
-    structure = (
-        two_n >= 4 and two_n % 2 == 0 and d.g0 >= 0
-        and all(c.order >= 2 and two_n % c.order == 0 for c in d.cones)
-    )
-    l_in_range = two_n >= 4 and 2 <= d.l <= two_n - 1
-    if not structure:
-        return ValidationReport(structure, False, False, False, l_in_range,
-                                False, False, False, None)
+    l_in_range = two_n >= 4 and 2 <= l <= two_n - 1
+    if two_n < 4 or two_n % 2 or g0 < 0:
+        return _broken(l_in_range)
+    residues = gcd(a, n) == 1
+    total = 2 * a
+    half_weight = 0
+    # gcd of 2a, the cone terms and 2n; only a sphere quotient (g0 = 0) needs it
+    span = gcd(2 * a, two_n)
+    for k, m in d.cones:
+        if m < 2 or two_n % m:
+            return _broken(l_in_range)
+        residues = residues and gcd(k, m) == 1
+        q = two_n // m
+        total += q * k
+        half_weight += q * (m - 1)
+        span = gcd(span, q * k)
 
-    residues = gcd(d.a, n) == 1 and all(
-        gcd(c.twist, c.order) == 1 for c in d.cones)
-    twist_relation = (d.l * d.a - 2) % n == 0
-    cone_sum = (2 * d.a + sum((two_n // c.order) * c.twist for c in d.cones)) % two_n == 0
-
-    if d.g0 >= 1:
-        generating = True
-    else:
-        span = gcd(2 * d.a, two_n)
-        for c in d.cones:
-            span = gcd(span, (two_n // c.order) * c.twist)
-        generating = span == 1
-
-    half_weight = sum((two_n // c.order) * (c.order - 1) for c in d.cones)
+    twist_relation = (l * a - 2) % n == 0
     genus_integral = half_weight % 2 == 0
-    genus = n * (2 * d.g0 - 1) + half_weight // 2 if genus_integral else None
+    genus = n * (2 * g0 - 1) + half_weight // 2 if genus_integral else None
     genus_positive = genus is not None and genus >= 1
-
-    return ValidationReport(structure, residues, twist_relation, cone_sum,
+    return ValidationReport(True, residues, twist_relation, total % two_n == 0,
                             l_in_range, genus_integral, genus_positive,
-                            generating, genus)
+                            g0 >= 1 or span == 1, genus)
+
+
+def _broken(l_in_range: bool) -> ValidationReport:
+    """The report of a tuple failing condition (i): nothing else is checked."""
+    return ValidationReport(False, False, False, False, l_in_range,
+                            False, False, False, None)
 
 
 def validate(d: DataSet) -> ValidationReport:

@@ -4,9 +4,11 @@ import errno
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +19,15 @@ from twistfrac import (
     Filters,
     SeDataSet,
     SpDataSet,
+    ValidationReport,
     enumerate_se,
     enumerate_sp,
     from_record,
     to_record,
+    validate,
 )
 from twistfrac.cli import main, parse_record_line, parse_tuple_text
-from twistfrac.datasets import record_line
+from twistfrac.datasets import CONDITION_LABELS, record_line
 
 
 def run_cli(*argv):
@@ -57,6 +61,144 @@ def test_parse_tuple_text_errors():
         parse_tuple_text("((1, x), 0, (2, 2); (5, 9))")
     with pytest.raises(ValueError):
         parse_tuple_text("((1, 9), 0, (2, 2); (5, 9))", kind="se")
+
+
+_ASCII_INTEGER = re.compile(r"-?[0-9]+")
+
+
+class _Tokens:
+    """The character-by-character tokenizer the tuple-text regex replaced."""
+
+    def __init__(self, text):
+        self.tokens = []
+        i = 0
+        while i < len(text):
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if ch in "(),;":
+                self.tokens.append(ch)
+                i += 1
+                continue
+            mo = _ASCII_INTEGER.match(text, i)
+            if not mo:
+                raise ValueError(f"unexpected character {ch!r} in tuple text")
+            self.tokens.append(mo.group())
+            i = mo.end()
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def expect(self, token):
+        got = self.peek()
+        if got != token:
+            raise ValueError(f"expected {token!r}, got {got!r}")
+        self.pos += 1
+
+    def integer(self):
+        got = self.peek()
+        if got is None or got in "(),;":
+            raise ValueError(f"expected an integer, got {got!r}")
+        self.pos += 1
+        return int(got)
+
+    def pair(self):
+        self.expect("(")
+        first = self.integer()
+        self.expect(",")
+        second = self.integer()
+        self.expect(")")
+        return first, second
+
+    def end(self):
+        if self.pos != len(self.tokens):
+            raise ValueError(f"trailing tokens after tuple: {self.tokens[self.pos:]}")
+
+
+def _token_parse_tuple_text(text, kind=None):
+    """The tuple-text parser as it was before the grammar regex."""
+    t = _Tokens(text)
+    t.expect("(")
+    l, order = t.pair()
+    t.expect(",")
+    g0 = t.integer()
+    t.expect(",")
+    if t.peek() == "(":
+        shape = "sp"
+        a, b = t.pair()
+    else:
+        shape = "se"
+        a = t.integer()
+    t.expect(";")
+    cones = [ConePair(*t.pair())]
+    while t.peek() == ",":
+        t.expect(",")
+        cones.append(ConePair(*t.pair()))
+    t.expect(")")
+    t.end()
+    if kind is not None and kind != shape:
+        raise ValueError(f"record is {shape.upper()}-shaped but --kind {kind} was given")
+    if shape == "sp":
+        return SpDataSet(l, order, g0, a, b, tuple(cones))
+    return SeDataSet(l, order, g0, a, tuple(cones))
+
+
+TUPLE_TEXTS = [
+    "((1, 9), 0, (2, 2); (5, 9))",
+    "((17,18),0,7;(1,2),(13,18))",
+    "  ((8, 16), 0, (1, 7); (1, 2))\n",
+    "((-3, 10), -1, -4; (6, 10), (-6, 10), (1, 2))",
+    "((2,10),0,1;(9,10),(9,10))",
+    "( ( 4 , 12 ) , 0 , ( 5 , 11 ) ; ( 2 , 3 ) , ( 1 , 2 ) )",
+    "((1, 9), 0, (2, 2); )",  # no cone: rejected
+    "((2,10),0,1;)",
+]
+# Characters the mutations insert: the grammar's own, whitespace of several
+# kinds, a non-ASCII digit and two characters no integer may hold.
+MUTATION_CHARS = list("(),;-0123456789") + [" ", "\t", "\x1c", "\u3000", "\x85",
+                                            "\u0662", "+", "x"]
+
+
+@st.composite
+def mutated_tuple_texts(draw):
+    chars = list(draw(st.sampled_from(TUPLE_TEXTS)))
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("insert", "delete", "swap")))
+        if op == "insert":
+            chars.insert(draw(st.integers(0, len(chars))),
+                         draw(st.sampled_from(MUTATION_CHARS)))
+        elif chars:
+            i = draw(st.integers(0, len(chars) - 1))
+            if op == "delete":
+                del chars[i]
+            else:
+                j = draw(st.integers(0, len(chars) - 1))
+                chars[i], chars[j] = chars[j], chars[i]
+    return "".join(chars)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(mutated_tuple_texts(), st.sampled_from([None, "sp", "se"]))
+def test_parse_tuple_text_agrees_with_the_token_parser(text, kind):
+    try:
+        expected = _token_parse_tuple_text(text, kind)
+    except ValueError:
+        with pytest.raises(ValueError) as caught:
+            parse_tuple_text(text, kind)
+        assert "\n" not in str(caught.value)
+    else:
+        assert parse_tuple_text(text, kind) == expected
+
+
+def test_parse_tuple_text_error_is_one_truncated_line():
+    text = "((1, 9), 0, (2, 2);\n" + " (5, 9)," * 20
+    with pytest.raises(ValueError) as caught:
+        parse_tuple_text(text)
+    message = str(caught.value)
+    assert "\n" not in message and message.endswith("...")
+    assert len(message) < 100
 
 
 def test_parse_record_line_json():
@@ -150,6 +292,92 @@ def test_validate_csv_format(tmp_path):
     assert lines[0] == "valid,genus,failed"
     assert lines[1] == "true,4,"
     assert lines[2] == "false,4,range of l"
+
+
+def _rendered_reports(reports, fmt):
+    """`validate` output as it was rendered before reports shared their lines."""
+    out = io.StringIO()
+    if fmt == "text":
+        for report in reports:
+            if report.valid:
+                out.write(f"valid genus={report.genus}\n")
+            else:
+                out.write(f"invalid: {', '.join(report.failed())}\n")
+    elif fmt == "json-lines":
+        for report in reports:
+            out.write(json.dumps({"valid": report.valid, "genus": report.genus,
+                                  "failed": report.failed()},
+                                 separators=(",", ":")) + "\n")
+    else:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["valid", "genus", "failed"])
+        for report in reports:
+            writer.writerow([str(report.valid).lower(),
+                             "" if report.genus is None else report.genus,
+                             ";".join(report.failed())])
+    return 0 if all(r.valid for r in reports) else 2, out.getvalue()
+
+
+def _listing_and_broken_copies():
+    """Genus 1..8 sets, each also with a -> a+1 and with a broken structure."""
+    sets = []
+    for g in range(1, 9):
+        for d in enumerate_sp(g) + enumerate_se(g):
+            order = "n" if isinstance(d, SpDataSet) else "two_n"
+            sets += [d, replace(d, a=d.a + 1), replace(d, g0=-1),
+                     replace(d, **{order: getattr(d, order) + 1})]
+    return sets
+
+
+@pytest.mark.parametrize("per_write", [1, 7, 1024])
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+def test_validate_bytes_equal_the_per_report_rendering(fmt, per_write, tmp_path,
+                                                       monkeypatch):
+    import twistfrac.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "RECORDS_PER_WRITE", per_write)
+    sets = _listing_and_broken_copies()
+    path = tmp_path / "records.txt"
+    path.write_text("".join(
+        (str(d) if i % 2 else json.dumps(to_record(d))) + "\n" for i, d in enumerate(sets)))
+    expected = _rendered_reports([validate(d) for d in sets], fmt)
+    assert run_cli("validate", str(path), "--format", fmt) == expected
+    # every record valid: exit 0
+    path.write_text("".join(f"{d}\n" for d in sets[::4]))
+    expected = _rendered_reports([validate(d) for d in sets[::4]], fmt)
+    assert expected[0] == 0
+    assert run_cli("validate", str(path), "--format", fmt) == expected
+
+
+def test_validate_csv_row_needs_no_quoting(tmp_path, monkeypatch):
+    # One report per subset of failed conditions, with and without a genus.
+    import twistfrac.cli as cli_mod
+
+    fields = list(CONDITION_LABELS)
+    reports = [
+        ValidationReport(**{f: not mask >> i & 1 for i, f in enumerate(fields)}, genus=genus)
+        for mask in range(1 << len(fields)) for genus in (None, 7, -3)
+    ]
+    supply = iter(reports)
+    monkeypatch.setattr(cli_mod, "validate", lambda d: next(supply))
+    path = tmp_path / "records.txt"
+    path.write_text("((1, 9), 0, (2, 2); (5, 9))\n" * len(reports))
+    assert run_cli("validate", str(path), "--format", "csv") == _rendered_reports(
+        reports, "csv")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+def test_validate_late_bad_line_writes_nothing(fmt, tmp_path, capsys):
+    path = tmp_path / "records.txt"
+    path.write_text("((1, 9), 0, (2, 2); (5, 9))\n"
+                    "((3, 10), 0, 4; (6, 10), (6, 10))\n"
+                    "((1, 9), 0, (2, 2); (5, 9)\n")
+    assert run_cli("validate", str(path), "--format", fmt) == (1, "")
+    assert capsys.readouterr().err.startswith("line 3: ")
+    target = tmp_path / "out.txt"
+    assert run_cli("validate", str(path), "--format", fmt,
+                   "--output", str(target)) == (1, "")
+    assert not target.exists()
 
 
 # -------------------------------------------------------------- enumerate

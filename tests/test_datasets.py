@@ -1,5 +1,6 @@
 import json
 import random
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from twistfrac import (
     IntegralityError,
     SeDataSet,
     SpDataSet,
+    ValidationReport,
     canonicalize_se,
     canonicalize_sp,
     enumerate_se,
@@ -270,6 +272,88 @@ def test_fast_validity_agrees_with_reports():
         got = se_genus_if_valid(e.l, e.two_n, e.g0, e.a,
                                 [(c.twist, c.order) for c in e.cones])
         assert got == expected, e
+
+
+# ------------------------------------------ single-pass validator equivalence
+
+def _reference_validate_sp(d):
+    """validate_sp as it was before its single loop over the cones."""
+    n = d.n
+    structure = (
+        n >= 2 and d.g0 >= 0
+        and all(c.order >= 2 and n % c.order == 0 for c in d.cones)
+    )
+    l_in_range = n >= 2 and 1 <= d.l <= n - 1
+    if not structure:
+        return ValidationReport(structure, False, False, False, l_in_range,
+                                False, False, False, None)
+    residues = gcd(d.a, n) == 1 and gcd(d.b, n) == 1 and all(
+        gcd(c.twist, c.order) == 1 for c in d.cones)
+    twist_relation = (d.a + d.b - d.l * d.a * d.b) % n == 0
+    cone_sum = (d.a + d.b + sum((n // c.order) * c.twist for c in d.cones)) % n == 0
+    weight = sum((n // c.order) * (c.order - 1) for c in d.cones)
+    genus_integral = weight % 2 == 0
+    genus = d.g0 * n + weight // 2 if genus_integral else None
+    genus_positive = genus is not None and genus >= 1
+    return ValidationReport(structure, residues, twist_relation, cone_sum,
+                            l_in_range, genus_integral, genus_positive,
+                            True, genus)
+
+
+def _reference_validate_se(d):
+    """validate_se as it was before its single loop over the cones."""
+    two_n = d.two_n
+    n = two_n // 2
+    structure = (
+        two_n >= 4 and two_n % 2 == 0 and d.g0 >= 0
+        and all(c.order >= 2 and two_n % c.order == 0 for c in d.cones)
+    )
+    l_in_range = two_n >= 4 and 2 <= d.l <= two_n - 1
+    if not structure:
+        return ValidationReport(structure, False, False, False, l_in_range,
+                                False, False, False, None)
+    residues = gcd(d.a, n) == 1 and all(
+        gcd(c.twist, c.order) == 1 for c in d.cones)
+    twist_relation = (d.l * d.a - 2) % n == 0
+    cone_sum = (2 * d.a + sum((two_n // c.order) * c.twist for c in d.cones)) % two_n == 0
+    if d.g0 >= 1:
+        generating = True
+    else:
+        span = gcd(2 * d.a, two_n)
+        for c in d.cones:
+            span = gcd(span, (two_n // c.order) * c.twist)
+        generating = span == 1
+    half_weight = sum((two_n // c.order) * (c.order - 1) for c in d.cones)
+    genus_integral = half_weight % 2 == 0
+    genus = n * (2 * d.g0 - 1) + half_weight // 2 if genus_integral else None
+    genus_positive = genus is not None and genus >= 1
+    return ValidationReport(structure, residues, twist_relation, cone_sum,
+                            l_in_range, genus_integral, genus_positive,
+                            generating, genus)
+
+
+def test_validators_equal_their_reference_on_random_tuples():
+    rng = random.Random(31337)
+    for _ in range(20000):
+        cones = [(rng.randrange(-13, 14), rng.randrange(-1, 13))
+                 for _ in range(rng.randrange(0, 5))]
+        d = sp(rng.randrange(-3, 26), rng.randrange(-1, 25), rng.randrange(-1, 3),
+               rng.randrange(-25, 26), rng.randrange(-25, 26), cones)
+        assert validate_sp(d) == _reference_validate_sp(d), d
+
+        cones = [(rng.randrange(-13, 14), rng.randrange(-1, 13))
+                 for _ in range(rng.randrange(0, 5))]
+        e = se(rng.randrange(-3, 26), rng.randrange(-1, 25), rng.randrange(-1, 3),
+               rng.randrange(-25, 26), cones)
+        assert validate_se(e) == _reference_validate_se(e), e
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_validators_equal_their_reference_on_enumerated_sets(g):
+    for d in enumerate_sp(g):
+        assert validate_sp(d) == _reference_validate_sp(d), d
+    for e in enumerate_se(g):
+        assert validate_se(e) == _reference_validate_se(e), e
 
 
 # ----------------------------------------------------------- wire format
