@@ -247,53 +247,15 @@ def validate(d: DataSet) -> ValidationReport:
 
 
 def sp_genus_if_valid(l: int, n: int, g0: int, a: int, b: int, cones) -> int | None:
-    """Short-circuiting form of validate_sp on plain integers.
-
-    Returns the genus when every condition holds, else None.  `cones` is a
-    sequence of (twist, order) pairs.  Agreement with validate_sp is
-    property-tested; keep the two in lockstep.
-    """
-    if n < 2 or g0 < 0 or not 1 <= l <= n - 1:
-        return None
-    if gcd(a, n) != 1 or gcd(b, n) != 1:
-        return None
-    if (a + b - l * a * b) % n:
-        return None
-    total = a + b
-    weight = 0
-    for k, m in cones:
-        if m < 2 or n % m or gcd(k, m) != 1:
-            return None
-        total += (n // m) * k
-        weight += (n // m) * (m - 1)
-    if total % n or weight % 2:
-        return None
-    g = g0 * n + weight // 2
-    return g if g >= 1 else None
+    """The genus when validate_sp finds (l, n, g0, a, b; cones) valid, else None."""
+    report = validate_sp(SpDataSet(l, n, g0, a, b, cones))
+    return report.genus if report.valid else None
 
 
 def se_genus_if_valid(l: int, two_n: int, g0: int, a: int, cones) -> int | None:
-    """Short-circuiting form of validate_se on plain integers."""
-    if two_n < 4 or two_n % 2 or g0 < 0 or not 2 <= l <= two_n - 1:
-        return None
-    n = two_n // 2
-    if gcd(a, n) != 1 or (l * a - 2) % n:
-        return None
-    total = 2 * a
-    weight2 = 0
-    span = gcd(2 * a, two_n)
-    for k, m in cones:
-        if m < 2 or two_n % m or gcd(k, m) != 1:
-            return None
-        total += (two_n // m) * k
-        span = gcd(span, (two_n // m) * k)
-        weight2 += (two_n // m) * (m - 1)
-    if total % two_n or weight2 % 2:
-        return None
-    if g0 == 0 and span != 1:
-        return None
-    g = n * (2 * g0 - 1) + weight2 // 2
-    return g if g >= 1 else None
+    """The genus when validate_se finds (l, two_n, g0, a; cones) valid, else None."""
+    report = validate_se(SeDataSet(l, two_n, g0, a, cones))
+    return report.genus if report.valid else None
 
 
 def genus_sp(d: SpDataSet) -> int:
@@ -396,10 +358,13 @@ def _cones_field(record: dict) -> tuple[ConePair, ...]:
         raise ValueError("field 'cones' must be a list of [twist, order] pairs")
     cones = []
     for entry in raw:
-        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in entry)):
-            raise ValueError(f"bad cone entry {entry!r}")
-        cones.append(ConePair(entry[0], entry[1]))
+        if isinstance(entry, (list, tuple)) and len(entry) == 2:
+            k, m = entry
+            if (isinstance(k, int) and isinstance(m, int)
+                    and not isinstance(k, bool) and not isinstance(m, bool)):
+                cones.append(ConePair(k, m))
+                continue
+        raise ValueError(f"bad cone entry {entry!r}")
     return tuple(cones)
 
 

@@ -8,11 +8,15 @@ Two independent engines produce the same sets:
   solved from the twist relation, and the final cone twist is solved from
   the residue sum.  Only tuples that are valid by construction are built.
 
-* `enumerate_oracle` prunes nothing it can avoid: it walks every order in
-  the same hard range, every admissible quotient genus, every divisor
-  multiset within the weight-derived size cap, every unit residue tuple
-  and every exponent, keeping whatever validates at the requested genus.
-  It is deliberately slow and refuses genus above its bound.
+* `enumerate_oracle` walks every order in the same hard range, every
+  admissible quotient genus and every divisor multiset within the
+  weight-derived size cap.  It reads the genus of each such signature
+  from `validate_sp` / `validate_se` and skips the signature unless it is
+  the requested genus; the skip is exact, because the genus depends on
+  the order, g0 and the cone orders alone.  Only then does it walk every
+  unit twist tuple, residue and exponent, keeping whatever the validator
+  accepts.  It shares no solver with the pruned engine, is deliberately
+  slow and refuses genus above its bound.
 
 Output contract shared by both: canonical data sets only, no duplicates,
 sorted by (order, l, g0, residues, cones).  The pruned engine works one
@@ -41,6 +45,8 @@ from .datasets import (
     is_essential,
     se_genus_if_valid,
     sp_genus_if_valid,
+    validate_se,
+    validate_sp,
 )
 
 # The naive engine is quadratic-ish in everything; keep it on a leash.
@@ -110,6 +116,16 @@ def _se_exponents(a: int, n: int) -> tuple[int, ...]:
     """
     base = 2 * pow(a, -1, n) % n
     return tuple(l for l in (base, base + n) if 2 <= l <= 2 * n - 1)
+
+
+def _generates(two_n: int, signature) -> bool:
+    """Whether a side-exchanging set with g0 = 0 and these cone orders can generate.
+
+    Some cone order m needs an odd cofactor 2n/m; otherwise every residue
+    the tuple records lies in the index-two subgroup, and no twist
+    assignment is valid.
+    """
+    return any((two_n // m) % 2 for m in signature)
 
 
 def _k_assignments(ambient: int, signature, residual: int):
@@ -230,9 +246,7 @@ def _se_order_rows(g: int, f: Filters, two_n: int) -> list[tuple]:
                 continue
             if f.cone_count is not None and len(sig) != f.cone_count:
                 continue
-            if g0 == 0 and all((two_n // m) % 2 == 0 for m in sig):
-                # Every residue the tuple records lies in the index-two
-                # subgroup: nothing generates, no assignment can be valid.
+            if g0 == 0 and not _generates(two_n, sig):
                 continue
             for a in units_n:
                 exponents = [l for l in _se_exponents(a, n)
@@ -316,13 +330,15 @@ def _oracle_sp(g: int) -> list[SpDataSet]:
         for g0 in range(g // n + 1):
             for size in range(size_cap + 1):
                 for sig in combinations_with_replacement(parts, size):
+                    # the genus reads only n, g0 and the cone orders
+                    probe = SpDataSet(1, n, g0, 1, 1, tuple(ConePair(1, m) for m in sig))
+                    if validate_sp(probe).genus != g:
+                        continue
                     for cones in _oracle_twists(sig):
                         for l in range(1, n):
                             for a, b in pair_choices:
                                 if sp_genus_if_valid(l, n, g0, a, b, cones) == g:
-                                    out.append(SpDataSet(
-                                        l, n, g0, a, b,
-                                        tuple(ConePair(k, m) for k, m in cones)))
+                                    out.append(SpDataSet(l, n, g0, a, b, cones))
     return out
 
 
@@ -336,13 +352,15 @@ def _oracle_se(g: int) -> list[SeDataSet]:
         for g0 in range((g + n) // (2 * n) + 1):
             for size in range(size_cap + 1):
                 for sig in combinations_with_replacement(parts, size):
+                    # the genus reads only 2n, g0 and the cone orders
+                    probe = SeDataSet(2, two_n, g0, 1, tuple(ConePair(1, m) for m in sig))
+                    if validate_se(probe).genus != g:
+                        continue
                     for cones in _oracle_twists(sig):
                         for l in range(2, two_n):
                             for a in units_n:
                                 if se_genus_if_valid(l, two_n, g0, a, cones) == g:
-                                    out.append(SeDataSet(
-                                        l, two_n, g0, a,
-                                        tuple(ConePair(k, m) for k, m in cones)))
+                                    out.append(SeDataSet(l, two_n, g0, a, cones))
     return out
 
 
@@ -354,9 +372,9 @@ def _oracle_twists(signature):
         for order, count in runs
     ]
     for combo in product(*run_choices):
-        flat: list[tuple[int, int]] = []
+        flat: list[ConePair] = []
         for (order, _), twists in zip(runs, combo):
-            flat.extend((k, order) for k in twists)
+            flat.extend(ConePair(k, order) for k in twists)
         yield tuple(flat)
 
 
@@ -418,8 +436,8 @@ def _essential_se_counts(g: int) -> tuple[int, int]:
     for two_n in range(4, 4 * g + 3, 2):
         n = two_n // 2
         for sig in cone_signatures(two_n, 2 * (g + n), 2):
-            if len(sig) != 2 or all((two_n // m) % 2 == 0 for m in sig):
-                continue  # see the generation prune in _se_order_rows
+            if len(sig) != 2 or not _generates(two_n, sig):
+                continue
             m1, m2 = sig
             c1, c2 = two_n // m1, two_n // m2
             for a in _units(n):

@@ -208,6 +208,65 @@ def test_parse_record_line_json():
         parse_record_line(json.dumps(to_record(d)), kind="se")
 
 
+RECORD_TEXTS = [
+    '{"kind":"SP","l":8,"n":16,"g0":0,"a":1,"b":7,"cones":[[1,2]]}',
+    '{"kind": "SP", "l": 4, "n": 12, "g0": 1, "a": 5, "b": 11, "cones": [[2, 3], [1, 4]]}',
+    '{"kind":"SE","l":17,"two_n":18,"g0":0,"a":7,"cones":[[1,2],[13,18]]}',
+    '{"kind":"SE","l":2,"two_n":10,"g0":1,"a":1,"cones":[]}',
+]
+JSON_CHARS = list('{}[]",:-0123456789.eE SPkindtruefalsenul') + ["\t", "\\", "٢"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["kind", "l", "n", "two_n", "g0", "a",
+                                                      "b", "cones", "x"]), inner, max_size=8)),
+    max_leaves=12)
+
+
+@st.composite
+def mutated_record_texts(draw):
+    chars = list(draw(st.sampled_from(RECORD_TEXTS)))
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("insert", "delete", "swap")))
+        if op == "insert":
+            chars.insert(draw(st.integers(0, len(chars))), draw(st.sampled_from(JSON_CHARS)))
+        elif chars:
+            i = draw(st.integers(0, len(chars) - 1))
+            if op == "delete":
+                del chars[i]
+            else:
+                j = draw(st.integers(0, len(chars) - 1))
+                chars[i], chars[j] = chars[j], chars[i]
+    return "".join(chars)
+
+
+@st.composite
+def deeply_nested_records(draw):
+    depth = draw(st.integers(0, 4000))
+    opener, closer = draw(st.sampled_from([("[", "]"), ('{"a":', "}")]))
+    field = draw(st.sampled_from(["kind", "cones", "l"]))
+    return f'{{"{field}":{opener * depth}1{closer * depth}}}', depth
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(mutated_record_texts().map(lambda text: (text, 0)),
+                 JSON_VALUES.map(lambda value: (json.dumps(value), 0)),
+                 deeply_nested_records()),
+       st.sampled_from([None, "sp", "se"]))
+def test_parse_record_line_returns_a_set_or_raises_value_error(text_depth, kind):
+    text, depth = text_depth
+    try:
+        d = parse_record_line(text, kind)
+    except ValueError:
+        return
+    except RecursionError:
+        assert depth > 100
+        return
+    assert isinstance(d, (SpDataSet, SeDataSet))
+    if text.strip().startswith("{"):
+        assert from_record(json.loads(text)) == d
+
+
 # --------------------------------------------------------------- validate
 
 def test_validate_file_all_valid(tmp_path):

@@ -3,6 +3,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistfrac import (
     ConePair,
@@ -23,7 +25,7 @@ from twistfrac import (
     validate_se,
     validate_sp,
 )
-from twistfrac.datasets import se_genus_if_valid, sp_genus_if_valid
+from twistfrac.datasets import _cones_field, se_genus_if_valid, sp_genus_if_valid
 
 
 def sp(l, n, g0, a, b, cones):
@@ -157,6 +159,46 @@ def test_genus_integrality_errors():
     with pytest.raises(IntegralityError):
         # 4 does not divide 10, although the cone weights sum to an integer
         genus_sp(sp(1, 10, 0, 1, 1, [(1, 4)] * 4))
+
+
+def test_genus_reads_only_order_g0_and_cone_orders():
+    """The oracle skips a whole signature on one genus; that needs this.
+
+    For tuples that pass condition (i), the reported genus must not move
+    when l, the residues a and b, or any cone twist change, whether or
+    not the new values are units or satisfy any other condition.
+    """
+    rng = random.Random(6061)
+
+    def residue():
+        return rng.randrange(-40, 41)
+
+    hits_sp = hits_se = 0
+    for _ in range(4000):
+        n = rng.randrange(2, 25)
+        divs = [m for m in range(2, n + 1) if n % m == 0]
+        orders = rng.choices(divs, k=rng.randrange(0, 5))
+        g0 = rng.randrange(0, 3)
+        first = validate_sp(sp(residue(), n, g0, residue(), residue(),
+                               [(residue(), m) for m in orders]))
+        assert first.structure
+        hits_sp += first.genus is not None
+        for _ in range(4):
+            d = sp(residue(), n, g0, residue(), residue(), [(residue(), m) for m in orders])
+            assert validate_sp(d).genus == first.genus, d
+
+        two_n = 2 * rng.randrange(2, 13)
+        divs = [m for m in range(2, two_n + 1) if two_n % m == 0]
+        orders = rng.choices(divs, k=rng.randrange(0, 5))
+        first = validate_se(se(residue(), two_n, g0, residue(),
+                               [(residue(), m) for m in orders]))
+        assert first.structure
+        hits_se += first.genus is not None
+        for _ in range(4):
+            e = se(residue(), two_n, g0, residue(), [(residue(), m) for m in orders])
+            assert validate_se(e).genus == first.genus, e
+    # both integral and non-integral genera must be exercised
+    assert 400 < hits_sp < 3600 and 400 < hits_se < 3600
 
 
 # ---------------------------------------------------------- canonical form
@@ -387,6 +429,114 @@ def test_from_record_rejects_malformed_input():
                      "a": 1, "cones": [[True, 10]]})
     with pytest.raises(ValueError):
         from_record([1, 2, 3])
+
+
+
+# Arbitrary JSON values, as json.loads returns them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+RECORD_FIELDS = ["kind", "l", "n", "two_n", "g0", "a", "b", "cones"]
+SEED_RECORDS = [
+    to_record(sp(8, 16, 0, 1, 7, [(1, 2)])),
+    to_record(sp(4, 12, 1, 5, 11, [(2, 3), (1, 4)])),
+    to_record(se(17, 18, 0, 7, [(1, 2), (13, 18)])),
+    to_record(se(2, 10, 1, 1, [])),
+]
+# Values a mutation puts into a field or a cone entry: near misses first.
+FIELD_VALUES = st.one_of(
+    st.sampled_from(["SP", "SE", "sp", True, False, 0, -1, 2.0, "3", None, [], {}]),
+    st.integers(-50, 50), JSON_VALUES)
+
+
+@st.composite
+def mutated_records(draw):
+    record = json.loads(json.dumps(draw(st.sampled_from(SEED_RECORDS))))
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(("drop", "set", "cone", "entry")))
+        key = draw(st.sampled_from(RECORD_FIELDS))
+        cones = record.get("cones")
+        if op == "drop":
+            record.pop(key, None)
+        elif op == "set":
+            record[key] = draw(FIELD_VALUES)
+        elif isinstance(cones, list) and cones:
+            i = draw(st.integers(0, len(cones) - 1))
+            entry = cones[i]
+            if op == "cone" or not isinstance(entry, list) or not entry:
+                cones[i] = draw(FIELD_VALUES)
+            else:
+                entry[draw(st.integers(0, len(entry) - 1))] = draw(FIELD_VALUES)
+    return record
+
+
+@st.composite
+def records_with_one_field_replaced(draw):
+    record = dict(draw(st.sampled_from(SEED_RECORDS)))
+    record[draw(st.sampled_from(RECORD_FIELDS))] = draw(FIELD_VALUES)
+    return record
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(JSON_VALUES, mutated_records(), records_with_one_field_replaced()))
+def test_from_record_returns_a_set_or_raises_value_error(value):
+    try:
+        d = from_record(value)
+    except ValueError:
+        return
+    ints = ("l", "n", "g0", "a", "b") if isinstance(d, SpDataSet) else ("l", "two_n", "g0", "a")
+    for key in ints:
+        assert getattr(d, key) == value[key] and type(value[key]) is int
+    assert [list(c) for c in d.cones] == [list(e) for e in value["cones"]]
+    assert all(type(v) is int for c in d.cones for v in c)
+
+
+def _old_cones_field(record):
+    """_cones_field as it was, with a generator of isinstance calls per entry."""
+    raw = record.get("cones")
+    if not isinstance(raw, list):
+        raise ValueError("field 'cones' must be a list of [twist, order] pairs")
+    cones = []
+    for entry in raw:
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or any(isinstance(v, bool) or not isinstance(v, int) for v in entry)):
+            raise ValueError(f"bad cone entry {entry!r}")
+        cones.append(ConePair(entry[0], entry[1]))
+    return tuple(cones)
+
+
+class _Order(int):
+    """An int subclass that is not bool: accepted like a plain int."""
+
+
+CONE_SCALARS = [0, 1, -7, 2**70, True, False, 1.0, None, "1", [], _Order(4)]
+CONE_ENTRIES = (
+    [[k, m] for k in CONE_SCALARS for m in CONE_SCALARS]
+    + [(k, m) for k in CONE_SCALARS for m in CONE_SCALARS]
+    + [[k] for k in CONE_SCALARS] + [(k,) for k in CONE_SCALARS]
+    + [[1, 2, k] for k in CONE_SCALARS] + [(k, 2, 3) for k in CONE_SCALARS]
+    + [[], (), {}, {"0": 1, "1": 2}, "12", b"12", 3, None, True, range(2)])
+
+
+def _outcome(field, record):
+    try:
+        return [(type(k), k, type(m), m) for k, m in field(record)]
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_cones_field_accepts_what_it_accepted():
+    raws = ([[entry] for entry in CONE_ENTRIES] + [[[1, 2], entry] for entry in CONE_ENTRIES]
+            + [[[1, 2], [3, 4]], [], (), None, "[[1, 2]]", {"0": [1, 2]}, 5, True])
+    accepted = 0
+    for raw in raws:
+        record = {"cones": raw}
+        outcome = _outcome(_cones_field, record)
+        assert outcome == _outcome(_old_cones_field, record), raw
+        accepted += isinstance(outcome, list)
+    assert accepted == 2 * 50 + 2  # two-element lists and tuples of non-bool ints
 
 
 def test_validate_dispatch():

@@ -125,7 +125,10 @@ def test_oracle_contains_hand_checked_set():
 def test_oracle_refuses_large_genus():
     with pytest.raises(OracleBoundError):
         enumerate_oracle(9, "sp")
-    assert enumerate_oracle(9, "sp", max_genus=9) == enumerate_sp(9)
+    # past the bound the oracle still agrees with the pruned engine
+    for g in (9, 10, 11):
+        assert enumerate_oracle(g, "sp", max_genus=11) == enumerate_sp(g)
+        assert enumerate_oracle(g, "se", max_genus=11) == enumerate_se(g)
 
 
 def test_oracle_rejects_bad_kind():
