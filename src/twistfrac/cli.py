@@ -33,6 +33,7 @@ from .datasets import (
     SeDataSet,
     SpDataSet,
     from_record,
+    key_text,
     record_line,
     to_record,
     validate,
@@ -44,8 +45,8 @@ from .enumeration import (
     enumerate_oracle,
     enumerate_se,
     enumerate_sp,
-    iter_se,
-    iter_sp,
+    se_keys,
+    sp_keys,
     spectra,
 )
 from .laws import audit
@@ -118,24 +119,21 @@ def _json_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _cones_cell(d) -> str:
-    return ";".join(f"{c.twist}:{c.order}" for c in d.cones)
-
-
-def _enumerate_csv_row(d) -> list:
-    if isinstance(d, SpDataSet):
-        return ["SP", d.l, d.n, d.g0, d.a, d.b, _cones_cell(d)]
-    return ["SE", d.l, d.two_n, d.g0, d.a, "", _cones_cell(d)]
+def _csv_row(key) -> list:
+    """The kind, l, order, g0, a, b and cones cells of the set with sort key `key`."""
+    order, l, g0, a, *b, cones = key  # b is [] in a side-exchanging key
+    cone_cell = ";".join([f"{k}:{m}" for m, k in cones])
+    return ["SP" if b else "SE", l, order, g0, a, b[0] if b else "", cone_cell]
 
 
 def render_listing(sets, fmt: str, out, both_kinds: bool = False) -> None:
     """Write a listing to `out`, each chunk of `sets` as soon as it arrives.
 
-    `sets` is the listing in order as an iterable of chunks, lists of data
-    sets (the enumerator yields one per order); it may be lazy and is
-    consumed once.  With `both_kinds` the side-preserving chunks come
-    first, and text output puts each kind under its own heading.  Text
-    groups sets under 'Exponent l/order' headers.
+    `sets` is the listing in order as an iterable of chunks, lists of the
+    sets' sort keys (the enumerator yields one per order); it may be lazy
+    and is consumed once.  With `both_kinds` the side-preserving chunks
+    come first, and text output puts each kind under its own heading.
+    Text groups sets under 'Exponent l/order' headers.
     """
     if fmt == "text":
         if both_kinds:
@@ -143,15 +141,14 @@ def render_listing(sets, fmt: str, out, both_kinds: bool = False) -> None:
         # with both kinds, the second heading goes before the first SE set
         exchanging = not both_kinds
         current = None
-        for d in chain.from_iterable(sets):
-            if not exchanging and isinstance(d, SeDataSet):
+        for key in chain.from_iterable(sets):
+            if not exchanging and len(key) == 5:
                 out.write("side-exchanging:\n")
                 exchanging, current = True, None
-            exponent = d.exponent
-            if exponent != current:
-                out.write(f"Exponent {exponent[0]}/{exponent[1]}\n")
-                current = exponent
-            out.write(f"  {d}\n")
+            if key[:2] != current:
+                current = key[:2]
+                out.write(f"Exponent {key[1]}/{key[0]}\n")
+            out.write(f"  {key_text(key)}\n")
         if not exchanging:
             out.write("side-exchanging:\n")
     elif fmt == "json-lines":
@@ -162,8 +159,7 @@ def render_listing(sets, fmt: str, out, both_kinds: bool = False) -> None:
     else:
         writer = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
         writer.writerow(["kind", "l", "order", "g0", "a", "b", "cones"])
-        for d in chain.from_iterable(sets):
-            writer.writerow(_enumerate_csv_row(d))
+        writer.writerows(map(_csv_row, chain.from_iterable(sets)))
 
 
 class _OutputError(Exception):
@@ -320,11 +316,11 @@ def cmd_enumerate(args, out) -> int:
             for d in extra:
                 print(f"enumerator only: {d}", file=sys.stderr)
             return 3
-        chunks = [sets]
+        chunks = [[d.sort_key() for d in sets]]
     else:
-        # Lazy: the sets of each order are written as they are enumerated.
-        sp = iter_sp(args.genus, filters) if args.kind != "se" else ()
-        se = iter_se(args.genus, filters) if args.kind != "sp" else ()
+        # Lazy: the keys of each order are written as they are enumerated.
+        sp = sp_keys(args.genus, filters) if args.kind != "se" else ()
+        se = se_keys(args.genus, filters) if args.kind != "sp" else ()
         chunks = chain(sp, se)
 
     with _open_output(args.output, out) as sink:
@@ -441,7 +437,7 @@ def cmd_families(args, out) -> int:
             writer.writerow(["family", "kind", "l", "order", "g0", "a", "b",
                              "cones", "valid", "genus"])
             for label, d, report in rows:
-                writer.writerow([label] + _enumerate_csv_row(d)
+                writer.writerow([label] + _csv_row(d.sort_key())
                                 + [str(report.valid).lower(), report.genus])
     return 0 if all(report.valid for _, _, report in rows) else 2
 

@@ -46,10 +46,16 @@ the cyclic action; the classified mapping class lives one genus higher):
 Two tuples are the same data set when they differ by swapping a and b
 (side-preserving only) or reordering cone pairs; canonical form sorts
 a <= b and the cones ascending by (order, twist).
+
+A data set's sort key is the one row layout that listings render from:
+(n, l, g0, a, b, cones) side-preserving (6 entries), (two_n, l, g0, a,
+cones) side-exchanging (5), with cones the (order, twist) pairs in the
+set's own order.  The enumerator yields exactly these keys.
 """
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, replace
 from math import gcd
 from typing import NamedTuple, Union
@@ -89,8 +95,7 @@ class SpDataSet:
                 tuple(_cone_key(c) for c in self.cones))
 
     def __str__(self) -> str:
-        cones = ", ".join(f"({c.twist}, {c.order})" for c in self.cones)
-        return f"(({self.l}, {self.n}), {self.g0}, ({self.a}, {self.b}); {cones})"
+        return key_text(self.sort_key())
 
 
 @dataclass(frozen=True)
@@ -116,11 +121,19 @@ class SeDataSet:
                 tuple(_cone_key(c) for c in self.cones))
 
     def __str__(self) -> str:
-        cones = ", ".join(f"({c.twist}, {c.order})" for c in self.cones)
-        return f"(({self.l}, {self.two_n}), {self.g0}, {self.a}; {cones})"
+        return key_text(self.sort_key())
 
 
 DataSet = Union[SpDataSet, SeDataSet]
+
+
+def key_text(key: tuple) -> str:
+    """The tuple text of the data set whose sort key is `key`."""
+    order, l, g0, *residues, cones = key
+    a = residues[0] if len(residues) == 1 else "({}, {})".format(*residues)
+    cone_text = ", ".join([f"({k}, {m})" for m, k in cones])
+    return f"(({l}, {order}), {g0}, {a}; {cone_text})"
+
 
 # Flag label used in reports and CLI output for each validity condition.
 CONDITION_LABELS = {
@@ -284,22 +297,21 @@ def _reduce(value: int, modulus: int) -> int:
     return value % modulus if modulus >= 2 else value
 
 
+def _canonical_cones(cones) -> tuple[ConePair, ...]:
+    """Least-positive twists, ascending by (order, twist)."""
+    return tuple(sorted((ConePair(_reduce(c.twist, c.order), c.order) for c in cones),
+                        key=_cone_key))
+
+
 def canonicalize_sp(d: SpDataSet) -> SpDataSet:
     """Least-positive residues, a <= b, cones ascending by (order, twist)."""
     a, b = sorted((_reduce(d.a, d.n), _reduce(d.b, d.n)))
-    cones = tuple(sorted(
-        (ConePair(_reduce(c.twist, c.order), c.order) for c in d.cones),
-        key=_cone_key))
-    return replace(d, a=a, b=b, cones=cones)
+    return replace(d, a=a, b=b, cones=_canonical_cones(d.cones))
 
 
 def canonicalize_se(d: SeDataSet) -> SeDataSet:
     """Least-positive residues, cones ascending by (order, twist)."""
-    a = _reduce(d.a, d.two_n // 2)
-    cones = tuple(sorted(
-        (ConePair(_reduce(c.twist, c.order), c.order) for c in d.cones),
-        key=_cone_key))
-    return replace(d, a=a, cones=cones)
+    return replace(d, a=_reduce(d.a, d.two_n // 2), cones=_canonical_cones(d.cones))
 
 
 def canonicalize(d: DataSet) -> DataSet:
@@ -330,19 +342,26 @@ def to_record(d: DataSet) -> dict:
             "a": d.a, "cones": cones}
 
 
-def record_line(d: DataSet) -> str:
-    """`to_record(d)` as compact JSON, for a set whose cones are in canonical order.
+def record_line(key: tuple) -> str:
+    """`to_record` of the set with sort key `key`, as compact JSON.
 
-    Equal to json.dumps(to_record(d), separators=(",", ":")) for every
-    canonical set, without building the dict; unlike `to_record` it does
-    not sort the cones.
+    Equals json.dumps(to_record(d), separators=(",", ":")) for a canonical
+    d with key = d.sort_key(); unlike `to_record` it does not sort cones.
     """
-    cones = ",".join([f"[{k},{m}]" for k, m in d.cones])
-    if isinstance(d, SpDataSet):
-        return (f'{{"kind":"SP","l":{d.l},"n":{d.n},"g0":{d.g0},'
-                f'"a":{d.a},"b":{d.b},"cones":[{cones}]}}')
-    return (f'{{"kind":"SE","l":{d.l},"two_n":{d.two_n},"g0":{d.g0},'
-            f'"a":{d.a},"cones":[{cones}]}}')
+    cones = ",".join([f"[{k},{m}]" for m, k in key[-1]])
+    if len(key) == 6:
+        n, l, g0, a, b, _ = key
+        return (f'{{"kind":"SP","l":{l},"n":{n},"g0":{g0},'
+                f'"a":{a},"b":{b},"cones":[{cones}]}}')
+    two_n, l, g0, a, _ = key
+    return (f'{{"kind":"SE","l":{l},"two_n":{two_n},"g0":{g0},'
+            f'"a":{a},"cones":[{cones}]}}')
+
+
+def _short_repr(value) -> str:
+    """repr(value) for a one-line error message: depth-limited, at most 60 chars."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _int_field(record: dict, key: str) -> int:
@@ -364,7 +383,7 @@ def _cones_field(record: dict) -> tuple[ConePair, ...]:
                     and not isinstance(k, bool) and not isinstance(m, bool)):
                 cones.append(ConePair(k, m))
                 continue
-        raise ValueError(f"bad cone entry {entry!r}")
+        raise ValueError(f"bad cone entry {_short_repr(entry)}")
     return tuple(cones)
 
 
@@ -381,4 +400,4 @@ def from_record(record: dict) -> DataSet:
         return SeDataSet(_int_field(record, "l"), _int_field(record, "two_n"),
                          _int_field(record, "g0"), _int_field(record, "a"),
                          _cones_field(record))
-    raise ValueError(f"record kind must be 'SP' or 'SE', got {kind!r}")
+    raise ValueError(f"record kind must be 'SP' or 'SE', got {_short_repr(kind)}")

@@ -20,10 +20,10 @@ Two independent engines produce the same sets:
 
 Output contract shared by both: canonical data sets only, no duplicates,
 sorted by (order, l, g0, residues, cones).  The pruned engine works one
-order at a time: it collects plain tuples that sort like the data sets,
-sorts them, and builds the data sets of that order only then.  Orders are
-visited ascending, so the chunks concatenate into the sorted listing and
-`iter_sp` / `iter_se` can stream it.
+order at a time: it collects the sort keys of that order's sets as plain
+tuples and sorts them.  Orders are visited ascending, so `sp_keys` /
+`se_keys` stream the sorted listing, one key list per order, without
+building a data set; only `enumerate_sp` / `enumerate_se` build them.
 
 `spectra` lists nothing: it counts the essential sets from residue loops
 that mirror the pruned engine with one or two cones.
@@ -177,11 +177,10 @@ def _k_assignments(ambient: int, signature, residual: int):
 
 
 def _sp_order_rows(g: int, f: Filters, n: int) -> list[tuple]:
-    """Rows (l, g0, a, b, cones) of the side-preserving sets of genus g, order n.
+    """Sorted keys (n, l, g0, a, b, cones) of the SP sets of genus g and order n.
 
-    `cones` is the (order, twist) tuple from `_k_assignments`, so the rows
-    sort like `SpDataSet.sort_key` within the order; they are returned
-    sorted.
+    `cones` is the (order, twist) tuple from `_k_assignments`, so each row
+    is its set's `SpDataSet.sort_key()`.
     """
     rows: list[tuple] = []
     if f.exponent is not None and f.exponent[1] != n:
@@ -217,15 +216,15 @@ def _sp_order_rows(g: int, f: Filters, n: int) -> list[tuple]:
                         cones_list = assignments[residual] = list(
                             _k_assignments(n, sig, residual))
                     for cones in cones_list:
-                        rows.append((l, g0, a, b, cones))
+                        rows.append((n, l, g0, a, b, cones))
     rows.sort()
     return rows
 
 
 def _se_order_rows(g: int, f: Filters, two_n: int) -> list[tuple]:
-    """Rows (l, g0, a, cones) of the side-exchanging sets of genus g, order 2n.
+    """Sorted keys (two_n, l, g0, a, cones) of the SE sets of genus g and order 2n.
 
-    As `_sp_order_rows`: sorted like `SeDataSet.sort_key` within the order.
+    As `_sp_order_rows`: each row is its set's `SeDataSet.sort_key()`.
     """
     rows: list[tuple] = []
     if f.exponent is not None and f.exponent[1] != two_n:
@@ -256,38 +255,22 @@ def _se_order_rows(g: int, f: Filters, two_n: int) -> list[tuple]:
                 residual = (-2 * a) % two_n
                 for cones in _k_assignments(two_n, sig, residual):
                     for l in exponents:
-                        rows.append((l, g0, a, cones))
+                        rows.append((two_n, l, g0, a, cones))
     rows.sort()
     return rows
 
 
-def _cone_pairs(cache: dict, cones) -> tuple[ConePair, ...]:
-    """The ConePair tuple of (order, twist) pairs, shared by equal `cones`."""
-    pairs = cache.get(cones)
-    if pairs is None:
-        pairs = cache[cones] = tuple([ConePair(k, m) for m, k in cones])
-    return pairs
-
-
-def _sp_sets(n: int, rows: list[tuple]) -> list[SpDataSet]:
-    """The data sets of sorted `_sp_order_rows` rows, freeing rows as it goes."""
-    cache: dict = {}
-    rows.reverse()
+def _sets(cls, keys: list[tuple]) -> list:
+    """The `cls` data sets of one order's sorted keys, freeing keys as it goes."""
+    cone_pairs: dict = {}  # equal `cones` tuples share one ConePair tuple
+    keys.reverse()
     out = []
-    while rows:
-        l, g0, a, b, cones = rows.pop()
-        out.append(SpDataSet(l, n, g0, a, b, _cone_pairs(cache, cones)))
-    return out
-
-
-def _se_sets(two_n: int, rows: list[tuple]) -> list[SeDataSet]:
-    """The data sets of sorted `_se_order_rows` rows, freeing rows as it goes."""
-    cache: dict = {}
-    rows.reverse()
-    out = []
-    while rows:
-        l, g0, a, cones = rows.pop()
-        out.append(SeDataSet(l, two_n, g0, a, _cone_pairs(cache, cones)))
+    while keys:
+        order, l, *residues, cones = keys.pop()
+        pairs = cone_pairs.get(cones)
+        if pairs is None:
+            pairs = cone_pairs[cones] = tuple([ConePair(k, m) for m, k in cones])
+        out.append(cls(l, order, *residues, pairs))
     return out
 
 
@@ -297,27 +280,28 @@ def _checked_filters(g: int, filters: Filters | None) -> Filters:
     return filters if filters is not None else Filters()
 
 
-def iter_sp(g: int, filters: Filters | None = None):
-    """`enumerate_sp` one order at a time: an iterator of sorted lists."""
+def sp_keys(g: int, filters: Filters | None = None):
+    """The keys of `enumerate_sp`'s sets, one sorted list per order, lazily."""
     f = _checked_filters(g, filters)
-    return (_sp_sets(n, _sp_order_rows(g, f, n)) for n in range(2, 4 * g + 1))
+    return (_sp_order_rows(g, f, n) for n in range(2, 4 * g + 1))
 
 
-def iter_se(g: int, filters: Filters | None = None):
-    """`enumerate_se` one order at a time: an iterator of sorted lists."""
+def se_keys(g: int, filters: Filters | None = None):
+    """The keys of `enumerate_se`'s sets, one sorted list per order, lazily."""
     f = _checked_filters(g, filters)
-    return (_se_sets(two_n, _se_order_rows(g, f, two_n))
-            for two_n in range(4, 4 * g + 3, 2))
+    return (_se_order_rows(g, f, two_n) for two_n in range(4, 4 * g + 3, 2))
 
 
 def enumerate_sp(g: int, filters: Filters | None = None) -> list[SpDataSet]:
     """All valid canonical side-preserving data sets of genus g, sorted."""
-    return list(chain.from_iterable(iter_sp(g, filters)))
+    return list(chain.from_iterable(
+        _sets(SpDataSet, keys) for keys in sp_keys(g, filters)))
 
 
 def enumerate_se(g: int, filters: Filters | None = None) -> list[SeDataSet]:
     """All valid canonical side-exchanging data sets of genus g, sorted."""
-    return list(chain.from_iterable(iter_se(g, filters)))
+    return list(chain.from_iterable(
+        _sets(SeDataSet, keys) for keys in se_keys(g, filters)))
 
 
 def _oracle_sp(g: int) -> list[SpDataSet]:

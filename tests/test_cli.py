@@ -615,13 +615,13 @@ def test_json_lines_writes_large_chunks_in_parts(monkeypatch):
 def test_enumerate_writes_each_order_before_the_next(fmt, monkeypatch):
     import twistfrac.cli as cli_mod
 
-    real_iter_sp = cli_mod.iter_sp
+    real_sp_keys = cli_mod.sp_keys
     out = io.StringIO()
     progress = []  # (sets enumerated, set lines written) whenever a chunk is asked for
 
-    def watched_iter_sp(*args, **kwargs):
+    def watched_sp_keys(*args, **kwargs):
         enumerated = 0
-        for chunk in real_iter_sp(*args, **kwargs):
+        for chunk in real_sp_keys(*args, **kwargs):
             yield chunk
             enumerated += len(chunk)
             lines = out.getvalue().splitlines()
@@ -631,7 +631,7 @@ def test_enumerate_writes_each_order_before_the_next(fmt, monkeypatch):
                 written = len(lines) - (fmt == "csv")
             progress.append((enumerated, written))
 
-    monkeypatch.setattr(cli_mod, "iter_sp", watched_iter_sp)
+    monkeypatch.setattr(cli_mod, "sp_keys", watched_sp_keys)
     argv = ["enumerate", "--genus", "5", "--kind", "sp", "--format", fmt]
     assert main(argv, stdout=out) == 0
     assert len(progress) == 19  # orders 2..20
@@ -639,10 +639,28 @@ def test_enumerate_writes_each_order_before_the_next(fmt, monkeypatch):
     assert progress[-1][0] == len(enumerate_sp(5))
 
 
+def test_listings_build_no_data_sets(monkeypatch):
+    import twistfrac.enumeration as enumeration_mod
+
+    formats = ("text", "json-lines", "csv")
+    expected = {fmt: _materialised_listing(5, "both", fmt, Filters()) for fmt in formats}
+
+    def no_sets(*args, **kwargs):
+        raise AssertionError("the listing built data sets")
+
+    monkeypatch.setattr(enumeration_mod, "_sets", no_sets)
+    monkeypatch.setattr(SpDataSet, "__init__", no_sets)
+    monkeypatch.setattr(SeDataSet, "__init__", no_sets)
+    for fmt in formats:
+        assert run_cli("enumerate", "--genus", "5", "--format", fmt) == (0, expected[fmt])
+    with pytest.raises(AssertionError):
+        enumerate_se(5)
+
+
 @pytest.mark.parametrize("g", range(1, 11))
 def test_record_line_is_compact_json_of_to_record(g):
     for d in enumerate_sp(g) + enumerate_se(g):
-        assert record_line(d) == json.dumps(to_record(d), separators=(",", ":"))
+        assert record_line(d.sort_key()) == json.dumps(to_record(d), separators=(",", ":"))
 
 
 def test_enumerate_bad_exponent_exit_1(capsys):
@@ -735,6 +753,26 @@ def test_families_text_includes_known_tuples():
     assert "((8, 16), 0, (1, 7); (1, 2))" in out
     assert out.count("valid") == 6
     assert "invalid" not in out
+
+
+@pytest.mark.parametrize("g, expected", [
+    (1, ['"sp-max-exponent-1","SP",2,3,0,1,1,"1:3","true",1',
+         '"sp-max-exponent-2","SP",2,3,0,1,1,"1:3","true",1',
+         '"sp-order-4g-1","SP",2,4,0,1,1,"1:2","true",1',
+         '"sp-order-4g-2","SP",2,4,0,3,3,"1:2","true",1',
+         '"se-order-max","SE",5,6,0,1,"","1:2;1:6","true",1',
+         '"se-order-min","SE",2,4,0,1,"","3:4;3:4","true",1']),
+    (4, ['"sp-max-exponent-1","SP",8,9,0,1,4,"4:9","true",4',
+         '"sp-max-exponent-2","SP",8,9,0,7,7,"4:9","true",4',
+         '"sp-order-4g-1","SP",8,16,0,1,7,"1:2","true",4',
+         '"sp-order-4g-2","SP",8,16,0,9,15,"1:2","true",4',
+         '"se-order-max","SE",17,18,0,7,"","1:2;13:18","true",4',
+         '"se-order-min","SE",2,10,0,1,"","9:10;9:10","true",4']),
+])
+def test_families_csv_bytes(g, expected):
+    header = '"family","kind","l","order","g0","a","b","cones","valid","genus"'
+    assert run_cli("families", "--genus", str(g), "--format", "csv") == (
+        0, "\n".join([header] + expected) + "\n")
 
 
 def test_families_genus_1_all_valid():
@@ -847,6 +885,21 @@ def test_deeply_nested_json_exits_1(tmp_path, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("line", [
+    json.dumps({"kind": "k" * 50_000}),
+    '{"kind":' + "[" * 500 + "]" * 500 + "}",
+    json.dumps({"kind": "SP", "l": 1, "n": 9, "g0": 0, "a": 2, "b": 2,
+                "cones": [[["k" * 50_000] * 100, 9]]}),
+], ids=["long-kind", "deep-kind", "wide-cone-entry"])
+def test_validate_huge_json_value_gives_one_short_line(line, tmp_path, capsys):
+    path = tmp_path / "records.txt"
+    path.write_text(line + "\n")
+    code, out = run_cli("validate", str(path))
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+
+
 OUTPUT_COMMANDS = {
     "validate": ["validate", "RECORDS"],
     "enumerate": ["enumerate", "--genus", "2"],
@@ -904,16 +957,16 @@ def test_output_file_mode_follows_umask(tmp_path):
 def test_output_failure_mid_listing_leaves_no_file(error, tmp_path, monkeypatch, capsys):
     import twistfrac.cli as cli_mod
 
-    real_iter_sp = cli_mod.iter_sp
+    real_sp_keys = cli_mod.sp_keys
     during = []
 
-    def failing_iter_sp(*args, **kwargs):
-        chunks = (chunk for chunk in real_iter_sp(*args, **kwargs) if chunk)
+    def failing_sp_keys(*args, **kwargs):
+        chunks = (chunk for chunk in real_sp_keys(*args, **kwargs) if chunk)
         yield next(chunks)
         during.extend(tmp_path.iterdir())
         raise error
 
-    monkeypatch.setattr(cli_mod, "iter_sp", failing_iter_sp)
+    monkeypatch.setattr(cli_mod, "sp_keys", failing_sp_keys)
     target = tmp_path / "listing.txt"
     target.write_text("previous\n")
     argv = ["enumerate", "--genus", "4", "--kind", "sp", "--output", str(target)]

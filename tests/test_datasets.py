@@ -431,6 +431,33 @@ def test_from_record_rejects_malformed_input():
         from_record([1, 2, 3])
 
 
+def _nested(depth, inner="x"):
+    value = inner
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+SP_RECORD = to_record(sp(8, 16, 0, 1, 7, [(1, 2)]))
+
+
+@pytest.mark.parametrize("record", [
+    {"kind": _nested(3000)},
+    {"kind": "k" * 50_000},
+    {"kind": {"k" * 50_000: _nested(3000)}},
+    {**SP_RECORD, "cones": [_nested(3000)]},
+    {**SP_RECORD, "cones": [[_nested(3000), 2]]},
+    {**SP_RECORD, "cones": [["k" * 50_000, 2]]},
+    {**SP_RECORD, "cones": [list(range(50_000))]},
+], ids=["deep-kind", "long-kind", "wide-deep-kind", "deep-cone-entry", "deep-twist",
+        "long-twist", "long-cone-entry"])
+def test_from_record_errors_are_short(record):
+    with pytest.raises(ValueError) as info:
+        from_record(record)
+    message = str(info.value)
+    assert len(message) < 100 and "\n" not in message
+
+
 
 # Arbitrary JSON values, as json.loads returns them.
 JSON_VALUES = st.recursive(
@@ -537,6 +564,37 @@ def test_cones_field_accepts_what_it_accepted():
         assert outcome == _outcome(_old_cones_field, record), raw
         accepted += isinstance(outcome, list)
     assert accepted == 2 * 50 + 2  # two-element lists and tuples of non-bool ints
+
+
+def _old_str(d):
+    """`__str__` of both kinds as it was, written from the fields."""
+    cones = ", ".join(f"({c.twist}, {c.order})" for c in d.cones)
+    if isinstance(d, SpDataSet):
+        return f"(({d.l}, {d.n}), {d.g0}, ({d.a}, {d.b}); {cones})"
+    return f"(({d.l}, {d.two_n}), {d.g0}, {d.a}; {cones})"
+
+
+NON_CANONICAL = [
+    sp(3, 9, 0, 11, -2, [(-5, 9), (7, 3), (1, 3)]),  # unreduced, a > b, unsorted cones
+    sp(1, 2, 0, 5, 1, []),
+    se(5, 6, 2, 7, [(13, 6), (-1, 2)]),
+    se(-4, 10, 0, -3, [(0, 10), (9, 10), (3, 5)]),
+]
+
+
+def test_str_is_the_tuple_text_of_the_fields():
+    for g in range(1, 9):
+        for d in enumerate_sp(g) + enumerate_se(g):
+            assert str(d) == _old_str(d)
+    for d in NON_CANONICAL:
+        assert str(d) == _old_str(d)
+    # str shows the fields as they are: it does not canonicalize
+    assert [str(d) for d in NON_CANONICAL] == [
+        "((3, 9), 0, (11, -2); (-5, 9), (7, 3), (1, 3))",
+        "((1, 2), 0, (5, 1); )",
+        "((5, 6), 2, 7; (13, 6), (-1, 2))",
+        "((-4, 10), 0, -3; (0, 10), (9, 10), (3, 5))",
+    ]
 
 
 def test_validate_dispatch():

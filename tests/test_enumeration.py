@@ -1,3 +1,4 @@
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -19,7 +20,7 @@ from twistfrac import (
     sp_root_decompose,
     validate,
 )
-from twistfrac.enumeration import iter_se, iter_sp
+from twistfrac.enumeration import se_keys, sp_keys
 from reference_data import SE_ESSENTIAL_G4, SP_ESSENTIAL_G4
 
 ESSENTIAL = Filters(essential_only=True)
@@ -143,9 +144,21 @@ def test_enumeration_rejects_bad_genus():
         enumerate_se(-1)
     # the streaming forms refuse when called, not at their first chunk
     with pytest.raises(ValueError):
-        iter_sp(0)
+        sp_keys(0)
     with pytest.raises(ValueError):
-        iter_se(0)
+        se_keys(0)
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_keys_are_the_sort_keys_of_the_sets(g):
+    for filters in (Filters(), ESSENTIAL, Filters(g0=1), Filters(cone_count=3),
+                    Filters(exponent=(2, 4))):
+        sp_sets = enumerate_sp(g, filters)
+        se_sets = enumerate_se(g, filters)
+        assert list(chain.from_iterable(sp_keys(g, filters))) == [d.sort_key() for d in sp_sets]
+        assert list(chain.from_iterable(se_keys(g, filters))) == [d.sort_key() for d in se_sets]
+        assert all(len(d.sort_key()) == 6 for d in sp_sets)
+        assert all(len(d.sort_key()) == 5 for d in se_sets)
 
 
 def test_filters_validate_their_fields():
