@@ -13,7 +13,7 @@ finite search.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 # A cone signature is the multiset of cone-point orders, kept as an
 # ascending tuple so equal multisets compare equal.
@@ -28,16 +28,8 @@ def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     if n < 1:
         raise ValueError(f"divisors() needs n >= 1, got {n}")
-    small = []
-    large = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def units_mod(n: int) -> set[int]:

@@ -26,15 +26,17 @@ import stat
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext, suppress
-from itertools import chain
+from itertools import chain, islice
 
 from .datasets import (
     ConePair,
     SeDataSet,
     SpDataSet,
     from_record,
-    key_text,
-    record_line,
+    key_text_cones,
+    key_text_head,
+    record_line_cones,
+    record_line_head,
     to_record,
     validate,
 )
@@ -121,9 +123,34 @@ def _json_line(obj) -> str:
 
 def _csv_row(key) -> list:
     """The kind, l, order, g0, a, b and cones cells of the set with sort key `key`."""
-    order, l, g0, a, *b, cones = key  # b is [] in a side-exchanging key
-    cone_cell = ";".join([f"{k}:{m}" for m, k in cones])
-    return ["SP" if b else "SE", l, order, g0, a, b[0] if b else "", cone_cell]
+    return _csv_head(key) + _csv_cones(key[-1])
+
+
+def _csv_head(key) -> list:
+    """`_csv_row(key)` but its cones cell."""
+    order, l, g0, a, *b, _ = key  # b is [] in a side-exchanging key
+    return ["SP" if b else "SE", l, order, g0, a, b[0] if b else ""]
+
+
+def _csv_cones(cones) -> list:
+    """The cones cell of `_csv_row` for the (order, twist) pairs `cones` of a key."""
+    return [";".join([f"{k}:{m}" for m, k in cones])]
+
+
+def _rendered(chunk, head, cones_part):
+    """`head(key) + cones_part(key[-1])` for each key of one sorted chunk.
+
+    Each distinct cones tuple of the chunk is rendered once, and each head
+    once per run of adjacent keys that share it.
+    """
+    parts, last = {}, None
+    for key in chunk:
+        if key[:-1] != last:
+            last, first = key[:-1], head(key)
+        rest = parts.get(key[-1])
+        if rest is None:
+            rest = parts[key[-1]] = cones_part(key[-1])
+        yield first + rest
 
 
 def render_listing(sets, fmt: str, out, both_kinds: bool = False) -> None:
@@ -133,7 +160,8 @@ def render_listing(sets, fmt: str, out, both_kinds: bool = False) -> None:
     sets' sort keys (the enumerator yields one per order); it may be lazy
     and is consumed once.  With `both_kinds` the side-preserving chunks
     come first, and text output puts each kind under its own heading.
-    Text groups sets under 'Exponent l/order' headers.
+    Text groups sets under 'Exponent l/order' headers.  Each chunk is
+    deleted once written, so it is freed before the next one is built.
     """
     if fmt == "text":
         if both_kinds:
@@ -141,25 +169,30 @@ def render_listing(sets, fmt: str, out, both_kinds: bool = False) -> None:
         # with both kinds, the second heading goes before the first SE set
         exchanging = not both_kinds
         current = None
-        for key in chain.from_iterable(sets):
-            if not exchanging and len(key) == 5:
-                out.write("side-exchanging:\n")
-                exchanging, current = True, None
-            if key[:2] != current:
-                current = key[:2]
-                out.write(f"Exponent {key[1]}/{key[0]}\n")
-            out.write(f"  {key_text(key)}\n")
+        for chunk in sets:
+            for key, text in zip(chunk, _rendered(chunk, key_text_head, key_text_cones)):
+                if not exchanging and len(key) == 5:
+                    out.write("side-exchanging:\n")
+                    exchanging, current = True, None
+                if key[:2] != current:
+                    current = key[:2]
+                    out.write(f"Exponent {key[1]}/{key[0]}\n")
+                out.write(f"  {text}\n")
+            del chunk
         if not exchanging:
             out.write("side-exchanging:\n")
     elif fmt == "json-lines":
         for chunk in sets:
-            for start in range(0, len(chunk), RECORDS_PER_WRITE):
-                lines = map(record_line, chunk[start:start + RECORDS_PER_WRITE])
-                out.write("\n".join(lines) + "\n")
+            lines = _rendered(chunk, record_line_head, record_line_cones)
+            for _ in range(0, len(chunk), RECORDS_PER_WRITE):
+                out.write("\n".join(islice(lines, RECORDS_PER_WRITE)) + "\n")
+            del chunk, lines
     else:
         writer = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
         writer.writerow(["kind", "l", "order", "g0", "a", "b", "cones"])
-        writer.writerows(map(_csv_row, chain.from_iterable(sets)))
+        for chunk in sets:
+            writer.writerows(_rendered(chunk, _csv_head, _csv_cones))
+            del chunk
 
 
 class _OutputError(Exception):
@@ -280,20 +313,17 @@ def _parse_exponent(text: str) -> tuple[int, int]:
     mo = re.fullmatch(r"([0-9]+)/([0-9]+)", text.strip())
     if not mo:
         raise ValueError(f"exponent must look like 'l/order', got {text!r}")
-    l, order = int(mo.group(1)), int(mo.group(2))
-    if order < 2:
-        raise ValueError(f"exponent order must be >= 2, got {order}")
-    return l, order
+    return int(mo.group(1)), int(mo.group(2))
 
 
 def cmd_enumerate(args, out) -> int:
     try:
         exponent = _parse_exponent(args.exponent) if args.exponent else None
-    except ValueError as exc:
+        filters = Filters(essential_only=args.essential, exponent=exponent,
+                          g0=args.g0, cone_count=args.cones)
+    except ValueError as exc:  # Filters refuses an exponent order below 2
         print(exc, file=sys.stderr)
         return 1
-    filters = Filters(essential_only=args.essential, exponent=exponent,
-                      g0=args.g0, cone_count=args.cones)
 
     if args.oracle:
         if args.kind == "both":
@@ -479,24 +509,21 @@ def cmd_audit(args, out) -> int:
 
 # ------------------------------------------------------------------ main
 
-def _integer(text: str) -> int:
+def _integer(text: str, least: int | None = None) -> int:
     if not _INTEGER.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(text)
+    value = int(text)
+    if least is not None and value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+    return value
 
 
 def _positive_int(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+    return _integer(text, 1)
 
 
 def _nonnegative_int(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return _integer(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -129,10 +129,19 @@ DataSet = Union[SpDataSet, SeDataSet]
 
 def key_text(key: tuple) -> str:
     """The tuple text of the data set whose sort key is `key`."""
-    order, l, g0, *residues, cones = key
+    return key_text_head(key) + key_text_cones(key[-1])
+
+
+def key_text_head(key: tuple) -> str:
+    """`key_text(key)` up to its cones: '((l, order), g0, a; '."""
+    order, l, g0, *residues, _ = key
     a = residues[0] if len(residues) == 1 else "({}, {})".format(*residues)
-    cone_text = ", ".join([f"({k}, {m})" for m, k in cones])
-    return f"(({l}, {order}), {g0}, {a}; {cone_text})"
+    return f"(({l}, {order}), {g0}, {a}; "
+
+
+def key_text_cones(cones: tuple) -> str:
+    """The rest of `key_text` for the (order, twist) pairs `cones` of a key."""
+    return ", ".join([f"({k}, {m})" for m, k in cones]) + ")"
 
 
 # Flag label used in reports and CLI output for each validity condition.
@@ -180,11 +189,8 @@ class ValidationReport:
 
     def failed(self) -> list[str]:
         """Labels of the failed conditions, in report order."""
-        out = []
-        for field, label in CONDITION_LABELS.items():
-            if not getattr(self, field):
-                out.append(label)
-        return out
+        return [label for field, label in CONDITION_LABELS.items()
+                if not getattr(self, field)]
 
 
 def validate_sp(d: SpDataSet) -> ValidationReport:
@@ -288,9 +294,7 @@ def _integral_genus(d: DataSet, report: ValidationReport) -> int:
 
 
 def genus(d: DataSet) -> int:
-    if isinstance(d, SpDataSet):
-        return genus_sp(d)
-    return genus_se(d)
+    return _integral_genus(d, validate(d))
 
 
 def _reduce(value: int, modulus: int) -> int:
@@ -348,19 +352,32 @@ def record_line(key: tuple) -> str:
     Equals json.dumps(to_record(d), separators=(",", ":")) for a canonical
     d with key = d.sort_key(); unlike `to_record` it does not sort cones.
     """
-    cones = ",".join([f"[{k},{m}]" for m, k in key[-1]])
+    return record_line_head(key) + record_line_cones(key[-1])
+
+
+def record_line_head(key: tuple) -> str:
+    """`record_line(key)` up to the first cone."""
     if len(key) == 6:
         n, l, g0, a, b, _ = key
-        return (f'{{"kind":"SP","l":{l},"n":{n},"g0":{g0},'
-                f'"a":{a},"b":{b},"cones":[{cones}]}}')
+        return f'{{"kind":"SP","l":{l},"n":{n},"g0":{g0},"a":{a},"b":{b},"cones":['
     two_n, l, g0, a, _ = key
-    return (f'{{"kind":"SE","l":{l},"two_n":{two_n},"g0":{g0},'
-            f'"a":{a},"cones":[{cones}]}}')
+    return f'{{"kind":"SE","l":{l},"two_n":{two_n},"g0":{g0},"a":{a},"cones":['
+
+
+def record_line_cones(cones: tuple) -> str:
+    """The rest of `record_line` for the (order, twist) pairs `cones` of a key."""
+    return ",".join([f"[{k},{m}]" for m, k in cones]) + "]}"
+
+
+class _ShortRepr(reprlib.Repr):
+    def repr_int(self, x, level):
+        # str() refuses ints past sys.get_int_max_str_digits() >= 640 digits
+        return super().repr_int(x, level) if x.bit_length() <= 2000 else "<huge int>"
 
 
 def _short_repr(value) -> str:
     """repr(value) for a one-line error message: depth-limited, at most 60 chars."""
-    text = reprlib.repr(value)
+    text = _ShortRepr().repr(value)
     return text if len(text) <= 60 else text[:57] + "..."
 
 

@@ -5,8 +5,9 @@ Two independent engines produce the same sets:
 * `enumerate_sp` / `enumerate_se` prune hard: the order loop is capped by
   the proven bounds (n <= 4g side-preserving, 2n <= 4g+2 side-exchanging),
   cone signatures are solved from the genus identity, the exponent l is
-  solved from the twist relation, and the final cone twist is solved from
-  the residue sum.  Only tuples that are valid by construction are built.
+  solved from the twist relation, and each signature's twist assignments
+  are listed once, filed by residue sum, so condition (iv) is a lookup.
+  Only tuples that are valid by construction are built.
 
 * `enumerate_oracle` walks every order in the same hard range, every
   admissible quotient genus and every divisor multiset within the
@@ -128,59 +129,38 @@ def _generates(two_n: int, signature) -> bool:
     return any((two_n // m) % 2 for m in signature)
 
 
-def _k_assignments(ambient: int, signature, residual: int):
-    """Canonical twist assignments for the cones of one signature.
+def _assignments(ambient: int, signature) -> dict[int, list[tuple]]:
+    """Canonical twist assignments for the cones of one signature, by residual.
 
-    Yields ascending tuples of (order, twist) pairs, so a tuple is its own
-    sort key; each twist is a unit in its order, and
+    Maps each residual r to the ascending tuples of (order, twist) pairs,
+    so a tuple is its own sort key; each twist is a unit in its order,
+    twists are non-decreasing within runs of equal order, and
 
-        sum (ambient/order) * twist = residual  (mod ambient).
+        sum (ambient/order) * twist = r  (mod ambient).
 
-    All cones but the last are enumerated (non-decreasing within runs of
-    equal order); the last twist is solved from the congruence, which
-    pins each canonical assignment exactly once.
+    One pass lists every canonical assignment once and files it under its
+    residual, so every residue pair with the same residual shares the work.
     """
-    if not signature:
-        if residual % ambient == 0:
-            yield ()
-        return
-
-    runs = _runs(signature)
-    last_order, last_count = runs[-1]
-    prefix_runs = runs[:-1]
-    if last_count > 1:
-        prefix_runs.append((last_order, last_count - 1))
-
-    prefix_choices = [
-        combinations_with_replacement(_units(order), count)
-        for order, count in prefix_runs
-    ]
-    cofactor = ambient // last_order
-
-    for combo in product(*prefix_choices):
-        partial_sum = 0
-        flat: list[tuple[int, int]] = []
-        for (order, _), twists in zip(prefix_runs, combo):
-            step = ambient // order
-            for k in twists:
-                partial_sum += step * k
-                flat.append((order, k))
-        remainder = (residual - partial_sum) % ambient
-        if remainder % cofactor:
-            continue
-        k_last = remainder // cofactor
-        if gcd(k_last, last_order) != 1:
-            continue
-        if last_count > 1 and k_last < flat[-1][1]:
-            continue
-        yield tuple(flat) + ((last_order, k_last),)
+    partial = [(0, ())]  # (residue sum, cones) of the runs so far, ascending
+    for order, count in _runs(signature):
+        step = ambient // order
+        choices = [(step * sum(twists), tuple([(order, k) for k in twists]))
+                   for twists in combinations_with_replacement(_units(order), count)]
+        partial = [(total + more, cones + run)
+                   for total, cones in partial for more, run in choices]
+    by_residual: dict[int, list[tuple]] = {}
+    for total, cones in partial:
+        by_residual.setdefault(total % ambient, []).append(cones)
+    return by_residual
 
 
 def _sp_order_rows(g: int, f: Filters, n: int) -> list[tuple]:
     """Sorted keys (n, l, g0, a, b, cones) of the SP sets of genus g and order n.
 
-    `cones` is the (order, twist) tuple from `_k_assignments`, so each row
-    is its set's `SpDataSet.sort_key()`.
+    `cones` is the (order, twist) tuple from `_assignments`, so each row
+    is its set's `SpDataSet.sort_key()`.  The assignments of a signature
+    are solved once, and every pair (a, b) reads those of its residual
+    -(a+b).
     """
     rows: list[tuple] = []
     if f.exponent is not None and f.exponent[1] != n:
@@ -200,23 +180,15 @@ def _sp_order_rows(g: int, f: Filters, n: int) -> list[tuple]:
         for sig in cone_signatures(n, target, max_count):
             if f.cone_count is not None and len(sig) != f.cone_count:
                 continue
-            # many pairs (a, b) share a residual -(a+b): solve each once
-            assignments: dict[int, list] = {}
+            assignments = _assignments(n, sig)
             for i, a in enumerate(units):
                 for b in units[i:]:
                     # twist relation a+b = l*a*b fixes the exponent
                     l = (a + b) * inverse[a] * inverse[b] % n
-                    if l == 0:
+                    if l == 0 or (f.exponent is not None and l != f.exponent[0]):
                         continue
-                    if f.exponent is not None and l != f.exponent[0]:
-                        continue
-                    residual = (-(a + b)) % n
-                    cones_list = assignments.get(residual)
-                    if cones_list is None:
-                        cones_list = assignments[residual] = list(
-                            _k_assignments(n, sig, residual))
-                    for cones in cones_list:
-                        rows.append((n, l, g0, a, b, cones))
+                    rows.extend([(n, l, g0, a, b, cones)
+                                 for cones in assignments.get((-(a + b)) % n, ())])
     rows.sort()
     return rows
 
@@ -247,15 +219,13 @@ def _se_order_rows(g: int, f: Filters, two_n: int) -> list[tuple]:
                 continue
             if g0 == 0 and not _generates(two_n, sig):
                 continue
+            assignments = _assignments(two_n, sig)
             for a in units_n:
                 exponents = [l for l in _se_exponents(a, n)
                              if f.exponent is None or l == f.exponent[0]]
-                if not exponents:
-                    continue
-                residual = (-2 * a) % two_n
-                for cones in _k_assignments(two_n, sig, residual):
-                    for l in exponents:
-                        rows.append((two_n, l, g0, a, cones))
+                rows.extend([(two_n, l, g0, a, cones)
+                             for cones in assignments.get((-2 * a) % two_n, ())
+                             for l in exponents])
     rows.sort()
     return rows
 
@@ -370,15 +340,10 @@ def enumerate_oracle(g: int, kind: str,
     if g > max_genus:
         raise OracleBoundError(
             f"oracle enumeration is bounded to genus <= {max_genus}, got {g}")
-    if kind == "sp":
-        out = _oracle_sp(g)
-        out.sort(key=SpDataSet.sort_key)
-    elif kind == "se":
-        out = _oracle_se(g)
-        out.sort(key=SeDataSet.sort_key)
-    else:
+    if kind not in ("sp", "se"):
         raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
-    return out
+    out = _oracle_sp(g) if kind == "sp" else _oracle_se(g)
+    return sorted(out, key=lambda d: d.sort_key())
 
 
 def _essential_sp_counts(g: int) -> tuple[int, int]:

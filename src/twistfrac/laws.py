@@ -88,13 +88,9 @@ class AuditResult:
 
 def audit(g: int, kind: str) -> AuditResult:
     """Run the matching law checker over the full enumeration at genus g."""
-    if kind == "sp":
-        sets = enumerate_sp(g)
-        checker = check_sp_laws
-    elif kind == "se":
-        sets = enumerate_se(g)
-        checker = check_se_laws
-    else:
+    if kind not in ("sp", "se"):
         raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
+    sets = enumerate_sp(g) if kind == "sp" else enumerate_se(g)
+    checker = check_sp_laws if kind == "sp" else check_se_laws
     violations = [r for d in sets for r in checker(d) if not r.holds]
     return AuditResult(g, kind, len(sets), tuple(violations))

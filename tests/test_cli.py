@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,9 @@ from twistfrac import (
     to_record,
     validate,
 )
-from twistfrac.cli import main, parse_record_line, parse_tuple_text
-from twistfrac.datasets import CONDITION_LABELS, record_line
+from twistfrac.cli import _csv_row, main, parse_record_line, parse_tuple_text
+from twistfrac.datasets import CONDITION_LABELS, key_text, record_line
+from twistfrac.enumeration import se_keys, sp_keys
 
 
 def run_cli(*argv):
@@ -587,6 +589,49 @@ def test_streamed_listing_equals_materialised(kind, fmt, per_write, filter_name,
     assert code == 0
     assert out == _materialised_listing(6, kind, fmt, filters)
     assert out.count("\n") > (kind == "both") * 2 + (fmt == "csv")
+
+
+def _listing_key_by_key(g, filters, fmt):
+    """`enumerate --kind both` rendered with one formatter call per key, no cache."""
+    kinds = (("side-preserving:", list(chain.from_iterable(sp_keys(g, filters)))),
+             ("side-exchanging:", list(chain.from_iterable(se_keys(g, filters)))))
+    out = io.StringIO()
+    if fmt == "text":
+        for heading, keys in kinds:
+            out.write(heading + "\n")
+            current = None
+            for key in keys:
+                if key[:2] != current:
+                    current = key[:2]
+                    out.write(f"Exponent {key[1]}/{key[0]}\n")
+                out.write(f"  {key_text(key)}\n")
+    elif fmt == "json-lines":
+        for _, keys in kinds:
+            out.writelines(record_line(key) + "\n" for key in keys)
+    else:
+        writer = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
+        writer.writerow(["kind", "l", "order", "g0", "a", "b", "cones"])
+        for _, keys in kinds:
+            writer.writerows(_csv_row(key) for key in keys)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+def test_cached_cone_text_gives_the_same_bytes(g, fmt):
+    cases = [
+        ([], Filters()),
+        (["--essential"], Filters(essential_only=True)),
+        (["--exponent", f"{2 * g}/{4 * g}"], Filters(exponent=(2 * g, 4 * g))),
+        (["--exponent", f"2/{2 * g + 2}"], Filters(exponent=(2, 2 * g + 2))),
+        (["--g0", "1"], Filters(g0=1)),
+        (["--cones", "3"], Filters(cone_count=3)),
+    ]
+    for flags, filters in cases:
+        code, out = run_cli("enumerate", "--genus", str(g), "--kind", "both",
+                            "--format", fmt, *flags)
+        assert code == 0
+        assert out == _listing_key_by_key(g, filters, fmt)
 
 
 @pytest.mark.parametrize("g, flags, filters", [

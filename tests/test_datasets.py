@@ -449,8 +449,10 @@ SP_RECORD = to_record(sp(8, 16, 0, 1, 7, [(1, 2)]))
     {**SP_RECORD, "cones": [[_nested(3000), 2]]},
     {**SP_RECORD, "cones": [["k" * 50_000, 2]]},
     {**SP_RECORD, "cones": [list(range(50_000))]},
+    {"kind": 10**5000},
+    {**SP_RECORD, "cones": [[10**5000]]},
 ], ids=["deep-kind", "long-kind", "wide-deep-kind", "deep-cone-entry", "deep-twist",
-        "long-twist", "long-cone-entry"])
+        "long-twist", "long-cone-entry", "huge-int-kind", "huge-int-cone-entry"])
 def test_from_record_errors_are_short(record):
     with pytest.raises(ValueError) as info:
         from_record(record)

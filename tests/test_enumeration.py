@@ -1,4 +1,4 @@
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 
 import pytest
@@ -20,7 +20,8 @@ from twistfrac import (
     sp_root_decompose,
     validate,
 )
-from twistfrac.enumeration import se_keys, sp_keys
+from twistfrac.arith import cone_signatures
+from twistfrac.enumeration import _assignments, se_keys, sp_keys
 from reference_data import SE_ESSENTIAL_G4, SP_ESSENTIAL_G4
 
 ESSENTIAL = Filters(essential_only=True)
@@ -159,6 +160,33 @@ def test_keys_are_the_sort_keys_of_the_sets(g):
         assert list(chain.from_iterable(se_keys(g, filters))) == [d.sort_key() for d in se_sets]
         assert all(len(d.sort_key()) == 6 for d in sp_sets)
         assert all(len(d.sort_key()) == 5 for d in se_sets)
+
+
+def _brute_assignments(ambient, signature):
+    """Every unit twist tuple over the cones, kept when its twists do not
+    decrease within equal orders, and filed under its residue sum."""
+    buckets = {}
+    units = [[k for k in range(1, m) if gcd(k, m) == 1] for m in signature]
+    for twists in product(*units):
+        cones = tuple(zip(signature, twists))
+        if any(m1 == m2 and k1 > k2 for (m1, k1), (m2, k2) in zip(cones, cones[1:])):
+            continue
+        residual = sum(ambient // m * k for m, k in cones) % ambient
+        buckets.setdefault(residual, []).append(cones)
+    return buckets
+
+
+def test_assignments_match_brute_force():
+    checked = 0
+    for ambient in range(2, 31):
+        for target in range(0, 3 * ambient, 2):
+            for signature in cone_signatures(ambient, target, 3):
+                got = _assignments(ambient, signature)
+                assert got == _brute_assignments(ambient, signature)
+                assert all(len(set(bucket)) == len(bucket) for bucket in got.values())
+                checked += 1
+        assert _assignments(ambient, ()) == {0: [()]}
+    assert checked > 400  # 469 signatures, 29 of them empty
 
 
 def test_filters_validate_their_fields():
