@@ -276,7 +276,13 @@ def cmd_validate(args, out) -> int:
                 report = validate(d)
                 text = rendered.get(report)
                 if text is None:
-                    text = rendered[report] = _report_line(report, args.format)
+                    try:
+                        text = rendered[report] = _report_line(report, args.format)
+                    except ValueError:
+                        # str() refuses ints past sys.get_int_max_str_digits()
+                        print(f"line {number}: genus has too many digits to print",
+                              file=sys.stderr)
+                        return 1
                     all_valid = all_valid and report.valid
                 lines.append(text)
     except UnicodeDecodeError as exc:

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Union
 
@@ -193,20 +194,33 @@ class ValidationReport:
                 if not getattr(self, field)]
 
 
+# Equal verdicts share one frozen report; the cache bounds how many stay alive.
+_report = lru_cache(maxsize=4096, typed=True)(ValidationReport)
+
+
 def validate_sp(d: SpDataSet) -> ValidationReport:
     """Check every side-preserving validity condition; never raises.
 
     The verdict only depends on the residue classes of a, b and the cone
     twists, so representatives may be given in any form.
     """
-    l, n, g0, a, b = d.l, d.n, d.g0, d.a, d.b
+    return _sp_report(d.l, d.n, d.g0, d.a, d.b, d.cones)
+
+
+def validate_se(d: SeDataSet) -> ValidationReport:
+    """Check every side-exchanging validity condition; never raises."""
+    return _se_report(d.l, d.two_n, d.g0, d.a, d.cones)
+
+
+def _sp_report(l: int, n: int, g0: int, a: int, b: int, cones) -> ValidationReport:
+    """The side-preserving validity kernel; `cones` holds (twist, order) pairs."""
     l_in_range = 1 <= l <= n - 1
     if n < 2 or g0 < 0:
         return _broken(l_in_range)
     residues = gcd(a, n) == 1 and gcd(b, n) == 1
     total = a + b
     weight = 0
-    for k, m in d.cones:
+    for k, m in cones:
         if m < 2 or n % m:
             return _broken(l_in_range)
         residues = residues and gcd(k, m) == 1
@@ -218,14 +232,12 @@ def validate_sp(d: SpDataSet) -> ValidationReport:
     genus_integral = weight % 2 == 0
     genus = g0 * n + weight // 2 if genus_integral else None
     genus_positive = genus is not None and genus >= 1
-    return ValidationReport(True, residues, twist_relation, total % n == 0,
-                            l_in_range, genus_integral, genus_positive,
-                            True, genus)
+    return _report(True, residues, twist_relation, total % n == 0,
+                   l_in_range, genus_integral, genus_positive, True, genus)
 
 
-def validate_se(d: SeDataSet) -> ValidationReport:
-    """Check every side-exchanging validity condition; never raises."""
-    l, two_n, g0, a = d.l, d.two_n, d.g0, d.a
+def _se_report(l: int, two_n: int, g0: int, a: int, cones) -> ValidationReport:
+    """The side-exchanging validity kernel; `cones` holds (twist, order) pairs."""
     n = two_n // 2
     l_in_range = two_n >= 4 and 2 <= l <= two_n - 1
     if two_n < 4 or two_n % 2 or g0 < 0:
@@ -235,7 +247,7 @@ def validate_se(d: SeDataSet) -> ValidationReport:
     half_weight = 0
     # gcd of 2a, the cone terms and 2n; only a sphere quotient (g0 = 0) needs it
     span = gcd(2 * a, two_n)
-    for k, m in d.cones:
+    for k, m in cones:
         if m < 2 or two_n % m:
             return _broken(l_in_range)
         residues = residues and gcd(k, m) == 1
@@ -248,15 +260,14 @@ def validate_se(d: SeDataSet) -> ValidationReport:
     genus_integral = half_weight % 2 == 0
     genus = n * (2 * g0 - 1) + half_weight // 2 if genus_integral else None
     genus_positive = genus is not None and genus >= 1
-    return ValidationReport(True, residues, twist_relation, total % two_n == 0,
-                            l_in_range, genus_integral, genus_positive,
-                            g0 >= 1 or span == 1, genus)
+    return _report(True, residues, twist_relation, total % two_n == 0,
+                   l_in_range, genus_integral, genus_positive,
+                   g0 >= 1 or span == 1, genus)
 
 
 def _broken(l_in_range: bool) -> ValidationReport:
     """The report of a tuple failing condition (i): nothing else is checked."""
-    return ValidationReport(False, False, False, False, l_in_range,
-                            False, False, False, None)
+    return _report(False, False, False, False, l_in_range, False, False, False, None)
 
 
 def validate(d: DataSet) -> ValidationReport:
@@ -267,13 +278,13 @@ def validate(d: DataSet) -> ValidationReport:
 
 def sp_genus_if_valid(l: int, n: int, g0: int, a: int, b: int, cones) -> int | None:
     """The genus when validate_sp finds (l, n, g0, a, b; cones) valid, else None."""
-    report = validate_sp(SpDataSet(l, n, g0, a, b, cones))
+    report = _sp_report(l, n, g0, a, b, cones)
     return report.genus if report.valid else None
 
 
 def se_genus_if_valid(l: int, two_n: int, g0: int, a: int, cones) -> int | None:
     """The genus when validate_se finds (l, two_n, g0, a; cones) valid, else None."""
-    report = validate_se(SeDataSet(l, two_n, g0, a, cones))
+    report = _se_report(l, two_n, g0, a, cones)
     return report.genus if report.valid else None
 
 

@@ -12,9 +12,9 @@ Two independent engines produce the same sets:
 * `enumerate_oracle` walks every order in the same hard range, every
   admissible quotient genus and every divisor multiset within the
   weight-derived size cap.  It reads the genus of each such signature
-  from `validate_sp` / `validate_se` and skips the signature unless it is
-  the requested genus; the skip is exact, because the genus depends on
-  the order, g0 and the cone orders alone.  Only then does it walk every
+  from the validity kernel and skips the signature unless it is the
+  requested genus; the skip is exact, because the genus depends on the
+  order, g0 and the cone orders alone.  Only then does it walk every
   unit twist tuple, residue and exponent, keeping whatever the validator
   accepts.  It shares no solver with the pruned engine, is deliberately
   slow and refuses genus above its bound.
@@ -43,11 +43,11 @@ from .datasets import (
     DataSet,
     SeDataSet,
     SpDataSet,
+    _se_report,
+    _sp_report,
     is_essential,
     se_genus_if_valid,
     sp_genus_if_valid,
-    validate_se,
-    validate_sp,
 )
 
 # The naive engine is quadratic-ish in everything; keep it on a leash.
@@ -119,14 +119,16 @@ def _se_exponents(a: int, n: int) -> tuple[int, ...]:
     return tuple(l for l in (base, base + n) if 2 <= l <= 2 * n - 1)
 
 
-def _generates(two_n: int, signature) -> bool:
-    """Whether a side-exchanging set with g0 = 0 and these cone orders can generate.
+def _odd_cofactors(ambient: int, signature) -> int:
+    """How many cone orders m of the signature have odd cofactor ambient/m.
 
-    Some cone order m needs an odd cofactor 2n/m; otherwise every residue
-    the tuple records lies in the index-two subgroup, and no twist
-    assignment is valid.
+    A side-exchanging set with g0 = 0 generates only if this is nonzero.
+    At even `ambient` each such m is even and its unit twist odd, so every
+    assignment's residue sum has the parity of this count.  That prunes
+    nothing: the cone weight sum (ambient/m)(m-1) has the same parity, and
+    every solved signature's weight is even, as is every residual read.
     """
-    return any((two_n // m) % 2 for m in signature)
+    return sum((ambient // m) % 2 for m in signature)
 
 
 def _assignments(ambient: int, signature) -> dict[int, list[tuple]]:
@@ -217,7 +219,7 @@ def _se_order_rows(g: int, f: Filters, two_n: int) -> list[tuple]:
                 continue
             if f.cone_count is not None and len(sig) != f.cone_count:
                 continue
-            if g0 == 0 and not _generates(two_n, sig):
+            if g0 == 0 and not _odd_cofactors(two_n, sig):
                 continue
             assignments = _assignments(two_n, sig)
             for a in units_n:
@@ -285,8 +287,7 @@ def _oracle_sp(g: int) -> list[SpDataSet]:
             for size in range(size_cap + 1):
                 for sig in combinations_with_replacement(parts, size):
                     # the genus reads only n, g0 and the cone orders
-                    probe = SpDataSet(1, n, g0, 1, 1, tuple(ConePair(1, m) for m in sig))
-                    if validate_sp(probe).genus != g:
+                    if _sp_report(1, n, g0, 1, 1, [(1, m) for m in sig]).genus != g:
                         continue
                     for cones in _oracle_twists(sig):
                         for l in range(1, n):
@@ -307,8 +308,7 @@ def _oracle_se(g: int) -> list[SeDataSet]:
             for size in range(size_cap + 1):
                 for sig in combinations_with_replacement(parts, size):
                     # the genus reads only 2n, g0 and the cone orders
-                    probe = SeDataSet(2, two_n, g0, 1, tuple(ConePair(1, m) for m in sig))
-                    if validate_se(probe).genus != g:
+                    if _se_report(2, two_n, g0, 1, [(1, m) for m in sig]).genus != g:
                         continue
                     for cones in _oracle_twists(sig):
                         for l in range(2, two_n):
@@ -385,7 +385,7 @@ def _essential_se_counts(g: int) -> tuple[int, int]:
     for two_n in range(4, 4 * g + 3, 2):
         n = two_n // 2
         for sig in cone_signatures(two_n, 2 * (g + n), 2):
-            if len(sig) != 2 or not _generates(two_n, sig):
+            if len(sig) != 2 or not _odd_cofactors(two_n, sig):
                 continue
             m1, m2 = sig
             c1, c2 = two_n // m1, two_n // m2

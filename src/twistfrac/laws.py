@@ -10,6 +10,7 @@ never floating point) because several of them are tight on real sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Union
 
@@ -24,8 +25,14 @@ class LawReport:
     witness: Union[SpDataSet, SeDataSet, None] = None
 
 
+@lru_cache(maxsize=None)
+def _holding(law: str) -> LawReport:
+    """The one shared report of `law` holding; there are a dozen laws."""
+    return LawReport(law, True)
+
+
 def _report(law: str, holds: bool, d) -> LawReport:
-    return LawReport(law, holds, None if holds else d)
+    return _holding(law) if holds else LawReport(law, False, d)
 
 
 def check_sp_laws(d: SpDataSet) -> list[LawReport]:

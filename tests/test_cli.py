@@ -945,6 +945,25 @@ def test_validate_huge_json_value_gives_one_short_line(line, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and len(err.encode()) < 200
 
 
+HUGE_INVALID = f"((1, {10**4000}), {10**4000}, (1, 1); (1, 2))"  # genus of 8,000 digits
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="str() of an int has no digit limit")
+@pytest.mark.parametrize("line, fmt, expected", [
+    (HUGE_INVALID, "text", (2, "valid genus=4\ninvalid: condition (iii), condition (iv)\n")),
+    (HUGE_INVALID, "json-lines", (1, "")),
+    (HUGE_INVALID, "csv", (1, "")),
+    (f"((2, 3), {9 * 10**4299}, (1, 1); (1, 3))", "text", (1, "")),
+], ids=["invalid-text", "invalid-json-lines", "invalid-csv", "valid-text"])
+def test_validate_unprintable_genus_exits_1(line, fmt, expected, tmp_path, capsys):
+    path = tmp_path / "records.txt"
+    path.write_text("((1, 9), 0, (2, 2); (5, 9))\n" + line + "\n")
+    assert run_cli("validate", str(path), "--format", fmt) == expected
+    err = capsys.readouterr().err
+    assert err == ("" if expected[0] == 2 else "line 2: genus has too many digits to print\n")
+
+
 OUTPUT_COMMANDS = {
     "validate": ["validate", "RECORDS"],
     "enumerate": ["enumerate", "--genus", "2"],

@@ -25,7 +25,7 @@ from twistfrac import (
     validate_se,
     validate_sp,
 )
-from twistfrac.datasets import _cones_field, se_genus_if_valid, sp_genus_if_valid
+from twistfrac.datasets import _cones_field, _report, se_genus_if_valid, sp_genus_if_valid
 
 
 def sp(l, n, g0, a, b, cones):
@@ -289,6 +289,39 @@ def test_representative_independence_on_random_tuples():
 
 
 # ------------------------------------------------- fast-path consistency
+
+def test_equal_verdicts_share_one_report():
+    first = validate_sp(sp(1, 9, 0, 2, 2, [(5, 9)]))
+    # the same residue classes give the same verdict
+    assert validate_sp(sp(1, 9, 0, 11, 20, [(14, 9)])) is first
+    assert first == ValidationReport(True, True, True, True, True, True, True, True, 4)
+    broken = validate_sp(sp(1, 1, 0, 1, 1, [(1, 2)]))
+    assert validate_se(se(2, 3, 0, 1, [(1, 2)])) is broken
+    assert broken == ValidationReport(False, False, False, False, False,
+                                      False, False, False, None)
+
+
+def test_shared_reports_stay_bounded():
+    for g0 in range(10_000):
+        assert validate_sp(sp(1, 9, g0, 2, 2, [(5, 9)])).genus == 9 * g0 + 4
+    info = _report.cache_info()
+    assert info.maxsize == 4096 and info.currsize <= info.maxsize
+
+
+def test_genus_adapters_build_no_data_set(monkeypatch):
+    built = []
+    for cls in (SpDataSet, SeDataSet):
+        def counted(self, *args, _init=cls.__init__):
+            built.append(type(self))
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert sp_genus_if_valid(1, 9, 0, 2, 2, (ConePair(5, 9),)) == 4
+    assert se_genus_if_valid(5, 6, 0, 1, (ConePair(1, 2), ConePair(1, 6))) == 1
+    assert sp_genus_if_valid(2, 9, 0, 2, 2, (ConePair(5, 9),)) is None
+    assert built == []
+    sp(1, 9, 0, 2, 2, [(5, 9)])
+    assert built == [SpDataSet]
+
 
 def test_fast_validity_agrees_with_reports():
     rng = random.Random(1234)

@@ -1,4 +1,4 @@
-from itertools import chain, product
+from itertools import chain, combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -20,8 +20,8 @@ from twistfrac import (
     sp_root_decompose,
     validate,
 )
-from twistfrac.arith import cone_signatures
-from twistfrac.enumeration import _assignments, se_keys, sp_keys
+from twistfrac.arith import cone_signatures, divisors
+from twistfrac.enumeration import _assignments, _odd_cofactors, se_keys, sp_keys
 from reference_data import SE_ESSENTIAL_G4, SP_ESSENTIAL_G4
 
 ESSENTIAL = Filters(essential_only=True)
@@ -187,6 +187,25 @@ def test_assignments_match_brute_force():
                 checked += 1
         assert _assignments(ambient, ()) == {0: [()]}
     assert checked > 400  # 469 signatures, 29 of them empty
+
+
+def test_assignment_residuals_have_the_parity_of_odd_cofactors():
+    # at even order every residue sum of a signature's assignments is as
+    # odd as its count of odd cofactors ...
+    checked = 0
+    for ambient in range(2, 41, 2):
+        parts = [m for m in divisors(ambient) if m > 1]
+        for size in range(5):
+            for signature in combinations_with_replacement(parts, size):
+                parity = _odd_cofactors(ambient, signature) % 2
+                assert all(r % 2 == parity for r in _assignments(ambient, signature))
+                checked += 1
+        # ... and that count is even for every signature of an even weight,
+        # so no solved signature can be skipped for parity
+        for target in range(0, 3 * ambient, 2):
+            for signature in cone_signatures(ambient, target, 4):
+                assert _odd_cofactors(ambient, signature) % 2 == 0
+    assert checked > 2000
 
 
 def test_filters_validate_their_fields():

@@ -12,6 +12,7 @@ from twistfrac import (
     validate_se,
 )
 from twistfrac.enumeration import Filters
+from twistfrac.laws import LawReport
 
 
 def sp(l, n, g0, a, b, cones):
@@ -74,6 +75,21 @@ def test_law_reports_carry_witness_only_on_failure():
         assert report.holds and report.witness is None
 
 
+def test_holding_reports_are_shared_per_law():
+    first = check_sp_laws(sp(8, 16, 0, 1, 7, [(1, 2)]))
+    second = check_sp_laws(sp(1, 9, 0, 2, 2, [(5, 9)]))
+    for r, s in zip(first, second):
+        assert r is s and r == LawReport(r.law, True)
+
+
+def test_law_violations_carry_their_witness():
+    d = sp(1, 16, 0, 1, 7, [(1, 2)])  # l odd with n even: not a valid set
+    assert [r for r in check_sp_laws(d) if not r.holds] == [
+        LawReport("sp:odd-l-odd-n", False, d),
+        LawReport("sp:coprime-order-cap", False, d),
+    ]
+
+
 def test_essential_floor_is_scoped_to_essential_sets():
     # Valid with g0 = 0 and three cones at full order 4: the essential
     # floor 2n >= 2g+2 does not apply, the general floor does.
@@ -87,7 +103,7 @@ def test_essential_floor_is_scoped_to_essential_sets():
 
 
 def test_audit_small_range_is_clean():
-    for g in range(1, 7):
+    for g in range(1, 13):
         for kind in ("sp", "se"):
             result = audit(g, kind)
             assert result.clean
