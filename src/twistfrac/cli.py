@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import re
@@ -456,7 +457,8 @@ def cmd_families(args, out) -> int:
     for label, builder in FAMILY_BUILDERS:
         d = builder(args.genus)
         rows.append((label, d, validate(d)))
-    with _open_output(args.output, out) as sink:
+    sink = io.StringIO()  # all rows first: str() refuses a huge order
+    try:
         if args.format == "text":
             for label, d, report in rows:
                 sink.write(f"{label}: {d}  {report.verdict} genus={report.genus}\n")
@@ -475,6 +477,11 @@ def cmd_families(args, out) -> int:
             for label, d, report in rows:
                 writer.writerow([label] + _csv_row(d.sort_key())
                                 + [str(report.valid).lower(), report.genus])
+    except ValueError:
+        print("genus has too many digits to print", file=sys.stderr)
+        return 1
+    with _open_output(args.output, out) as target:
+        target.write(sink.getvalue())
     return 0 if all(report.valid for _, _, report in rows) else 2
 
 
@@ -539,9 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "fractional powers of a Dehn twist.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=True):
-        if formats:
-            p.add_argument("--format", choices=FORMATS, default="text")
+    def add_common(p):
+        p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write output to PATH instead of stdout")
 

@@ -308,6 +308,11 @@ def genus(d: DataSet) -> int:
     return _integral_genus(d, validate(d))
 
 
+def _check_genus(g: int) -> None:
+    if g < 1:
+        raise ValueError(f"genus must be >= 1, got {g}")
+
+
 def _reduce(value: int, modulus: int) -> int:
     return value % modulus if modulus >= 2 else value
 

@@ -2,12 +2,12 @@
 
 Two independent engines produce the same sets:
 
-* `enumerate_sp` / `enumerate_se` prune hard: the order loop is capped by
-  the proven bounds (n <= 4g side-preserving, 2n <= 4g+2 side-exchanging),
-  cone signatures are solved from the genus identity, the exponent l is
-  solved from the twist relation, and each signature's twist assignments
-  are listed once, filed by residue sum, so condition (iv) is a lookup.
-  Only tuples that are valid by construction are built.
+* `enumerate_sp` / `enumerate_se` prune hard: orders are capped by the
+  proven bounds (n <= 4g side-preserving, 2n <= 4g+2 side-exchanging),
+  one filtered signature walk (`_signatures`) solves the cone signatures
+  from the genus identity, l is solved from the twist relation, and each
+  signature's twist assignments are listed once, filed by residue sum,
+  so condition (iv) is a lookup.  Only valid tuples are built.
 
 * `enumerate_oracle` walks every order in the same hard range, every
   admissible quotient genus and every divisor multiset within the
@@ -26,8 +26,8 @@ tuples and sorts them.  Orders are visited ascending, so `sp_keys` /
 `se_keys` stream the sorted listing, one key list per order, without
 building a data set; only `enumerate_sp` / `enumerate_se` build them.
 
-`spectra` lists nothing: it counts the essential sets from residue loops
-that mirror the pruned engine with one or two cones.
+`spectra` lists nothing: it counts the essential sets from residue loops,
+the side-exchanging ones over the same signature walk.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .datasets import (
     DataSet,
     SeDataSet,
     SpDataSet,
+    _check_genus,
     _se_report,
     _sp_report,
     is_essential,
@@ -156,6 +157,34 @@ def _assignments(ambient: int, signature) -> dict[int, list[tuple]]:
     return by_residual
 
 
+def _signatures(f: Filters, order: int, targets: range, essential_cones: int):
+    """The (g0, signature) pairs of one order that the filters `f` keep.
+
+    `targets[g0]` is the cone weight sum (order/m)(m-1) the genus asks of
+    quotient genus g0; valid sets have cones, so a target <= 0 yields none.
+    Essential sets have g0 = 0 and exactly `essential_cones` cones.
+    """
+    if f.exponent is not None and f.exponent[1] != order:
+        return
+    count = essential_cones if f.essential_only else f.cone_count
+    if f.cone_count not in (None, count):
+        return  # essential sets have another cone count
+    for g0, target in enumerate(targets[:1] if f.essential_only else targets):
+        if target <= 0 or (f.g0 is not None and g0 != f.g0):
+            continue
+        for sig in cone_signatures(order, target, count):
+            if count is None or len(sig) == count:
+                yield g0, sig
+
+
+def _se_signatures(f: Filters, g: int, two_n: int):
+    """The `_signatures` of the SE order 2n at genus g whose sets can generate."""
+    targets = range(2 * g + two_n, -1, -2 * two_n)  # 2(g + n) - 4 g0 n, g0 = 0, 1, ...
+    for g0, sig in _signatures(f, two_n, targets, 2):
+        if g0 or _odd_cofactors(two_n, sig):
+            yield g0, sig
+
+
 def _sp_order_rows(g: int, f: Filters, n: int) -> list[tuple]:
     """Sorted keys (n, l, g0, a, b, cones) of the SP sets of genus g and order n.
 
@@ -165,32 +194,20 @@ def _sp_order_rows(g: int, f: Filters, n: int) -> list[tuple]:
     -(a+b).
     """
     rows: list[tuple] = []
-    if f.exponent is not None and f.exponent[1] != n:
-        return rows
-    units = _units(n)
-    inverse = {u: pow(u, -1, n) for u in units}
-    for g0 in range(g // n + 1):
-        if f.g0 is not None and g0 != f.g0:
-            continue
-        if f.essential_only and g0 > 0:
-            break
-        target = 2 * (g - g0 * n)
-        if target <= 0:
-            continue  # a valid set has at least one cone
-        max_count = 1 if f.essential_only else f.cone_count
-        # target > 0, so every signature has 1..max_count cones
-        for sig in cone_signatures(n, target, max_count):
-            if f.cone_count is not None and len(sig) != f.cone_count:
-                continue
-            assignments = _assignments(n, sig)
-            for i, a in enumerate(units):
-                for b in units[i:]:
-                    # twist relation a+b = l*a*b fixes the exponent
-                    l = (a + b) * inverse[a] * inverse[b] % n
-                    if l == 0 or (f.exponent is not None and l != f.exponent[0]):
-                        continue
-                    rows.extend([(n, l, g0, a, b, cones)
-                                 for cones in assignments.get((-(a + b)) % n, ())])
+    units, inverse = _units(n), {}
+    targets = range(2 * g, -1, -2 * n)  # 2(g - g0 n), g0 = 0, 1, ...
+    for g0, sig in _signatures(f, n, targets, 1):
+        # built at the first signature: an order the filters exclude needs none
+        inverse = inverse or {u: pow(u, -1, n) for u in units}
+        assignments = _assignments(n, sig)
+        for i, a in enumerate(units):
+            for b in units[i:]:
+                # twist relation a+b = l*a*b fixes the exponent
+                l = (a + b) * inverse[a] * inverse[b] % n
+                if l == 0 or (f.exponent is not None and l != f.exponent[0]):
+                    continue
+                rows.extend([(n, l, g0, a, b, cones)
+                             for cones in assignments.get((-(a + b)) % n, ())])
     rows.sort()
     return rows
 
@@ -201,33 +218,15 @@ def _se_order_rows(g: int, f: Filters, two_n: int) -> list[tuple]:
     As `_sp_order_rows`: each row is its set's `SeDataSet.sort_key()`.
     """
     rows: list[tuple] = []
-    if f.exponent is not None and f.exponent[1] != two_n:
-        return rows
     n = two_n // 2
-    units_n = _units(n)
-    for g0 in range((g + n) // (2 * n) + 1):
-        if f.g0 is not None and g0 != f.g0:
-            continue
-        if f.essential_only and g0 > 0:
-            break
-        target = 2 * (g + n) - 4 * g0 * n  # = sum (2n/m)(m-1)
-        if target <= 0:
-            continue
-        max_count = 2 if f.essential_only else f.cone_count
-        for sig in cone_signatures(two_n, target, max_count):
-            if f.essential_only and len(sig) != 2:
-                continue
-            if f.cone_count is not None and len(sig) != f.cone_count:
-                continue
-            if g0 == 0 and not _odd_cofactors(two_n, sig):
-                continue
-            assignments = _assignments(two_n, sig)
-            for a in units_n:
-                exponents = [l for l in _se_exponents(a, n)
-                             if f.exponent is None or l == f.exponent[0]]
-                rows.extend([(two_n, l, g0, a, cones)
-                             for cones in assignments.get((-2 * a) % two_n, ())
-                             for l in exponents])
+    for g0, sig in _se_signatures(f, g, two_n):
+        assignments = _assignments(two_n, sig)
+        for a in _units(n):
+            exponents = [l for l in _se_exponents(a, n)
+                         if f.exponent is None or l == f.exponent[0]]
+            rows.extend([(two_n, l, g0, a, cones)
+                         for cones in assignments.get((-2 * a) % two_n, ())
+                         for l in exponents])
     rows.sort()
     return rows
 
@@ -246,21 +245,17 @@ def _sets(cls, keys: list[tuple]) -> list:
     return out
 
 
-def _checked_filters(g: int, filters: Filters | None) -> Filters:
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
-    return filters if filters is not None else Filters()
-
-
 def sp_keys(g: int, filters: Filters | None = None):
     """The keys of `enumerate_sp`'s sets, one sorted list per order, lazily."""
-    f = _checked_filters(g, filters)
+    _check_genus(g)
+    f = filters or Filters()
     return (_sp_order_rows(g, f, n) for n in range(2, 4 * g + 1))
 
 
 def se_keys(g: int, filters: Filters | None = None):
     """The keys of `enumerate_se`'s sets, one sorted list per order, lazily."""
-    f = _checked_filters(g, filters)
+    _check_genus(g)
+    f = filters or Filters()
     return (_se_order_rows(g, f, two_n) for two_n in range(4, 4 * g + 3, 2))
 
 
@@ -335,8 +330,7 @@ def _oracle_twists(signature):
 def enumerate_oracle(g: int, kind: str,
                      max_genus: int = ORACLE_MAX_GENUS) -> list:
     """Naive re-enumeration for cross-checking; refuses large genus."""
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    _check_genus(g)
     if g > max_genus:
         raise OracleBoundError(
             f"oracle enumeration is bounded to genus <= {max_genus}, got {g}")
@@ -382,12 +376,10 @@ def _essential_se_counts(g: int) -> tuple[int, int]:
     """
     exponents = set()
     count = 0
+    essential = Filters(essential_only=True)
     for two_n in range(4, 4 * g + 3, 2):
         n = two_n // 2
-        for sig in cone_signatures(two_n, 2 * (g + n), 2):
-            if len(sig) != 2 or not _odd_cofactors(two_n, sig):
-                continue
-            m1, m2 = sig
+        for _, (m1, m2) in _se_signatures(essential, g, two_n):
             c1, c2 = two_n // m1, two_n // m2
             for a in _units(n):
                 residual = (-2 * a) % two_n
@@ -411,8 +403,7 @@ def spectra(g: int) -> SpectraRow:
 
     The counts come from residue loops, not from listing the sets.
     """
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    _check_genus(g)
     e_sp, n_sp = _essential_sp_counts(g)
     e_se, n_se = _essential_se_counts(g)
     return SpectraRow(genus_plus_one=g + 1, e_sp=e_sp, e_se=e_se,

@@ -22,6 +22,7 @@ from .datasets import (
     ConePair,
     SeDataSet,
     SpDataSet,
+    _check_genus,
     canonicalize_se,
     canonicalize_sp,
     validate_se,
@@ -127,8 +128,7 @@ def se_power_decompose(d: SeDataSet, r: int) -> DecompositionResult:
 
 def family_sp_top(g: int) -> list[SpDataSet]:
     """The two side-preserving sets of exponent 2g/(2g+1) at genus g."""
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    _check_genus(g)
     n = 2 * g + 1
     first = SpDataSet(2 * g, n, 0, 1, g, (ConePair(g, n),))
     second = SpDataSet(2 * g, n, 0, 2 * g - 1, 2 * g - 1, (ConePair(4 % n, n),))
@@ -137,8 +137,7 @@ def family_sp_top(g: int) -> list[SpDataSet]:
 
 def family_sp_4g(g: int) -> list[SpDataSet]:
     """The two side-preserving sets of exponent 2g/4g at genus g."""
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    _check_genus(g)
     n = 4 * g
     first = SpDataSet(2 * g, n, 0, 1, 2 * g - 1, (ConePair(1, 2),))
     second = SpDataSet(2 * g, n, 0, 2 * g + 1, 4 * g - 1, (ConePair(1, 2),))
@@ -147,8 +146,7 @@ def family_sp_4g(g: int) -> list[SpDataSet]:
 
 def family_se_max(g: int) -> SeDataSet:
     """The side-exchanging set of exponent (4g+1)/(4g+2) at genus g."""
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    _check_genus(g)
     two_n = 4 * g + 2
     cones = (ConePair(1, 2), ConePair((2 * g + 5) % two_n, two_n))
     return canonicalize_se(SeDataSet(4 * g + 1, two_n, 0, 2 * g - 1, cones))
@@ -156,8 +154,7 @@ def family_se_max(g: int) -> SeDataSet:
 
 def family_se_min(g: int) -> SeDataSet:
     """The side-exchanging set of exponent 2/(2g+2) at genus g."""
-    if g < 1:
-        raise ValueError(f"genus must be >= 1, got {g}")
+    _check_genus(g)
     two_n = 2 * g + 2
     cone = ConePair(2 * g + 1, two_n)
     return canonicalize_se(SeDataSet(2, two_n, 0, 1, (cone, cone)))

@@ -828,6 +828,22 @@ def test_families_genus_1_all_valid():
         assert payload["valid"] is True and payload["genus"] == 1
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="str() of an int has no digit limit")
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+@pytest.mark.parametrize("g", [3 * 10**4299, 9 * 10**4299],
+                         ids=["order-4g-unprintable", "order-2g+1-unprintable"])
+def test_families_unprintable_genus_exits_1(g, fmt, tmp_path, capsys):
+    # 4g (and, for the second genus, 2g+1 too) passes the 4,300-digit limit
+    assert run_cli("families", "--genus", str(g), "--format", fmt) == (1, "")
+    assert capsys.readouterr().err == "genus has too many digits to print\n"
+    target = tmp_path / "families.txt"
+    assert run_cli("families", "--genus", str(g), "--format", fmt,
+                   "--output", str(target)) == (1, "")
+    assert capsys.readouterr().err == "genus has too many digits to print\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------- audit
 
 def test_audit_clean_range():

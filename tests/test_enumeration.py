@@ -87,6 +87,11 @@ def test_unfiltered_enumeration_contains_filtered():
             grid += [Filters(g0=g0) for g0 in range(3)]
             grid += [Filters(cone_count=count) for count in range(5)]
             grid += [Filters(exponent=e) for e in sorted({d.exponent for d in full})]
+            # conflicting filters: each must still prune, none may override another
+            grid += [Filters(essential_only=True, cone_count=count) for count in range(5)]
+            grid.append(Filters(essential_only=True, g0=1))
+            grid += [Filters(g0=g0, cone_count=count)
+                     for g0 in range(3) for count in range(5)]
             grid.append(Filters(essential_only=is_essential(middle),
                                 exponent=middle.exponent, g0=middle.g0,
                                 cone_count=len(middle.cones)))
