@@ -12,7 +12,8 @@ Records are accepted in two syntaxes: one JSON object per line in the
 wire format, or the tuple text '((l, n), g0, (a, b); (k, m), ...)'
 (side-exchanging sets drop the parentheses around the single residue a).
 Text listings group data sets under 'Exponent l/order' headers ascending
-by (order, l); json-lines output round-trips through `from_record`.
+by (order, l); json-lines output round-trips through `from_record`.  Every
+listing format is one `_LISTING_FORMATS` row, written in batches by `_write`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import stat
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext, suppress
-from itertools import chain, islice
+from itertools import islice
 
 from .datasets import (
     ConePair,
@@ -65,9 +66,8 @@ from .relations import (
 
 FORMATS = ("text", "json-lines", "csv")
 
-# A json-lines listing, and `validate` output, is written in strings of at
-# most this many records, so a large order chunk or input is not rendered
-# into one string.
+# Listings and `validate` output are written in strings of at most this many
+# lines, so a large order chunk or input is not rendered into one string.
 RECORDS_PER_WRITE = 1024
 
 # ASCII digits only: `\d` would also accept digits of other scripts.
@@ -122,77 +122,75 @@ def _json_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _csv_row(key) -> list:
-    """The kind, l, order, g0, a, b and cones cells of the set with sort key `key`."""
-    return _csv_head(key) + _csv_cones(key[-1])
-
-
-def _csv_head(key) -> list:
-    """`_csv_row(key)` but its cones cell."""
+# Cells as csv.writer(quoting=QUOTE_NONNUMERIC) writes them.  No string cell
+# (the kind, an empty b, the cones) holds a quote, a comma or a newline.
+def _csv_head(key) -> str:
+    """The kind, l, order, g0, a and b cells of the set with sort key `key`."""
     order, l, g0, a, *b, _ = key  # b is [] in a side-exchanging key
-    return ["SP" if b else "SE", l, order, g0, a, b[0] if b else ""]
+    return f'"SP",{l},{order},{g0},{a},{b[0]},' if b else f'"SE",{l},{order},{g0},{a},"",'
 
 
-def _csv_cones(cones) -> list:
-    """The cones cell of `_csv_row` for the (order, twist) pairs `cones` of a key."""
-    return [";".join([f"{k}:{m}" for m, k in cones])]
+def _csv_cones(cones) -> str:
+    """The cones cell for the (order, twist) pairs `cones` of a key."""
+    return '"' + ";".join([f"{k}:{m}" for m, k in cones]) + '"'
 
 
-def _rendered(chunk, head, cones_part):
-    """`head(key) + cones_part(key[-1])` for each key of one sorted chunk.
+# Each listing format: the listing's first line, a row's head (a function
+# of the sort key) and a row's cone text (a function of the key's cones).
+_LISTING_FORMATS = {
+    "text": ("", lambda key: "  " + key_text_head(key), key_text_cones),
+    "json-lines": ("", record_line_head, record_line_cones),
+    "csv": ('"kind","l","order","g0","a","b","cones"\n', _csv_head, _csv_cones),
+}
+
+_KIND_HEADINGS = {"sp": "side-preserving:\n", "se": "side-exchanging:\n"}
+
+
+def _rendered(chunk, head, cones_part, grouped):
+    """`head(key) + cones_part(key[-1])` and a newline for each key of one sorted chunk.
 
     Each distinct cones tuple of the chunk is rendered once, and each head
-    once per run of adjacent keys that share it.
+    once per run of adjacent keys that share it.  `grouped` puts an
+    'Exponent l/order' line before each exponent (a chunk holds one order).
     """
-    parts, last = {}, None
+    parts, last = {}, ()
     for key in chunk:
         if key[:-1] != last:
+            if grouped and key[:2] != last[:2]:
+                yield f"Exponent {key[1]}/{key[0]}\n"
             last, first = key[:-1], head(key)
-        rest = parts.get(key[-1])
+        cones = key[-1]
+        rest = parts.get(cones)
         if rest is None:
-            rest = parts[key[-1]] = cones_part(key[-1])
+            rest = parts[cones] = cones_part(cones) + "\n"
         yield first + rest
 
 
-def render_listing(sets, fmt: str, out, both_kinds: bool = False) -> None:
-    """Write a listing to `out`, each chunk of `sets` as soon as it arrives.
+def _write(out, lines) -> None:
+    """Write `lines` to `out`, at most RECORDS_PER_WRITE a write; never write ''."""
+    lines = iter(lines)
+    while text := "".join(islice(lines, RECORDS_PER_WRITE)):
+        out.write(text)
 
-    `sets` is the listing in order as an iterable of chunks, lists of the
-    sets' sort keys (the enumerator yields one per order); it may be lazy
-    and is consumed once.  With `both_kinds` the side-preserving chunks
-    come first, and text output puts each kind under its own heading.
-    Text groups sets under 'Exponent l/order' headers.  Each chunk is
-    deleted once written, so it is freed before the next one is built.
+
+def render_listing(kinds, fmt: str, out) -> None:
+    """Write a listing to `out`, each chunk of sets as soon as it arrives.
+
+    `kinds` holds (kind, chunks) pairs, "sp" first; `chunks` iterates, maybe
+    lazily and once, over lists of the kind's sort keys in order (the
+    enumerator yields one per order).  Text puts two kinds under headings.
+    Each chunk is deleted once written, so it is freed before the next one
+    is built.
     """
-    if fmt == "text":
-        if both_kinds:
-            out.write("side-preserving:\n")
-        # with both kinds, the second heading goes before the first SE set
-        exchanging = not both_kinds
-        current = None
-        for chunk in sets:
-            for key, text in zip(chunk, _rendered(chunk, key_text_head, key_text_cones)):
-                if not exchanging and len(key) == 5:
-                    out.write("side-exchanging:\n")
-                    exchanging, current = True, None
-                if key[:2] != current:
-                    current = key[:2]
-                    out.write(f"Exponent {key[1]}/{key[0]}\n")
-                out.write(f"  {text}\n")
-            del chunk
-        if not exchanging:
-            out.write("side-exchanging:\n")
-    elif fmt == "json-lines":
-        for chunk in sets:
-            lines = _rendered(chunk, record_line_head, record_line_cones)
-            for _ in range(0, len(chunk), RECORDS_PER_WRITE):
-                out.write("\n".join(islice(lines, RECORDS_PER_WRITE)) + "\n")
-            del chunk, lines
-    else:
-        writer = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-        writer.writerow(["kind", "l", "order", "g0", "a", "b", "cones"])
-        for chunk in sets:
-            writer.writerows(_rendered(chunk, _csv_head, _csv_cones))
+    first_line, head, cones_part = _LISTING_FORMATS[fmt]
+    if first_line:
+        out.write(first_line)
+    grouped = fmt == "text"
+    for kind, chunks in kinds:
+        if grouped and len(kinds) == 2:
+            out.write(_KIND_HEADINGS[kind])
+        for chunk in chunks:
+            _write(out, _rendered(chunk, head, cones_part, grouped))
             del chunk
 
 
@@ -295,8 +293,7 @@ def cmd_validate(args, out) -> int:
     with _open_output(args.output, out) as sink:
         if args.format == "csv":
             sink.write("valid,genus,failed\n")
-        for start in range(0, len(lines), RECORDS_PER_WRITE):
-            sink.write("".join(lines[start:start + RECORDS_PER_WRITE]))
+        _write(sink, lines)
     return 0 if all_valid else 2
 
 
@@ -353,27 +350,32 @@ def cmd_enumerate(args, out) -> int:
             for d in extra:
                 print(f"enumerator only: {d}", file=sys.stderr)
             return 3
-        chunks = [[d.sort_key() for d in sets]]
+        kinds = [(args.kind, [[d.sort_key() for d in sets]])]
     else:
         # Lazy: the keys of each order are written as they are enumerated.
-        sp = sp_keys(args.genus, filters) if args.kind != "se" else ()
-        se = se_keys(args.genus, filters) if args.kind != "sp" else ()
-        chunks = chain(sp, se)
+        kinds = [(kind, keys(args.genus, filters)) for kind, keys
+                 in (("sp", sp_keys), ("se", se_keys)) if args.kind in (kind, "both")]
 
     with _open_output(args.output, out) as sink:
-        render_listing(chunks, args.format, sink, both_kinds=args.kind == "both")
+        render_listing(kinds, args.format, sink)
     return 0
 
 
+def _genus_range(args) -> range | None:
+    """The genera --from..--to, or None once a reversed range is reported."""
+    if not 1 <= args.start <= args.end:
+        print(f"need 1 <= --from <= --to, got {args.start}..{args.end}", file=sys.stderr)
+        return None
+    return range(args.start, args.end + 1)
+
+
 def cmd_spectra(args, out) -> int:
-    lo, hi = args.start, args.end
-    if not 1 <= lo <= hi:
-        print(f"need 1 <= --from <= --to, got {lo}..{hi}", file=sys.stderr)
+    if (genera := _genus_range(args)) is None:
         return 1
-    if hi > SPECTRA_MAX_GENUS:
+    if genera.stop - 1 > SPECTRA_MAX_GENUS:
         print(f"spectra is capped at genus {SPECTRA_MAX_GENUS}", file=sys.stderr)
         return 1
-    rows = [spectra(g) for g in range(lo, hi + 1)]
+    rows = [spectra(g) for g in genera]
     with _open_output(args.output, out) as sink:
         if args.format == "text":
             sink.write("surface_genus  e_sp  e_se  n_sp  n_se\n")
@@ -471,12 +473,12 @@ def cmd_families(args, out) -> int:
                     "genus": report.genus,
                 }) + "\n")
         else:
-            writer = csv.writer(sink, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-            writer.writerow(["family", "kind", "l", "order", "g0", "a", "b",
-                             "cones", "valid", "genus"])
+            sink.write('"family","kind","l","order","g0","a","b","cones","valid","genus"\n')
             for label, d, report in rows:
-                writer.writerow([label] + _csv_row(d.sort_key())
-                                + [str(report.valid).lower(), report.genus])
+                key = d.sort_key()
+                genus = '""' if report.genus is None else report.genus
+                sink.write(f'"{label}",{_csv_head(key)}{_csv_cones(key[-1])},'
+                           f'"{str(report.valid).lower()}",{genus}\n')
     except ValueError:
         print("genus has too many digits to print", file=sys.stderr)
         return 1
@@ -486,12 +488,10 @@ def cmd_families(args, out) -> int:
 
 
 def cmd_audit(args, out) -> int:
-    lo, hi = args.start, args.end
-    if not 1 <= lo <= hi:
-        print(f"need 1 <= --from <= --to, got {lo}..{hi}", file=sys.stderr)
+    if (genera := _genus_range(args)) is None:
         return 1
     kinds = ("sp", "se") if args.kind == "both" else (args.kind,)
-    results = [audit(g, kind) for g in range(lo, hi + 1) for kind in kinds]
+    results = [audit(g, kind) for g in genera for kind in kinds]
     total_violations = sum(len(r.violations) for r in results)
     with _open_output(args.output, out) as sink:
         if args.format == "text":

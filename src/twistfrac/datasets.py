@@ -362,17 +362,13 @@ def to_record(d: DataSet) -> dict:
             "a": d.a, "cones": cones}
 
 
-def record_line(key: tuple) -> str:
-    """`to_record` of the set with sort key `key`, as compact JSON.
-
-    Equals json.dumps(to_record(d), separators=(",", ":")) for a canonical
-    d with key = d.sort_key(); unlike `to_record` it does not sort cones.
-    """
-    return record_line_head(key) + record_line_cones(key[-1])
-
-
 def record_line_head(key: tuple) -> str:
-    """`record_line(key)` up to the first cone."""
+    """`to_record` of the set with sort key `key` as compact JSON, up to the first cone.
+
+    With `record_line_cones(key[-1])` it equals
+    json.dumps(to_record(d), separators=(",", ":")) for a canonical d with
+    key = d.sort_key(); unlike `to_record` it does not sort cones.
+    """
     if len(key) == 6:
         n, l, g0, a, b, _ = key
         return f'{{"kind":"SP","l":{l},"n":{n},"g0":{g0},"a":{a},"b":{b},"cones":['
@@ -381,7 +377,7 @@ def record_line_head(key: tuple) -> str:
 
 
 def record_line_cones(cones: tuple) -> str:
-    """The rest of `record_line` for the (order, twist) pairs `cones` of a key."""
+    """The rest of `record_line_head`'s line for the (order, twist) pairs `cones`."""
     return ",".join([f"[{k},{m}]" for m, k in cones]) + "]}"
 
 

@@ -127,7 +127,7 @@ def se_power_decompose(d: SeDataSet, r: int) -> DecompositionResult:
 
 
 def family_sp_top(g: int) -> list[SpDataSet]:
-    """The two side-preserving sets of exponent 2g/(2g+1) at genus g."""
+    """Two side-preserving sets of exponent 2g/(2g+1) at genus g, equal at g = 1."""
     _check_genus(g)
     n = 2 * g + 1
     first = SpDataSet(2 * g, n, 0, 1, g, (ConePair(g, n),))

@@ -27,8 +27,13 @@ from twistfrac import (
     to_record,
     validate,
 )
-from twistfrac.cli import _csv_row, main, parse_record_line, parse_tuple_text
-from twistfrac.datasets import CONDITION_LABELS, key_text, record_line
+from twistfrac.cli import main, parse_record_line, parse_tuple_text
+from twistfrac.datasets import (
+    CONDITION_LABELS,
+    key_text,
+    record_line_cones,
+    record_line_head,
+)
 from twistfrac.enumeration import se_keys, sp_keys
 
 
@@ -573,7 +578,7 @@ def _materialised_listing(g, kind, fmt, filters):
     return out.getvalue()
 
 
-# `per_write` is the json-lines write size; text and csv ignore it.
+# `per_write` is the most lines one write may hold, in every format.
 @pytest.mark.parametrize("filter_name", sorted(STREAM_FILTERS))
 @pytest.mark.parametrize("per_write", [1, 2, 3])
 @pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
@@ -591,8 +596,15 @@ def test_streamed_listing_equals_materialised(kind, fmt, per_write, filter_name,
     assert out.count("\n") > (kind == "both") * 2 + (fmt == "csv")
 
 
+def _csv_cells(key):
+    """The csv cells of the set with sort key `key`, built here from the key."""
+    order, l, g0, a, *b, cones = key  # b is [] in a side-exchanging key
+    return ["SP" if b else "SE", l, order, g0, a, b[0] if b else "",
+            ";".join(f"{k}:{m}" for m, k in cones)]
+
+
 def _listing_key_by_key(g, filters, fmt):
-    """`enumerate --kind both` rendered with one formatter call per key, no cache."""
+    """`enumerate --kind both` rendered one set at a time, with no cache."""
     kinds = (("side-preserving:", list(chain.from_iterable(sp_keys(g, filters)))),
              ("side-exchanging:", list(chain.from_iterable(se_keys(g, filters)))))
     out = io.StringIO()
@@ -606,13 +618,13 @@ def _listing_key_by_key(g, filters, fmt):
                     out.write(f"Exponent {key[1]}/{key[0]}\n")
                 out.write(f"  {key_text(key)}\n")
     elif fmt == "json-lines":
-        for _, keys in kinds:
-            out.writelines(record_line(key) + "\n" for key in keys)
+        for d in enumerate_sp(g, filters) + enumerate_se(g, filters):
+            out.write(json.dumps(to_record(d), separators=(",", ":")) + "\n")
     else:
         writer = csv.writer(out, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
         writer.writerow(["kind", "l", "order", "g0", "a", "b", "cones"])
         for _, keys in kinds:
-            writer.writerows(_csv_row(key) for key in keys)
+            writer.writerows(_csv_cells(key) for key in keys)
     return out.getvalue()
 
 
@@ -654,6 +666,71 @@ def test_json_lines_writes_large_chunks_in_parts(monkeypatch):
     code, out = run_cli("enumerate", "--genus", "6", "--format", "json-lines")
     assert code == 0
     assert out == _materialised_listing(6, "both", "json-lines", Filters())
+
+
+class _WriteCountingSink(io.StringIO):
+    """Stands in for stdout: counts writes and refuses an empty one.
+
+    An empty write would still stamp the benchmark's time to first output.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        assert text, "write('') called"
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+def test_every_format_writes_in_batches(fmt, monkeypatch):
+    import twistfrac.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "RECORDS_PER_WRITE", 7)
+    sink = _WriteCountingSink()
+    windows = []  # (lines of a chunk, writes while it was rendered)
+
+    def lines(chunk):  # one per set, and in text one per exponent
+        return len(chunk) + (fmt == "text") * len({key[:2] for key in chunk})
+
+    def watched(keys):
+        def watched_keys(*args, **kwargs):
+            for chunk in keys(*args, **kwargs):
+                before = sink.writes
+                yield chunk
+                windows.append((lines(chunk), sink.writes - before))
+        return watched_keys
+
+    monkeypatch.setattr(cli_mod, "sp_keys", watched(cli_mod.sp_keys))
+    monkeypatch.setattr(cli_mod, "se_keys", watched(cli_mod.se_keys))
+    argv = ["enumerate", "--genus", "6", "--kind", "both", "--format", fmt]
+    assert main(argv, stdout=sink) == 0
+    assert sink.getvalue() == _materialised_listing(6, "both", fmt, Filters())
+    assert max(count for count, _ in windows) > 7
+    assert all(writes <= -(-count // 7) for count, writes in windows)
+    # besides the chunks, only the csv header or the two kind headings
+    extra = {"text": 2, "json-lines": 0, "csv": 1}[fmt]
+    assert sink.writes == sum(writes for _, writes in windows) + extra
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+def test_no_command_writes_an_empty_string(fmt, tmp_path):
+    records = tmp_path / "records.txt"
+    records.write_text("((1, 9), 0, (2, 2); (5, 9))\n((10, 9), 0, (2, 2); (5, 9))\n")
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    commands = [["validate", str(records)], ["validate", str(empty)],
+                ["families", "--genus", "3"], ["spectra", "--from", "1", "--to", "3"],
+                ["audit", "--from", "1", "--to", "2"]]
+    for kind in ("sp", "se", "both"):
+        commands += [["enumerate", "--genus", "3", "--kind", kind],
+                     # lists no set
+                     ["enumerate", "--genus", "2", "--kind", kind, "--exponent", "0/4"]]
+    for argv in commands:
+        # the sink fails the run on an empty write
+        assert main(argv + ["--format", fmt], stdout=_WriteCountingSink()) in (0, 2), argv
 
 
 @pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
@@ -705,7 +782,9 @@ def test_listings_build_no_data_sets(monkeypatch):
 @pytest.mark.parametrize("g", range(1, 11))
 def test_record_line_is_compact_json_of_to_record(g):
     for d in enumerate_sp(g) + enumerate_se(g):
-        assert record_line(d.sort_key()) == json.dumps(to_record(d), separators=(",", ":"))
+        key = d.sort_key()
+        line = record_line_head(key) + record_line_cones(key[-1])
+        assert line == json.dumps(to_record(d), separators=(",", ":"))
 
 
 def test_enumerate_bad_exponent_exit_1(capsys):
@@ -859,6 +938,16 @@ def test_audit_csv():
     lines = out.splitlines()
     assert lines[0] == "genus,kind,checked,violations"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command", ["spectra", "audit"])
+def test_reversed_genus_range_exits_1(command, tmp_path, capsys):
+    argv = [command, "--from", "3", "--to", "2"]
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == "need 1 <= --from <= --to, got 3..2\n"
+    assert run_cli(*argv, "--output", str(tmp_path / "out.txt")) == (1, "")
+    assert capsys.readouterr().err == "need 1 <= --from <= --to, got 3..2\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_audit_violation_exits_3(monkeypatch):

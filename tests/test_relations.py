@@ -210,6 +210,17 @@ def test_families_appear_in_enumeration():
         assert family_se_min(g) in se_sets
 
 
+def test_family_sp_top_sets_coincide_only_at_genus_1():
+    first, second = family_sp_top(1)
+    assert first == second
+    for g in range(2, 201):
+        first, second = family_sp_top(g)
+        assert first != second
+    for g in range(1, 11):
+        listed = enumerate_sp(g, Filters(exponent=(2 * g, 2 * g + 1)))
+        assert all(d in listed for d in family_sp_top(g))
+
+
 def test_families_reject_bad_genus():
     for build in (family_sp_top, family_sp_4g, family_se_max, family_se_min):
         with pytest.raises(ValueError):
