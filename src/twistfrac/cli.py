@@ -19,7 +19,6 @@ listing format is one `_LISTING_FORMATS` row, written in batches by `_write`.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -390,10 +389,9 @@ def cmd_spectra(args, out) -> int:
                     "n_sp": r.n_sp, "n_se": r.n_se,
                 }) + "\n")
         else:
-            writer = csv.writer(sink, lineterminator="\n")
-            writer.writerow(["surface_genus", "e_sp", "e_se", "n_sp", "n_se"])
+            sink.write("surface_genus,e_sp,e_se,n_sp,n_se\n")
             for r in rows:
-                writer.writerow([r.genus_plus_one, r.e_sp, r.e_se, r.n_sp, r.n_se])
+                sink.write(f"{r.genus_plus_one},{r.e_sp},{r.e_se},{r.n_sp},{r.n_se}\n")
     return 0
 
 
@@ -513,10 +511,9 @@ def cmd_audit(args, out) -> int:
                     ],
                 }) + "\n")
         else:
-            writer = csv.writer(sink, lineterminator="\n")
-            writer.writerow(["genus", "kind", "checked", "violations"])
+            sink.write("genus,kind,checked,violations\n")
             for r in results:
-                writer.writerow([r.genus, r.kind, r.checked, len(r.violations)])
+                sink.write(f"{r.genus},{r.kind},{r.checked},{len(r.violations)}\n")
     return 3 if total_violations else 0
 
 

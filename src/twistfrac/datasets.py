@@ -341,15 +341,15 @@ def canonicalize(d: DataSet) -> DataSet:
 
 
 def is_essential(d: DataSet) -> bool:
-    """Whether the quotient orbifold is a sphere with three cone points.
+    """Whether the quotient orbifold is a sphere with three cone points."""
+    return _essential(d.g0, len(d.cones), not isinstance(d, SpDataSet))
 
-    Side-preserving actions contribute two distinguished cone points, so
-    essential means g0 = 0 with one more cone; side-exchanging actions
-    contribute one, so essential means g0 = 0 with two more.
-    """
-    if isinstance(d, SpDataSet):
-        return d.g0 == 0 and len(d.cones) == 1
-    return d.g0 == 0 and len(d.cones) == 2
+
+def _essential(g0: int, cone_count: int, side_exchanging: bool) -> bool:
+    """`is_essential` on plain fields.  Side-preserving actions contribute two
+    distinguished cone points, so essential means g0 = 0 with one more cone;
+    side-exchanging actions contribute one, so g0 = 0 with two more."""
+    return g0 == 0 and cone_count == 1 + side_exchanging
 
 
 def to_record(d: DataSet) -> dict:

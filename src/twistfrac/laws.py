@@ -12,17 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Union
 
-from .datasets import SeDataSet, SpDataSet, genus_se, genus_sp, is_essential
-from .enumeration import enumerate_se, enumerate_sp
+from .datasets import DataSet, SeDataSet, SpDataSet, _essential, genus_se, genus_sp
+from .enumeration import Filters, enumerate_se, enumerate_sp, se_keys, sp_keys
 
 
 @dataclass(frozen=True)
 class LawReport:
     law: str
     holds: bool
-    witness: Union[SpDataSet, SeDataSet, None] = None
+    witness: DataSet | None = None
 
 
 @lru_cache(maxsize=None)
@@ -37,8 +36,16 @@ def _report(law: str, holds: bool, d) -> LawReport:
 
 def check_sp_laws(d: SpDataSet) -> list[LawReport]:
     """Evaluate every side-preserving law on one valid data set."""
-    g = genus_sp(d)
-    n, l, g0, m = d.n, d.l, d.g0, len(d.cones)
+    return _sp_laws(d.n, d.l, d.g0, len(d.cones), genus_sp(d), d)
+
+
+def check_se_laws(d: SeDataSet) -> list[LawReport]:
+    """Evaluate every side-exchanging law on one valid data set."""
+    return _se_laws(d.two_n, d.l, d.g0, len(d.cones), genus_se(d), d)
+
+
+def _sp_laws(n: int, l: int, g0: int, m: int, g: int, d) -> list[LawReport]:
+    """The SP laws of order n, l, g0, cone count m, genus g; `d` is the witness."""
     return [
         _report("sp:odd-l-odd-n", n % 2 == 1 if l % 2 == 1 else True, d),
         _report("sp:coprime-order-cap",
@@ -49,24 +56,15 @@ def check_sp_laws(d: SpDataSet) -> list[LawReport]:
         _report("sp:handles-force-small-order", n < g if g0 >= 1 else True, d),
         _report("sp:large-order-single-cone", m == 1 if n > 2 * g else True, d),
         _report("sp:essential-order-floor",
-                n >= 2 * g + 1 if is_essential(d) else True, d),
+                n >= 2 * g + 1 if _essential(g0, m, False) else True, d),
     ]
 
 
-def check_se_laws(d: SeDataSet) -> list[LawReport]:
-    """Evaluate every side-exchanging law on one valid data set."""
-    g = genus_se(d)
-    two_n, l, g0, m = d.two_n, d.l, d.g0, len(d.cones)
-    n = two_n // 2
-
-    denominator = 2 * g0 + m - 1
-    if denominator <= 0:
-        # Valid sets always have a positive denominator (one cone forces
-        # g0 >= 1); reaching this means the input is ill-formed.
-        order_floor = False
-    else:
-        order_floor = two_n * denominator >= 2 * g + m
-
+def _se_laws(two_n: int, l: int, g0: int, m: int, g: int, d) -> list[LawReport]:
+    """The SE laws of order 2n, l, g0, cone count m, genus g; `d` is the witness."""
+    n, denominator = two_n // 2, 2 * g0 + m - 1
+    # valid sets have a positive denominator: one cone forces g0 >= 1
+    order_floor = denominator > 0 and two_n * denominator >= 2 * g + m
     return [
         _report("se:odd-l-odd-n", n % 2 == 1 if l % 2 == 1 else True, d),
         _report("se:order-floor", order_floor, d),
@@ -77,7 +75,7 @@ def check_se_laws(d: SeDataSet) -> list[LawReport]:
         # (witness: ((2, 4), 0, 1; (1, 2), (1, 4), (3, 4)) at genus 2),
         # so the law is scoped to essential sets.
         _report("se:essential-order-floor",
-                two_n >= 2 * g + 2 if is_essential(d) else True, d),
+                two_n >= 2 * g + 2 if _essential(g0, m, True) else True, d),
     ]
 
 
@@ -94,10 +92,24 @@ class AuditResult:
 
 
 def audit(g: int, kind: str) -> AuditResult:
-    """Run the matching law checker over the full enumeration at genus g."""
+    """Run the matching laws over the full enumeration at genus g.
+
+    Each (order, l, g0, cone count) class of the sort keys is checked once;
+    only an (order, l, g0) group with a failing class is listed and checked
+    set by set, in listing order, for its witnesses.
+    """
     if kind not in ("sp", "se"):
         raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
-    sets = enumerate_sp(g) if kind == "sp" else enumerate_se(g)
-    checker = check_sp_laws if kind == "sp" else check_se_laws
-    violations = [r for d in sets for r in checker(d) if not r.holds]
-    return AuditResult(g, kind, len(sets), tuple(violations))
+    keys_of, laws, listing, checker = (
+        (sp_keys, _sp_laws, enumerate_sp, check_sp_laws) if kind == "sp"
+        else (se_keys, _se_laws, enumerate_se, check_se_laws))
+    checked, failing = 0, set()
+    for keys in keys_of(g):
+        checked += len(keys)
+        for order, l, g0, m in {(k[0], k[1], k[2], len(k[-1])) for k in keys}:
+            if not all(r.holds for r in laws(order, l, g0, m, g, None)):
+                failing.add((order, l, g0))
+    violations = [r for order, l, g0 in sorted(failing)
+                  for d in listing(g, Filters(exponent=(l, order), g0=g0))
+                  for r in checker(d) if not r.holds]
+    return AuditResult(g, kind, checked, tuple(violations))

@@ -219,7 +219,7 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_law_audit():
     started = time.monotonic()
     checked = 0
-    for g in range(1, 13):
+    for g in range(1, 17):
         for kind in ("sp", "se"):
             result = audit(g, kind)
             checked += result.checked
@@ -227,7 +227,7 @@ def test_criterion_7_law_audit():
     elapsed = time.monotonic() - started
     assert elapsed < 120.0, f"audit took {elapsed:.2f}s"
     print(f"\nPASS criterion 7: zero law violations over {checked} data sets "
-          f"for g = 1..12 ({elapsed:.2f}s)")
+          f"for g = 1..16 ({elapsed:.2f}s)")
 
 
 def test_criterion_8_property_suite():

@@ -1,5 +1,11 @@
+import io
+import json
+
 import pytest
 
+import twistfrac.datasets
+import twistfrac.enumeration
+import twistfrac.laws
 from twistfrac import (
     ConePair,
     SeDataSet,
@@ -12,7 +18,9 @@ from twistfrac import (
     validate_se,
 )
 from twistfrac.enumeration import Filters
-from twistfrac.laws import LawReport
+from twistfrac.cli import main
+from twistfrac.datasets import _essential
+from twistfrac.laws import LawReport, _se_laws, _sp_laws
 
 
 def sp(l, n, g0, a, b, cones):
@@ -102,6 +110,17 @@ def test_essential_floor_is_scoped_to_essential_sets():
     assert reports["se:order-floor"].holds
 
 
+def test_essential_floors_fire_exactly_on_essential_classes():
+    # order 4 is below both essential floors at genus 4 (9 and 10)
+    for g0 in range(3):
+        for m in range(1, 5):
+            sp_floor = by_law(_sp_laws(4, 1, g0, m, 4, None))["sp:essential-order-floor"]
+            se_floor = by_law(_se_laws(4, 1, g0, m, 4, None))["se:essential-order-floor"]
+            assert sp_floor.holds != _essential(g0, m, False)
+            assert se_floor.holds != _essential(g0, m, True)
+    assert _essential(0, 1, False) and _essential(0, 2, True)
+
+
 def test_audit_small_range_is_clean():
     for g in range(1, 13):
         for kind in ("sp", "se"):
@@ -109,6 +128,70 @@ def test_audit_small_range_is_clean():
             assert result.clean
             assert result.checked == len(
                 enumerate_sp(g) if kind == "sp" else enumerate_se(g))
+
+
+def _one_law_broken(kernel):
+    """`kernel` with its second law failing on some (order, l, g0, cone count) classes."""
+    def broken(order, l, g0, m, g, d):
+        reports = kernel(order, l, g0, m, g, d)
+        if (order * l + g0 + m) % 4 == 1:
+            reports[1] = LawReport(reports[1].law, False, d)
+        return reports
+    return broken
+
+
+@pytest.fixture
+def broken_laws(monkeypatch):
+    for name in ("_sp_laws", "_se_laws"):
+        monkeypatch.setattr(twistfrac.laws, name,
+                            _one_law_broken(getattr(twistfrac.laws, name)))
+
+
+def test_audit_violations_equal_the_per_set_audit(broken_laws):
+    total = 0
+    for g in range(1, 9):
+        for kind, listing, checker in (("sp", enumerate_sp, check_sp_laws),
+                                       ("se", enumerate_se, check_se_laws)):
+            sets = listing(g)
+            expected = [r for d in sets for r in checker(d) if not r.holds]
+            result = audit(g, kind)
+            assert result.checked == len(sets)
+            assert list(result.violations) == expected, (g, kind)
+            total += len(expected)
+    assert total > 100  # the broken law really fires on many sets
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+def test_audit_cli_reports_real_violations(broken_laws, fmt):
+    out = io.StringIO()
+    argv = ["audit", "--from", "1", "--to", "4", "--kind", "both", "--format", fmt]
+    assert main(argv, stdout=out) == 3
+    expected = sum(len(audit(g, kind).violations)
+                   for g in range(1, 5) for kind in ("sp", "se"))
+    lines = out.getvalue().splitlines()
+    if fmt == "text":
+        assert lines[-1] == f"total violations: {expected}" and expected > 0
+    elif fmt == "json-lines":
+        rows = [json.loads(line) for line in lines]
+        assert sum(len(row["violations"]) for row in rows) == expected
+        assert all(v["witness"] for row in rows for v in row["violations"])
+    else:
+        assert sum(int(line.rsplit(",", 1)[1]) for line in lines[1:]) == expected
+
+
+def test_clean_audit_builds_no_data_set(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a clean audit built or validated a data set")
+
+    monkeypatch.setattr(twistfrac.enumeration, "_sets", forbidden)
+    for name in ("_sp_report", "_se_report"):
+        monkeypatch.setattr(twistfrac.datasets, name, forbidden)
+    for name in ("enumerate_sp", "enumerate_se", "genus_sp", "genus_se",
+                 "check_sp_laws", "check_se_laws"):
+        monkeypatch.setattr(twistfrac.laws, name, forbidden)
+    for g in range(1, 9):
+        for kind in ("sp", "se"):
+            assert audit(g, kind).clean
 
 
 def test_audit_rejects_bad_kind():
