@@ -8,9 +8,6 @@ Exit codes are a stable contract:
     2  validation failure (invalid record, failed decomposition)
     3  internal consistency failure (oracle mismatch, law violation)
 
-Records are accepted in two syntaxes: one JSON object per line in the
-wire format, or the tuple text '((l, n), g0, (a, b); (k, m), ...)'
-(side-exchanging sets drop the parentheses around the single residue a).
 Text listings group data sets under 'Exponent l/order' headers ascending
 by (order, l); json-lines output round-trips through `from_record`.  Every
 listing format is one `_LISTING_FORMATS` row, written in batches by `_write`.
@@ -30,12 +27,12 @@ from contextlib import contextmanager, nullcontext, suppress
 from itertools import islice
 
 from .datasets import (
-    ConePair,
-    SeDataSet,
-    SpDataSet,
-    from_record,
+    CSV_COLUMNS,
+    csv_cones,
+    csv_head,
     key_text_cones,
     key_text_head,
+    parse_record_line,
     record_line_cones,
     record_line_head,
     to_record,
@@ -73,65 +70,10 @@ RECORDS_PER_WRITE = 1024
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-# ---------------------------------------------------------------- parsing
-
-# The whole tuple text grammar, '((l, order), g0, (a, b); (k, m), ...)' or,
-# side-exchanging, '((l, order), g0, a; (k, m), ...)': ASCII integers, any
-# whitespace around each token, at least one cone.  Groups: l, order, g0,
-# then a and b of the SP shape or a of the SE shape, then the cone text.
-_INT = r"\s*(-?[0-9]+)\s*"
-_CONE = r"\s*\(\s*-?[0-9]+\s*,\s*-?[0-9]+\s*\)\s*"
-_TUPLE_TEXT = re.compile(
-    rf"\s*\(\s*\({_INT},{_INT}\)\s*,{_INT},(?:\s*\({_INT},{_INT}\)\s*|{_INT});"
-    rf"({_CONE}(?:,{_CONE})*)\)\s*")
-_CONE_PAIR = re.compile(r"(-?[0-9]+)\s*,\s*(-?[0-9]+)")
-
-
-def parse_tuple_text(text: str, kind: str | None = None):
-    """Parse the tuple text syntax; shape decides SP vs SE unless pinned."""
-    mo = _TUPLE_TEXT.fullmatch(text)
-    if mo is None:
-        more = "..." if len(text) > 40 else ""
-        raise ValueError(f"not a data set in tuple text: {text[:40]!r}{more}")
-    l, order, g0, a, b, a_se, cone_text = mo.groups()
-    shape = "sp" if a_se is None else "se"
-    if kind is not None and kind != shape:
-        raise ValueError(f"record is {shape.upper()}-shaped but --kind {kind} was given")
-    cones = tuple([ConePair(int(k), int(m)) for k, m in _CONE_PAIR.findall(cone_text)])
-    if shape == "sp":
-        return SpDataSet(int(l), int(order), int(g0), int(a), int(b), cones)
-    return SeDataSet(int(l), int(order), int(g0), int(a_se), cones)
-
-
-def parse_record_line(line: str, kind: str | None = None):
-    """Parse one record given as JSON or tuple text."""
-    stripped = line.strip()
-    if stripped.startswith("{"):
-        d = from_record(json.loads(stripped))
-        shape = "sp" if isinstance(d, SpDataSet) else "se"
-        if kind is not None and kind != shape:
-            raise ValueError(f"record is {shape.upper()} but --kind {kind} was given")
-        return d
-    return parse_tuple_text(stripped, kind)
-
-
 # -------------------------------------------------------------- rendering
 
 def _json_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-# Cells as csv.writer(quoting=QUOTE_NONNUMERIC) writes them.  No string cell
-# (the kind, an empty b, the cones) holds a quote, a comma or a newline.
-def _csv_head(key) -> str:
-    """The kind, l, order, g0, a and b cells of the set with sort key `key`."""
-    order, l, g0, a, *b, _ = key  # b is [] in a side-exchanging key
-    return f'"SP",{l},{order},{g0},{a},{b[0]},' if b else f'"SE",{l},{order},{g0},{a},"",'
-
-
-def _csv_cones(cones) -> str:
-    """The cones cell for the (order, twist) pairs `cones` of a key."""
-    return '"' + ";".join([f"{k}:{m}" for m, k in cones]) + '"'
 
 
 # Each listing format: the listing's first line, a row's head (a function
@@ -139,7 +81,7 @@ def _csv_cones(cones) -> str:
 _LISTING_FORMATS = {
     "text": ("", lambda key: "  " + key_text_head(key), key_text_cones),
     "json-lines": ("", record_line_head, record_line_cones),
-    "csv": ('"kind","l","order","g0","a","b","cones"\n', _csv_head, _csv_cones),
+    "csv": (CSV_COLUMNS + "\n", csv_head, csv_cones),
 }
 
 _KIND_HEADINGS = {"sp": "side-preserving:\n", "se": "side-exchanging:\n"}
@@ -342,12 +284,16 @@ def cmd_enumerate(args, out) -> int:
         # the oracle lists every set of the genus
         expected = [d for d in reference if filters.accepts(d)]
         if sets != expected:
-            missing = [d for d in expected if d not in sets]
-            extra = [d for d in sets if d not in expected]
+            listed, wanted = set(sets), set(expected)
+            missing = [d for d in expected if d not in listed]
+            extra = [d for d in sets if d not in wanted]
             for d in missing:
                 print(f"oracle only: {d}", file=sys.stderr)
             for d in extra:
                 print(f"enumerator only: {d}", file=sys.stderr)
+            if not missing and not extra:
+                print(f"enumerator lists the oracle's sets in another order or with repeats "
+                      f"({len(sets)} listed, {len(expected)} expected)", file=sys.stderr)
             return 3
         kinds = [(args.kind, [[d.sort_key() for d in sets]])]
     else:
@@ -471,11 +417,11 @@ def cmd_families(args, out) -> int:
                     "genus": report.genus,
                 }) + "\n")
         else:
-            sink.write('"family","kind","l","order","g0","a","b","cones","valid","genus"\n')
+            sink.write(f'"family",{CSV_COLUMNS},"valid","genus"\n')
             for label, d, report in rows:
                 key = d.sort_key()
                 genus = '""' if report.genus is None else report.genus
-                sink.write(f'"{label}",{_csv_head(key)}{_csv_cones(key[-1])},'
+                sink.write(f'"{label}",{csv_head(key)}{csv_cones(key[-1])},'
                            f'"{str(report.valid).lower()}",{genus}\n')
     except ValueError:
         print("genus has too many digits to print", file=sys.stderr)

@@ -51,10 +51,15 @@ A data set's sort key is the one row layout that listings render from:
 (n, l, g0, a, b, cones) side-preserving (6 entries), (two_n, l, g0, a,
 cones) side-exchanging (5), with cones the (order, twist) pairs in the
 set's own order.  The enumerator yields exactly these keys.
+
+Records are accepted in two syntaxes: one JSON object per line in the
+wire format, or the tuples above as text; listings also render CSV rows.
 """
 
 from __future__ import annotations
 
+import json
+import re
 import reprlib
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -381,6 +386,22 @@ def record_line_cones(cones: tuple) -> str:
     return ",".join([f"[{k},{m}]" for m, k in cones]) + "]}"
 
 
+# CSV cells as csv.writer(quoting=QUOTE_NONNUMERIC) writes them, under CSV_COLUMNS.
+# No string cell (the kind, an empty b, the cones) holds a quote, a comma or a newline.
+CSV_COLUMNS = '"kind","l","order","g0","a","b","cones"'
+
+
+def csv_head(key: tuple) -> str:
+    """The kind, l, order, g0, a and b cells of the set with sort key `key`."""
+    order, l, g0, a, *b, _ = key  # b is [] in a side-exchanging key
+    return f'"SP",{l},{order},{g0},{a},{b[0]},' if b else f'"SE",{l},{order},{g0},{a},"",'
+
+
+def csv_cones(cones: tuple) -> str:
+    """The cones cell for the (order, twist) pairs `cones` of a key."""
+    return '"' + ";".join([f"{k}:{m}" for m, k in cones]) + '"'
+
+
 class _ShortRepr(reprlib.Repr):
     def repr_int(self, x, level):
         # str() refuses ints past sys.get_int_max_str_digits() >= 640 digits
@@ -430,3 +451,37 @@ def from_record(record: dict) -> DataSet:
                          _int_field(record, "g0"), _int_field(record, "a"),
                          _cones_field(record))
     raise ValueError(f"record kind must be 'SP' or 'SE', got {_short_repr(kind)}")
+
+
+# The whole grammar of the tuples above as text: ASCII integers, any whitespace
+# around each token, at least one cone.  Groups: l, order, g0, then a and b
+# of the SP shape or a of the SE shape, then the cone text.
+_INT = r"\s*(-?[0-9]+)\s*"
+_CONE = r"\s*\(\s*-?[0-9]+\s*,\s*-?[0-9]+\s*\)\s*"
+_TUPLE_TEXT = re.compile(
+    rf"\s*\(\s*\({_INT},{_INT}\)\s*,{_INT},(?:\s*\({_INT},{_INT}\)\s*|{_INT});"
+    rf"({_CONE}(?:,{_CONE})*)\)\s*")
+_CONE_PAIR = re.compile(r"(-?[0-9]+)\s*,\s*(-?[0-9]+)")
+
+
+def parse_tuple_text(text: str) -> DataSet:
+    """Parse the tuple text syntax; its shape decides SP vs SE."""
+    mo = _TUPLE_TEXT.fullmatch(text)
+    if mo is None:
+        more = "..." if len(text) > 40 else ""
+        raise ValueError(f"not a data set in tuple text: {text[:40]!r}{more}")
+    l, order, g0, a, b, a_se, cone_text = mo.groups()
+    cones = tuple([ConePair(int(k), int(m)) for k, m in _CONE_PAIR.findall(cone_text)])
+    if a_se is None:
+        return SpDataSet(int(l), int(order), int(g0), int(a), int(b), cones)
+    return SeDataSet(int(l), int(order), int(g0), int(a_se), cones)
+
+
+def parse_record_line(line: str, kind: str | None = None) -> DataSet:
+    """Parse one record given as JSON or tuple text; `kind` 'sp' or 'se' pins its kind."""
+    text = line.strip()
+    d = from_record(json.loads(text)) if text.startswith("{") else parse_tuple_text(text)
+    shape = "sp" if isinstance(d, SpDataSet) else "se"
+    if kind is not None and kind != shape:
+        raise ValueError(f"record is {shape.upper()} but --kind {kind} was given")
+    return d

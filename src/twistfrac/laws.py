@@ -10,7 +10,6 @@ never floating point) because several of them are tight on real sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .datasets import DataSet, SeDataSet, SpDataSet, _essential, genus_se, genus_sp
@@ -24,58 +23,53 @@ class LawReport:
     witness: DataSet | None = None
 
 
-@lru_cache(maxsize=None)
-def _holding(law: str) -> LawReport:
-    """The one shared report of `law` holding; there are a dozen laws."""
-    return LawReport(law, True)
-
-
-def _report(law: str, holds: bool, d) -> LawReport:
-    return _holding(law) if holds else LawReport(law, False, d)
-
-
 def check_sp_laws(d: SpDataSet) -> list[LawReport]:
     """Evaluate every side-preserving law on one valid data set."""
-    return _sp_laws(d.n, d.l, d.g0, len(d.cones), genus_sp(d), d)
+    return _reports(_sp_laws(d.n, d.l, d.g0, len(d.cones), genus_sp(d)), d)
 
 
 def check_se_laws(d: SeDataSet) -> list[LawReport]:
     """Evaluate every side-exchanging law on one valid data set."""
-    return _se_laws(d.two_n, d.l, d.g0, len(d.cones), genus_se(d), d)
+    return _reports(_se_laws(d.two_n, d.l, d.g0, len(d.cones), genus_se(d)), d)
 
 
-def _sp_laws(n: int, l: int, g0: int, m: int, g: int, d) -> list[LawReport]:
-    """The SP laws of order n, l, g0, cone count m, genus g; `d` is the witness."""
+def _reports(verdicts, d: DataSet) -> list[LawReport]:
+    """A report per (law, holds) verdict; a violated law carries `d` as its witness."""
+    return [LawReport(law, holds, None if holds else d) for law, holds in verdicts]
+
+
+def _sp_laws(n: int, l: int, g0: int, m: int, g: int) -> list[tuple[str, bool]]:
+    """(law, holds) for each SP law at order n, l, g0, cone count m, genus g."""
     return [
-        _report("sp:odd-l-odd-n", n % 2 == 1 if l % 2 == 1 else True, d),
-        _report("sp:coprime-order-cap",
-                n <= 2 * g + 1 if gcd(l, n) == 1 else True, d),
-        _report("sp:order-window",
-                2 * g + m <= n * (2 * g0 + m) and n * (4 * g0 + m) <= 4 * g, d),
-        _report("sp:order-le-4g", n <= 4 * g, d),
-        _report("sp:handles-force-small-order", n < g if g0 >= 1 else True, d),
-        _report("sp:large-order-single-cone", m == 1 if n > 2 * g else True, d),
-        _report("sp:essential-order-floor",
-                n >= 2 * g + 1 if _essential(g0, m, False) else True, d),
+        ("sp:odd-l-odd-n", n % 2 == 1 if l % 2 == 1 else True),
+        ("sp:coprime-order-cap",
+         n <= 2 * g + 1 if gcd(l, n) == 1 else True),
+        ("sp:order-window",
+         2 * g + m <= n * (2 * g0 + m) and n * (4 * g0 + m) <= 4 * g),
+        ("sp:order-le-4g", n <= 4 * g),
+        ("sp:handles-force-small-order", n < g if g0 >= 1 else True),
+        ("sp:large-order-single-cone", m == 1 if n > 2 * g else True),
+        ("sp:essential-order-floor",
+         n >= 2 * g + 1 if _essential(g0, m, False) else True),
     ]
 
 
-def _se_laws(two_n: int, l: int, g0: int, m: int, g: int, d) -> list[LawReport]:
-    """The SE laws of order 2n, l, g0, cone count m, genus g; `d` is the witness."""
+def _se_laws(two_n: int, l: int, g0: int, m: int, g: int) -> list[tuple[str, bool]]:
+    """(law, holds) for each SE law at order 2n, l, g0, cone count m, genus g."""
     n, denominator = two_n // 2, 2 * g0 + m - 1
     # valid sets have a positive denominator: one cone forces g0 >= 1
     order_floor = denominator > 0 and two_n * denominator >= 2 * g + m
     return [
-        _report("se:odd-l-odd-n", n % 2 == 1 if l % 2 == 1 else True, d),
-        _report("se:order-floor", order_floor, d),
-        _report("se:wiman-order-cap", two_n <= 4 * g + 2, d),
-        _report("se:sphere-needs-two-cones", m >= 2 if g0 == 0 else True, d),
+        ("se:odd-l-odd-n", n % 2 == 1 if l % 2 == 1 else True),
+        ("se:order-floor", order_floor),
+        ("se:wiman-order-cap", two_n <= 4 * g + 2),
+        ("se:sphere-needs-two-cones", m >= 2 if g0 == 0 else True),
         # The order floor 2n >= 2g+2 is the m = 2 case of se:order-floor;
         # with g0 = 0 and three or more cones the floor genuinely drops
         # (witness: ((2, 4), 0, 1; (1, 2), (1, 4), (3, 4)) at genus 2),
         # so the law is scoped to essential sets.
-        _report("se:essential-order-floor",
-                two_n >= 2 * g + 2 if _essential(g0, m, True) else True, d),
+        ("se:essential-order-floor",
+         two_n >= 2 * g + 2 if _essential(g0, m, True) else True),
     ]
 
 
@@ -107,7 +101,7 @@ def audit(g: int, kind: str) -> AuditResult:
     for keys in keys_of(g):
         checked += len(keys)
         for order, l, g0, m in {(k[0], k[1], k[2], len(k[-1])) for k in keys}:
-            if not all(r.holds for r in laws(order, l, g0, m, g, None)):
+            if not all(holds for _, holds in laws(order, l, g0, m, g)):
                 failing.add((order, l, g0))
     violations = [r for order, l, g0 in sorted(failing)
                   for d in listing(g, Filters(exponent=(l, order), g0=g0))

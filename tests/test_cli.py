@@ -27,10 +27,12 @@ from twistfrac import (
     to_record,
     validate,
 )
-from twistfrac.cli import main, parse_record_line, parse_tuple_text
+from twistfrac.cli import main
 from twistfrac.datasets import (
     CONDITION_LABELS,
     key_text,
+    parse_record_line,
+    parse_tuple_text,
     record_line_cones,
     record_line_head,
 )
@@ -67,7 +69,7 @@ def test_parse_tuple_text_errors():
     with pytest.raises(ValueError):
         parse_tuple_text("((1, x), 0, (2, 2); (5, 9))")
     with pytest.raises(ValueError):
-        parse_tuple_text("((1, 9), 0, (2, 2); (5, 9))", kind="se")
+        parse_record_line("((1, 9), 0, (2, 2); (5, 9))", kind="se")
 
 
 _ASCII_INTEGER = re.compile(r"-?[0-9]+")
@@ -193,10 +195,10 @@ def test_parse_tuple_text_agrees_with_the_token_parser(text, kind):
         expected = _token_parse_tuple_text(text, kind)
     except ValueError:
         with pytest.raises(ValueError) as caught:
-            parse_tuple_text(text, kind)
+            parse_record_line(text, kind)
         assert "\n" not in str(caught.value)
     else:
-        assert parse_tuple_text(text, kind) == expected
+        assert parse_record_line(text, kind) == expected
 
 
 def test_parse_tuple_text_error_is_one_truncated_line():
@@ -213,6 +215,27 @@ def test_parse_record_line_json():
     assert parse_record_line(json.dumps(to_record(d))) == d
     with pytest.raises(ValueError):
         parse_record_line(json.dumps(to_record(d)), kind="se")
+
+
+@pytest.mark.parametrize("record, kind", [
+    ("((1, 9), 0, (2, 2); (5, 9))", "se"),
+    ('{"kind":"SP","l":1,"n":9,"g0":0,"a":2,"b":2,"cones":[[5,9]]}', "se"),
+    ("((17, 18), 0, 7; (1, 2), (13, 18))", "sp"),
+    ('{"kind":"SE","l":17,"two_n":18,"g0":0,"a":7,"cones":[[1,2],[13,18]]}', "sp"),
+], ids=["sp-text", "sp-json", "se-text", "se-json"])
+@pytest.mark.parametrize("command", ["validate", "decompose"])
+def test_kind_mismatch_is_one_line_in_either_syntax(command, record, kind, tmp_path, capsys):
+    if command == "validate":
+        path = tmp_path / "record.txt"
+        path.write_text(record + "\n")
+        code, out = run_cli("validate", str(path), "--kind", kind)
+        prefix = "line 1: "
+    else:
+        code, out = run_cli("decompose", record, "--kind", kind)
+        prefix = "bad record: "
+    shape = "SE" if kind == "sp" else "SP"
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"{prefix}record is {shape} but --kind {kind} was given\n"
 
 
 RECORD_TEXTS = [
@@ -514,6 +537,18 @@ def test_enumerate_both_kinds_sections():
 def test_enumerate_oracle_agreement_exit_0():
     code, _ = run_cli("enumerate", "--genus", "4", "--kind", "sp", "--oracle")
     assert code == 0
+
+
+@pytest.mark.parametrize("mangle", [lambda sets: sets[::-1], lambda sets: sets[:1] + sets],
+                         ids=["reversed", "repeated"])
+def test_enumerate_oracle_mismatch_of_the_same_sets_is_explained(mangle, monkeypatch, capsys):
+    import twistfrac.cli as cli_mod
+
+    listing = cli_mod.enumerate_sp
+    monkeypatch.setattr(cli_mod, "enumerate_sp", lambda g, f: mangle(listing(g, f)))
+    code, out = run_cli("enumerate", "--genus", "3", "--kind", "sp", "--oracle")
+    assert (code, out) == (3, "")
+    assert len(capsys.readouterr().err.splitlines()) >= 1
 
 
 def test_enumerate_oracle_bound_exit_1(capsys):

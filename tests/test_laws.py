@@ -83,13 +83,6 @@ def test_law_reports_carry_witness_only_on_failure():
         assert report.holds and report.witness is None
 
 
-def test_holding_reports_are_shared_per_law():
-    first = check_sp_laws(sp(8, 16, 0, 1, 7, [(1, 2)]))
-    second = check_sp_laws(sp(1, 9, 0, 2, 2, [(5, 9)]))
-    for r, s in zip(first, second):
-        assert r is s and r == LawReport(r.law, True)
-
-
 def test_law_violations_carry_their_witness():
     d = sp(1, 16, 0, 1, 7, [(1, 2)])  # l odd with n even: not a valid set
     assert [r for r in check_sp_laws(d) if not r.holds] == [
@@ -114,10 +107,10 @@ def test_essential_floors_fire_exactly_on_essential_classes():
     # order 4 is below both essential floors at genus 4 (9 and 10)
     for g0 in range(3):
         for m in range(1, 5):
-            sp_floor = by_law(_sp_laws(4, 1, g0, m, 4, None))["sp:essential-order-floor"]
-            se_floor = by_law(_se_laws(4, 1, g0, m, 4, None))["se:essential-order-floor"]
-            assert sp_floor.holds != _essential(g0, m, False)
-            assert se_floor.holds != _essential(g0, m, True)
+            sp_floor = dict(_sp_laws(4, 1, g0, m, 4))["sp:essential-order-floor"]
+            se_floor = dict(_se_laws(4, 1, g0, m, 4))["se:essential-order-floor"]
+            assert sp_floor != _essential(g0, m, False)
+            assert se_floor != _essential(g0, m, True)
     assert _essential(0, 1, False) and _essential(0, 2, True)
 
 
@@ -132,11 +125,11 @@ def test_audit_small_range_is_clean():
 
 def _one_law_broken(kernel):
     """`kernel` with its second law failing on some (order, l, g0, cone count) classes."""
-    def broken(order, l, g0, m, g, d):
-        reports = kernel(order, l, g0, m, g, d)
+    def broken(order, l, g0, m, g):
+        verdicts = kernel(order, l, g0, m, g)
         if (order * l + g0 + m) % 4 == 1:
-            reports[1] = LawReport(reports[1].law, False, d)
-        return reports
+            verdicts[1] = (verdicts[1][0], False)
+        return verdicts
     return broken
 
 
