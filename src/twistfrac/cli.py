@@ -28,11 +28,14 @@ from itertools import islice
 
 from .datasets import (
     CSV_COLUMNS,
+    _se_report,
+    _sp_report,
     csv_cones,
     csv_head,
     key_text_cones,
     key_text_head,
     parse_record_line,
+    record_fields,
     record_line_cones,
     record_line_head,
     to_record,
@@ -209,11 +212,11 @@ def cmd_validate(args, out) -> int:
                 if not line.strip():
                     continue
                 try:
-                    d = parse_record_line(line, kind)
+                    shape, fields = record_fields(line, kind)
                 except (ValueError, RecursionError) as exc:
                     print(f"line {number}: {exc}", file=sys.stderr)
                     return 1
-                report = validate(d)
+                report = (_sp_report if shape == "sp" else _se_report)(*fields)
                 text = rendered.get(report)
                 if text is None:
                     try:

@@ -168,9 +168,8 @@ class ValidationReport:
     """Per-condition verdicts for one candidate tuple.
 
     `genus` is the computed genus when it is integral, else None.
-    `generating` is only a real constraint for side-exchanging tuples
-    with g0 = 0; it is True everywhere else so that `valid` is always
-    the conjunction of all flags.
+    `generating` constrains only side-exchanging tuples with g0 = 0, but a
+    tuple of either kind failing condition (i) fails it, like every flag but `l_in_range`.
     """
 
     structure: bool
@@ -204,11 +203,7 @@ _report = lru_cache(maxsize=4096, typed=True)(ValidationReport)
 
 
 def validate_sp(d: SpDataSet) -> ValidationReport:
-    """Check every side-preserving validity condition; never raises.
-
-    The verdict only depends on the residue classes of a, b and the cone
-    twists, so representatives may be given in any form.
-    """
+    """Check every side-preserving condition, on residues in any form; never raises."""
     return _sp_report(d.l, d.n, d.g0, d.a, d.b, d.cones)
 
 
@@ -276,9 +271,7 @@ def _broken(l_in_range: bool) -> ValidationReport:
 
 
 def validate(d: DataSet) -> ValidationReport:
-    if isinstance(d, SpDataSet):
-        return validate_sp(d)
-    return validate_se(d)
+    return validate_sp(d) if isinstance(d, SpDataSet) else validate_se(d)
 
 
 def sp_genus_if_valid(l: int, n: int, g0: int, a: int, b: int, cones) -> int | None:
@@ -340,9 +333,7 @@ def canonicalize_se(d: SeDataSet) -> SeDataSet:
 
 
 def canonicalize(d: DataSet) -> DataSet:
-    if isinstance(d, SpDataSet):
-        return canonicalize_sp(d)
-    return canonicalize_se(d)
+    return canonicalize_sp(d) if isinstance(d, SpDataSet) else canonicalize_se(d)
 
 
 def is_essential(d: DataSet) -> bool:
@@ -421,7 +412,7 @@ def _int_field(record: dict, key: str) -> int:
     return value
 
 
-def _cones_field(record: dict) -> tuple[ConePair, ...]:
+def _cones_field(record: dict) -> tuple[tuple[int, int], ...]:
     raw = record.get("cones")
     if not isinstance(raw, list):
         raise ValueError("field 'cones' must be a list of [twist, order] pairs")
@@ -431,26 +422,37 @@ def _cones_field(record: dict) -> tuple[ConePair, ...]:
             k, m = entry
             if (isinstance(k, int) and isinstance(m, int)
                     and not isinstance(k, bool) and not isinstance(m, bool)):
-                cones.append(ConePair(k, m))
+                cones.append((k, m))
                 continue
         raise ValueError(f"bad cone entry {_short_repr(entry)}")
     return tuple(cones)
 
 
-def from_record(record: dict) -> DataSet:
-    """Parse a wire-format dict back into a data set."""
+def _record_fields(record: dict) -> tuple[str, tuple]:
+    """The kind, 'sp' or 'se', of a wire-format dict and its fields in data-set order."""
     if not isinstance(record, dict):
         raise ValueError("record must be an object")
     kind = record.get("kind")
     if kind == "SP":
-        return SpDataSet(_int_field(record, "l"), _int_field(record, "n"),
-                         _int_field(record, "g0"), _int_field(record, "a"),
-                         _int_field(record, "b"), _cones_field(record))
+        return "sp", (_int_field(record, "l"), _int_field(record, "n"),
+                      _int_field(record, "g0"), _int_field(record, "a"),
+                      _int_field(record, "b"), _cones_field(record))
     if kind == "SE":
-        return SeDataSet(_int_field(record, "l"), _int_field(record, "two_n"),
-                         _int_field(record, "g0"), _int_field(record, "a"),
-                         _cones_field(record))
+        return "se", (_int_field(record, "l"), _int_field(record, "two_n"),
+                      _int_field(record, "g0"), _int_field(record, "a"),
+                      _cones_field(record))
     raise ValueError(f"record kind must be 'SP' or 'SE', got {_short_repr(kind)}")
+
+
+def _data_set(kind: str, fields: tuple) -> DataSet:
+    *head, cones = fields
+    cones = tuple([ConePair(k, m) for k, m in cones])
+    return SpDataSet(*head, cones) if kind == "sp" else SeDataSet(*head, cones)
+
+
+def from_record(record: dict) -> DataSet:
+    """Parse a wire-format dict back into a data set."""
+    return _data_set(*_record_fields(record))
 
 
 # The whole grammar of the tuples above as text: ASCII integers, any whitespace
@@ -464,24 +466,34 @@ _TUPLE_TEXT = re.compile(
 _CONE_PAIR = re.compile(r"(-?[0-9]+)\s*,\s*(-?[0-9]+)")
 
 
-def parse_tuple_text(text: str) -> DataSet:
-    """Parse the tuple text syntax; its shape decides SP vs SE."""
+def _tuple_fields(text: str) -> tuple[str, tuple]:
+    """The kind and fields of the tuple text syntax; its shape decides SP vs SE."""
     mo = _TUPLE_TEXT.fullmatch(text)
     if mo is None:
         more = "..." if len(text) > 40 else ""
         raise ValueError(f"not a data set in tuple text: {text[:40]!r}{more}")
-    l, order, g0, a, b, a_se, cone_text = mo.groups()
-    cones = tuple([ConePair(int(k), int(m)) for k, m in _CONE_PAIR.findall(cone_text)])
-    if a_se is None:
-        return SpDataSet(int(l), int(order), int(g0), int(a), int(b), cones)
-    return SeDataSet(int(l), int(order), int(g0), int(a_se), cones)
+    *ints, cone_text = mo.groups()
+    cones = tuple([(int(k), int(m)) for k, m in _CONE_PAIR.findall(cone_text)])
+    ints = [int(v) for v in ints if v is not None]  # l, order, g0, then a, b or a
+    return "sp" if len(ints) == 5 else "se", (*ints, cones)
+
+
+def parse_tuple_text(text: str) -> DataSet:
+    """Parse the tuple text syntax; its shape decides SP vs SE."""
+    return _data_set(*_tuple_fields(text))
+
+
+def record_fields(line: str, kind: str | None = None) -> tuple[str, tuple]:
+    """The kind and fields of a JSON or tuple text record, checked against `kind`:
+    the arguments of `_sp_report` or `_se_report`, with no data set built."""
+    text = line.strip()
+    shape, fields = (_record_fields(json.loads(text)) if text.startswith("{")
+                     else _tuple_fields(text))
+    if kind is not None and kind != shape:
+        raise ValueError(f"record is {shape.upper()} but --kind {kind} was given")
+    return shape, fields
 
 
 def parse_record_line(line: str, kind: str | None = None) -> DataSet:
     """Parse one record given as JSON or tuple text; `kind` 'sp' or 'se' pins its kind."""
-    text = line.strip()
-    d = from_record(json.loads(text)) if text.startswith("{") else parse_tuple_text(text)
-    shape = "sp" if isinstance(d, SpDataSet) else "se"
-    if kind is not None and kind != shape:
-        raise ValueError(f"record is {shape.upper()} but --kind {kind} was given")
-    return d
+    return _data_set(*record_fields(line, kind))

@@ -30,9 +30,12 @@ from twistfrac import (
 from twistfrac.cli import main
 from twistfrac.datasets import (
     CONDITION_LABELS,
+    _se_report,
+    _sp_report,
     key_text,
     parse_record_line,
     parse_tuple_text,
+    record_fields,
     record_line_cones,
     record_line_head,
 )
@@ -271,8 +274,8 @@ def mutated_record_texts(draw):
 
 
 @st.composite
-def deeply_nested_records(draw):
-    depth = draw(st.integers(0, 4000))
+def deeply_nested_records(draw, depths=st.integers(0, 4000)):
+    depth = draw(depths)
     opener, closer = draw(st.sampled_from([("[", "]"), ('{"a":', "}")]))
     field = draw(st.sampled_from(["kind", "cones", "l"]))
     return f'{{"{field}":{opener * depth}1{closer * depth}}}', depth
@@ -295,6 +298,99 @@ def test_parse_record_line_returns_a_set_or_raises_value_error(text_depth, kind)
     assert isinstance(d, (SpDataSet, SeDataSet))
     if text.strip().startswith("{"):
         assert from_record(json.loads(text)) == d
+
+
+def _field_path(line, kind):
+    """What `validate` does with a line: its fields straight into the kind's kernel."""
+    shape, fields = record_fields(line, kind)
+    return (_sp_report if shape == "sp" else _se_report)(*fields)
+
+
+def _set_path(line, kind):
+    return validate(parse_record_line(line, kind))
+
+
+def _path_outcome(path, line, kind):
+    try:
+        return path(line, kind)
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_paths_agree(line, kind):
+    new, old = _path_outcome(_field_path, line, kind), _path_outcome(_set_path, line, kind)
+    assert new == old
+    if isinstance(old, ValidationReport):
+        assert new is old  # equal verdicts share one report
+
+
+PARITY_SETS = enumerate_sp(4) + enumerate_se(4)
+
+
+@st.composite
+def perturbed_record_lines(draw):
+    """A listed set, maybe with one field or cone entry moved, as JSON or tuple text."""
+    d = draw(st.sampled_from(PARITY_SETS))
+    delta = draw(st.integers(-3, 3))
+    field = draw(st.sampled_from([*vars(d), "cone twist", "cone order"]))
+    if field.startswith("cone"):
+        if d.cones:
+            i = draw(st.integers(0, len(d.cones) - 1))
+            k, m = d.cones[i]
+            moved = ConePair(k + delta, m) if field == "cone twist" else ConePair(k, m + delta)
+            d = replace(d, cones=d.cones[:i] + (moved,) + d.cones[i + 1:])
+    else:
+        d = replace(d, **{field: getattr(d, field) + delta})
+    return json.dumps(to_record(d)) if draw(st.booleans()) else str(d)
+
+
+SP_JSON = {"kind": "SP", "l": 1, "n": 9, "g0": 0, "a": 2, "b": 2, "cones": [[5, 9]]}
+SE_JSON = {"kind": "SE", "l": 17, "two_n": 18, "g0": 0, "a": 7, "cones": [[1, 2], [13, 18]]}
+MALFORMED_LINES = [
+    json.dumps({**SP_JSON, "g0": False}),
+    json.dumps({**SE_JSON, "a": True}),
+    json.dumps({**SP_JSON, "cones": [[5.0, 9]]}),
+    json.dumps({**SE_JSON, "cones": [[1, 2], [13, 18.0]]}),
+    json.dumps({**SP_JSON, "kind": "SE"}),
+    json.dumps({**SE_JSON, "kind": "sp"}),
+    json.dumps({**SP_JSON, "n": 0}).replace('"n": 0', '"n": ' + "9" * 5000),
+    json.dumps({**SP_JSON, "n": 10**4000, "l": -10**4000}),
+    json.dumps({**SE_JSON, "cones": [[1, 0]]}).replace("0]", "9" * 5000 + "]"),
+    f"((1, {'9' * 5000}), 0, (2, 2); (5, 9))",
+    f"((1, {10**4000}), {10**4000}, (1, 1); (1, 2))",
+    "((1, 9), 0, (2, 2); (5, 9.0))",
+    '{"kind":' + "[" * 100_000,
+    '{"kind":"SP","cones":' + "[" * 500 + "]" * 500 + "}",
+    json.dumps([SP_JSON]),
+    "((1, 0), 0, (2, 2); (5, 0))",
+]
+
+
+@pytest.mark.parametrize("line", MALFORMED_LINES)
+@pytest.mark.parametrize("kind", [None, "sp", "se"])
+def test_validate_fields_agree_with_the_data_set_path_on_malformed_lines(line, kind):
+    _assert_paths_agree(line, kind)
+
+
+# Nesting depths away from the recursion limit: there the data set path's one
+# extra frame can decide whether json.loads gives up.
+PARITY_DEPTHS = st.one_of(st.integers(0, 200), st.integers(3000, 4000))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.one_of(perturbed_record_lines(), mutated_record_texts(),
+                 JSON_VALUES.map(json.dumps),
+                 deeply_nested_records(PARITY_DEPTHS).map(lambda text_depth: text_depth[0])),
+       st.sampled_from([None, "sp", "se"]))
+def test_validate_fields_agree_with_the_data_set_path(line, kind):
+    _assert_paths_agree(line, kind)
+
+
+def test_record_parsers_still_build_cone_pairs():
+    text = "((1, 9), 0, (2, 2); (5, 9))"
+    for d in (parse_tuple_text(text), parse_record_line(text),
+              parse_record_line(json.dumps(SP_JSON)), from_record(SP_JSON)):
+        assert [(type(c), c.twist, c.order) for c in d.cones] == [(ConePair, 5, 9)]
 
 
 # --------------------------------------------------------------- validate
@@ -448,7 +544,8 @@ def test_validate_csv_row_needs_no_quoting(tmp_path, monkeypatch):
         for mask in range(1 << len(fields)) for genus in (None, 7, -3)
     ]
     supply = iter(reports)
-    monkeypatch.setattr(cli_mod, "validate", lambda d: next(supply))
+    # every record is SP, so the SP validity kernel hands out the reports
+    monkeypatch.setattr(cli_mod, "_sp_report", lambda *fields: next(supply))
     path = tmp_path / "records.txt"
     path.write_text("((1, 9), 0, (2, 2); (5, 9))\n" * len(reports))
     assert run_cli("validate", str(path), "--format", "csv") == _rendered_reports(

@@ -99,6 +99,16 @@ def test_validate_se_exponent_range_follows_full_order():
     assert not validate_se(se(18, 18, 0, 7, [(1, 2), (13, 18)])).l_in_range
 
 
+def test_condition_i_failure_fails_generation_of_either_kind():
+    # A tuple failing (i) is checked no further: only the range of l may hold.
+    broken = ["condition (i)", "condition (ii)", "condition (iii)", "condition (iv)",
+              "range of l", "genus integrality", "genus positivity", "generation"]
+    assert validate_sp(sp(1, 0, 0, 2, 2, [(5, 0)])).failed() == broken
+    in_range = [label for label in broken if label != "range of l"]
+    assert validate_sp(sp(1, 9, 0, 2, 2, [(5, 4)])).failed() == in_range  # 4 does not divide 9
+    assert validate_se(se(2, 10, 1, 1, [(1, 4)])).failed() == in_range
+
+
 def test_validate_handles_garbage_without_raising():
     assert not validate_sp(sp(1, 0, 0, 1, 1, [(1, 2)])).valid
     assert not validate_sp(sp(1, -7, 2, 1, 1, [])).valid
@@ -599,6 +609,14 @@ def test_cones_field_accepts_what_it_accepted():
         assert outcome == _outcome(_old_cones_field, record), raw
         accepted += isinstance(outcome, list)
     assert accepted == 2 * 50 + 2  # two-element lists and tuples of non-bool ints
+
+
+def test_from_record_builds_cone_pairs_from_tuples_and_int_subclasses():
+    d = from_record({"kind": "SP", "l": 1, "n": 9, "g0": 0, "a": 2, "b": 2,
+                     "cones": [(5, _Order(9)), [_Order(1), 3]]})
+    assert d.cones == (ConePair(5, 9), ConePair(1, 3))
+    assert [type(c) for c in d.cones] == [ConePair, ConePair]
+    assert (type(d.cones[0].order), type(d.cones[1].twist)) == (_Order, _Order)
 
 
 def _old_str(d):
