@@ -13,6 +13,7 @@ finite search.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt
 
 # A cone signature is the multiset of cone-point orders, kept as an
@@ -30,6 +31,18 @@ def divisors(n: int) -> list[int]:
         raise ValueError(f"divisors() needs n >= 1, got {n}")
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def prime_factors(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, k), p prime ascending, with p**k exactly dividing n >= 1."""
+    factors = []
+    for p in divisors(n)[1:]:
+        k = 0
+        while n % p == 0:  # only a prime divides what the smaller ones leave
+            n, k = n // p, k + 1
+        if k:
+            factors.append((p, k))
+    return factors
 
 
 def units_mod(n: int) -> set[int]:
@@ -54,40 +67,46 @@ def cone_weight(order: int, m: int) -> int:
     return (order // m) * (m - 1)
 
 
+@lru_cache(maxsize=None)
+def _parts(order: int) -> tuple[tuple[int, int], ...]:
+    """The (m, weight) parts of `order`, ascending in both; computed once per order."""
+    return tuple((m, cone_weight(order, m)) for m in divisors(order)[1:])
+
+
 def cone_signatures(
     order: int, target: int, max_count: int | None = None
 ) -> set[ConeSignature]:
     """All multisets of divisors m > 1 of `order` whose weights sum to `target`.
 
-    Each part m weighs (order/m)*(m-1) >= order/2, so a signature has at
-    most 2*target/order parts; the recursion is bounded by that and by the
-    remaining target, with no other caps.  Returns {()} exactly when
-    target = 0.  `max_count`, when given, additionally caps the multiset
-    size.
+    Each part m weighs (order/m)*(m-1) >= order/2, rising with m, so a
+    signature has at most 2*target/order parts.  Parts are chosen in
+    ascending order; each level solves the remaining weight as one last
+    part and recurses only into parts that leave room for one no lighter.
+    Returns {()} exactly when target = 0.  `max_count`, when given, also
+    caps the multiset size.
     """
     if order < 2:
         raise ValueError(f"cone_signatures() needs order >= 2, got {order}")
     if target < 0:
         raise ValueError(f"cone_signatures() needs target >= 0, got {target}")
 
-    parts = [(m, cone_weight(order, m)) for m in divisors(order) if m > 1]
-    limit = 2 * target // order
-    if max_count is not None:
-        limit = min(limit, max_count)
+    parts = _parts(order)
+    limit = min(2 * target // order, target if max_count is None else max_count)
 
-    found: set[ConeSignature] = set()
+    found: set[ConeSignature] = {()} if target == 0 else set()
     chosen: list[int] = []
 
     def extend(start: int, remaining: int) -> None:
-        if remaining == 0:
-            found.add(tuple(chosen))
-            return
-        if len(chosen) >= limit:
+        rest = order - remaining  # a last part m weighs order - order/m
+        last = order // rest if 0 < rest and order % rest == 0 else 0
+        if last >= parts[start][0] and len(chosen) < limit:
+            found.add((*chosen, last))
+        if len(chosen) + 2 > limit:
             return
         for idx in range(start, len(parts)):
             m, w = parts[idx]
-            if w > remaining:
-                continue
+            if 2 * w > remaining:
+                break  # the weights rise: no later part leaves room either
             chosen.append(m)
             extend(idx, remaining - w)  # idx again: parts may repeat
             chosen.pop()

@@ -64,6 +64,7 @@ from .relations import (
 )
 
 FORMATS = ("text", "json-lines", "csv")
+SPECTRA_COLUMNS = ("surface_genus", "e_sp", "e_se", "n_sp", "n_se")
 
 # Listings and `validate` output are written in strings of at most this many
 # lines, so a large order chunk or input is not rendered into one string.
@@ -323,24 +324,19 @@ def cmd_spectra(args, out) -> int:
     if genera.stop - 1 > SPECTRA_MAX_GENUS:
         print(f"spectra is capped at genus {SPECTRA_MAX_GENUS}", file=sys.stderr)
         return 1
-    rows = [spectra(g) for g in genera]
+    rows = [(r.genus_plus_one, r.e_sp, r.e_se, r.n_sp, r.n_se) for r in map(spectra, genera)]
     with _open_output(args.output, out) as sink:
         if args.format == "text":
-            sink.write("surface_genus  e_sp  e_se  n_sp  n_se\n")
+            sink.write("  ".join(SPECTRA_COLUMNS) + "\n")
             for r in rows:
-                sink.write(f"{r.genus_plus_one:>13}  {r.e_sp:>4}  {r.e_se:>4}"
-                           f"  {r.n_sp:>4}  {r.n_se:>4}\n")
+                sink.write("{:>13}  {:>4}  {:>4}  {:>4}  {:>4}\n".format(*r))
         elif args.format == "json-lines":
             for r in rows:
-                sink.write(_json_line({
-                    "surface_genus": r.genus_plus_one,
-                    "e_sp": r.e_sp, "e_se": r.e_se,
-                    "n_sp": r.n_sp, "n_se": r.n_se,
-                }) + "\n")
+                sink.write(_json_line(dict(zip(SPECTRA_COLUMNS, r))) + "\n")
         else:
-            sink.write("surface_genus,e_sp,e_se,n_sp,n_se\n")
+            sink.write(",".join(SPECTRA_COLUMNS) + "\n")
             for r in rows:
-                sink.write(f"{r.genus_plus_one},{r.e_sp},{r.e_se},{r.n_sp},{r.n_se}\n")
+                sink.write(",".join(map(str, r)) + "\n")
     return 0
 
 

@@ -1,7 +1,9 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from twistfrac import NotInvertibleError, cone_signatures, divisors, mod_inverse, units_mod
-from twistfrac.arith import cone_weight
+from twistfrac.arith import cone_weight, prime_factors
 
 
 def test_divisors_basics():
@@ -52,6 +54,28 @@ def test_units_mod_has_phi_elements(n):
     assert len(units_mod(n)) == _phi_by_factorization(n)
 
 
+def _prime_factors_by_trial_division(n):
+    """Independent reference: divide out 2, 3, 4, ... up to the square root."""
+    counts = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            counts[d] = counts.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        counts[n] = counts.get(n, 0) + 1
+    return sorted(counts.items())
+
+
+def test_prime_factors_match_trial_division():
+    for n in range(1, 2000):
+        assert prime_factors(n) == _prime_factors_by_trial_division(n), n
+    assert prime_factors(2 ** 10 * 3 ** 4 * 97) == [(2, 10), (3, 4), (97, 1)]
+    with pytest.raises(ValueError):
+        prime_factors(0)
+
+
 def test_mod_inverse_basics():
     assert mod_inverse(2, 9) == 5
     assert mod_inverse(1, 7) == 1
@@ -92,8 +116,6 @@ def test_cone_signatures_rejects_bad_arguments():
 
 def _signatures_by_bucketing(order: int, max_target: int) -> dict[int, set]:
     """Independent oracle: generate every multiset once, bucket by weight."""
-    from itertools import combinations_with_replacement
-
     parts = [m for m in divisors(order) if m > 1]
     min_weight = min(cone_weight(order, m) for m in parts)
     buckets: dict[int, set] = {t: set() for t in range(max_target + 1)}
@@ -129,6 +151,18 @@ def test_cone_signatures_match_brute_force_at_large_orders(order):
     buckets = _signatures_by_bucketing(order, 2 * order)
     for target in range(0, 2 * order + 1):
         assert cone_signatures(order, target) == buckets[target], (order, target)
+
+
+def test_cone_signatures_of_at_most_two_cones_at_every_spectra_order():
+    # spectra solves two-cone signatures at every even order 2n <= 4*128 + 2
+    for order in range(2, 4 * 128 + 3, 2):
+        parts = [m for m in divisors(order) if m > 1]
+        by_target = {0: {()}}
+        for sig in [(m,) for m in parts] + list(combinations_with_replacement(parts, 2)):
+            by_target.setdefault(sum(cone_weight(order, m) for m in sig), set()).add(sig)
+        for target in range(0, 2 * order + 3):
+            assert cone_signatures(order, target, 2) == by_target.get(target, set()), (
+                order, target)
 
 
 @pytest.mark.parametrize("order", range(2, 61))

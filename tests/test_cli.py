@@ -40,6 +40,7 @@ from twistfrac.datasets import (
     record_line_head,
 )
 from twistfrac.enumeration import se_keys, sp_keys
+from conftest import SRC
 
 
 def run_cli(*argv):
@@ -1116,20 +1117,21 @@ def test_argparse_errors_map_to_exit_1():
     assert run_cli("audit", "--from", "1", "--to", "1", "--jobs", "2")[0] == 1
 
 
+def _run_child_cli(*args, stdin=None):
+    """Run the CLI in a child Python that finds the package in src/, installed or not."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "twistfrac.cli", *args], input=stdin,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "twistfrac.cli", "spectra",
-         "--from", "4", "--to", "4", "--format", "csv"],
-        capture_output=True, text=True)
+    proc = _run_child_cli("spectra", "--from", "4", "--to", "4", "--format", "csv")
     assert proc.returncode == 0
     assert proc.stdout == "surface_genus,e_sp,e_se,n_sp,n_se\n5,13,22,26,33\n"
 
 
 def test_validate_reads_stdin():
-    proc = subprocess.run(
-        [sys.executable, "-m", "twistfrac.cli", "validate", "--kind", "sp"],
-        input="((1, 9), 0, (2, 2); (5, 9))\n",
-        capture_output=True, text=True)
+    proc = _run_child_cli("validate", "--kind", "sp", stdin="((1, 9), 0, (2, 2); (5, 9))\n")
     assert proc.returncode == 0
     assert proc.stdout == "valid genus=4\n"
 

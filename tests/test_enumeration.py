@@ -246,6 +246,32 @@ def test_spectra_counter_matches_enumeration(g):
                                     len(sp), len(se))
 
 
+def _essential_sp_counts_by_pairs(g):
+    """Reference: walk every unit pair (a, b) of every essential order n."""
+    exponents = set()
+    count = 0
+    for n in range(2 * g + 1, 4 * g + 1):
+        c = n - 2 * g
+        if n % c == 0:
+            m = n // c
+            inverse = {u: pow(u, -1, n) for u in range(1, n) if gcd(u, n) == 1}
+            for a, a_inv in inverse.items():
+                # the cone twist solves ck = -(a+b) mod n, so c divides a+b
+                for b in range(a + (-2 * a) % c, n, c):
+                    b_inv = inverse.get(b)
+                    if b_inv is not None and gcd((-(a + b)) % n // c, m) == 1:
+                        count += 1
+                        exponents.add(((a_inv + b_inv) % n, n))
+    return len(exponents), count
+
+
+# every fourth genus, plus the cap and the genera with the most essential orders
+@pytest.mark.parametrize("g", sorted(set(range(41, 129, 4)) | {96, 105, 120, 126, 128}))
+def test_spectra_side_preserving_counts_past_the_enumerator(g):
+    row = spectra(g)
+    assert (row.e_sp, row.n_sp) == _essential_sp_counts_by_pairs(g)
+
+
 def test_spectra_stays_healthy_past_the_reference_range():
     # smoke the larger-order search paths the reference table stops short of
     for g in (31, 40):
