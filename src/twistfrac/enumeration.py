@@ -26,8 +26,8 @@ tuples and sorts them.  Orders are visited ascending, so `sp_keys` /
 `se_keys` stream the sorted listing, one key list per order, without
 building a data set; only `enumerate_sp` / `enumerate_se` build them.
 
-`spectra` lists nothing: it counts the essential side-preserving sets in
-closed form, the side-exchanging ones over the same signature walk.
+`spectra` lists nothing: it reads the essential signatures off cofactor
+divisors and counts their sets without the signature walk.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .datasets import (
 ORACLE_MAX_GENUS = 8
 
 # Cap for the spectra table; the count above this is still exact, only slower
-# (genus 1..128 takes about 0.4 s in all).
+# (genus 1..128 takes about 0.1 s in process).
 SPECTRA_MAX_GENUS = 128
 
 
@@ -177,14 +177,6 @@ def _signatures(f: Filters, order: int, targets: range, essential_cones: int):
                 yield g0, sig
 
 
-def _se_signatures(f: Filters, g: int, two_n: int):
-    """The `_signatures` of the SE order 2n at genus g whose sets can generate."""
-    targets = range(2 * g + two_n, -1, -2 * two_n)  # 2(g + n) - 4 g0 n, g0 = 0, 1, ...
-    for g0, sig in _signatures(f, two_n, targets, 2):
-        if g0 or _odd_cofactors(two_n, sig):
-            yield g0, sig
-
-
 def _sp_order_rows(g: int, f: Filters, n: int) -> list[tuple]:
     """Sorted keys (n, l, g0, a, b, cones) of the SP sets of genus g and order n.
 
@@ -219,7 +211,10 @@ def _se_order_rows(g: int, f: Filters, two_n: int) -> list[tuple]:
     """
     rows: list[tuple] = []
     n = two_n // 2
-    for g0, sig in _se_signatures(f, g, two_n):
+    targets = range(2 * g + two_n, -1, -2 * two_n)  # 2(g + n) - 4 g0 n, g0 = 0, 1, ...
+    for g0, sig in _signatures(f, two_n, targets, 2):
+        if not (g0 or _odd_cofactors(two_n, sig)):
+            continue  # over a sphere, sets generate only through an odd cofactor
         assignments = _assignments(two_n, sig)
         for a in _units(n):
             exponents = [l for l in _se_exponents(a, n)
@@ -344,8 +339,8 @@ def _essential_sp_counts(g: int) -> tuple[int, int]:
     """(exponents, sets) of the essential side-preserving sets of genus g.
 
     Essential means g0 = 0 and one cone m of weight (n/m)(m-1) = 2g, that
-    is n - c = 2g with c = n/m: the cone exists iff c = n - 2g >= 1
-    divides n, and m = n/c >= 2 holds for every n <= 4g.  The cone twist
+    is n - c = 2g with c = n/m: the cone exists iff c divides n = 2g + c,
+    that is iff c divides 2g, and then m = n/c >= 2.  The cone twist
     k solves ck = -(a+b) mod n, so the sets are the unordered unit pairs
     with a + b in c*U(m).  The ordered ones with a + b = t number
     prod_{p^k || n} p^(k-1) (p - 1 - [p does not divide t]) (Harvey 1966);
@@ -354,54 +349,55 @@ def _essential_sp_counts(g: int) -> tuple[int, int]:
     so no t is odd at even n, the one case where the formula vanishes.
     """
     exponents = count = 0
-    for n in range(2 * g + 1, 4 * g + 1):
-        c = n - 2 * g
-        if n % c == 0:
-            sums = {c * s for s in _units(n // c)}
-            primes = prime_factors(n)
-            ordered = sum(prod([p ** (k - 1) * (p - 1 - (t % p != 0)) for p, k in primes])
-                          for t in sums)
-            count += (ordered + sum(2 * a % n in sums for a in _units(n))) // 2
-            exponents += len(sums)
+    for c in divisors(2 * g):
+        n = 2 * g + c
+        sums = {c * s for s in _units(n // c)}
+        primes = prime_factors(n)
+        ordered = sum(prod([p ** (k - 1) * (p - 1 - (t % p != 0)) for p, k in primes])
+                      for t in sums)
+        count += (ordered + sum(2 * a % n in sums for a in _units(n))) // 2
+        exponents += len(sums)
     return exponents, count
 
 
 def _essential_se_counts(g: int) -> tuple[int, int]:
     """(exponents, sets) of the essential side-exchanging sets of genus g.
 
-    Essential means g0 = 0 and two cones m1 <= m2.  For each unit a mod n
-    the twist k1 runs over the units mod m1 and k2 is solved from
-    (2n/m1)k1 + (2n/m2)k2 = -2a (mod 2n); each admissible exponent l
-    makes one set per solution.
+    Essential means g0 = 0 and two cones m1 <= m2 of weight 2n - c_i,
+    c_i = 2n/m_i, so c1 + c2 = 2n - 2g with c2 <= c1 dividing 2n (then
+    c1 < 2n, so m1 >= 2); both have one parity, and the sets generate iff
+    both are odd.  The twists solve c1 k1 + c2 k2 = -2a (mod 2n) for a unit a
+    mod n; a unit u = a (mod n) of Z/2n scales the canonical solutions for
+    -2 one-to-one onto them, so each signature is solved once, and each
+    exponent l of each a makes one set per solution.
     """
-    exponents = set()
-    count = 0
-    essential = Filters(essential_only=True)
-    for two_n in range(4, 4 * g + 3, 2):
+    exponents = count = 0
+    for two_n in range(2 * g + 2, 4 * g + 3, 2):
         n = two_n // 2
-        for _, (m1, m2) in _se_signatures(essential, g, two_n):
-            c1, c2 = two_n // m1, two_n // m2
-            for a in _units(n):
-                residual = (-2 * a) % two_n
-                solutions = 0
-                for k1 in _units(m1):
-                    remainder = (residual - c1 * k1) % two_n
-                    if remainder % c2:
-                        continue
-                    k2 = remainder // c2
-                    if gcd(k2, m2) == 1 and (m1 != m2 or k1 <= k2):
-                        solutions += 1
-                if solutions:
-                    ls = _se_exponents(a, n)
-                    count += solutions * len(ls)
-                    exponents.update((l, two_n) for l in ls)
-    return len(exponents), count
+        solutions = 0
+        for c2 in divisors(two_n):
+            c1 = two_n - 2 * g - c2
+            if c2 % 2 == 0 or c1 < c2 or two_n % c1:
+                continue
+            m1, m2 = two_n // c1, two_n // c2
+            for k1 in _units(m1):
+                remainder = (-2 - c1 * k1) % two_n
+                if remainder % c2:
+                    continue
+                k2 = remainder // c2
+                if gcd(k2, m2) == 1 and (m1 != m2 or k1 <= k2):
+                    solutions += 1
+        if solutions:
+            ls = [l for a in _units(n) for l in _se_exponents(a, n)]
+            count += solutions * len(ls)
+            exponents += len(set(ls))
+    return exponents, count
 
 
 def spectra(g: int) -> SpectraRow:
     """Exponent and class counts of the essential data sets of genus g.
 
-    The counts come from a closed form and residue loops, not from listing sets.
+    The counts come from cofactor divisors, not from listing sets.
     """
     _check_genus(g)
     e_sp, n_sp = _essential_sp_counts(g)

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import hashlib
 import io
 import json
 import os
@@ -944,6 +945,17 @@ def test_spectra_text_and_json():
                         "--format", "json-lines")
     assert json.loads(out) == {"surface_genus": 5, "e_sp": 13, "e_se": 22,
                                "n_sp": 26, "n_se": 33}
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "7d5e4e51c36ed2c69f0dbe5658ee202bca99182eb765a97d48467b2eeefabbd8"),
+    ("csv", "2b1fde4b15e428b4cee617eb2f154e0005c0a3507c1f2671abfd08fc2fb3812a"),
+    ("json-lines", "20ab37f624aa2b4f02e4168ae4cf76900740c8f532483089f1ced9ef47b36275"),
+])
+def test_spectra_bytes_up_to_the_cap(fmt, digest):
+    code, out = run_cli("spectra", "--from", "1", "--to", "128", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_spectra_range_validation(capsys):

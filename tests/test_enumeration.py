@@ -20,7 +20,8 @@ from twistfrac import (
     sp_root_decompose,
     validate,
 )
-from twistfrac.arith import cone_signatures, divisors
+from twistfrac import enumeration
+from twistfrac.arith import cone_signatures, divisors, units_mod
 from twistfrac.enumeration import _assignments, _odd_cofactors, se_keys, sp_keys
 from reference_data import SE_ESSENTIAL_G4, SP_ESSENTIAL_G4
 
@@ -265,11 +266,66 @@ def _essential_sp_counts_by_pairs(g):
     return len(exponents), count
 
 
+def _essential_se_counts_by_units(g):
+    """Reference: solve every generating two-cone signature once per unit a mod n."""
+    exponents = set()
+    count = 0
+    for two_n in range(4, 4 * g + 3, 2):
+        n = two_n // 2
+        for m1, m2 in cone_signatures(two_n, 2 * g + two_n, 2):  # g0 = 0
+            if not _odd_cofactors(two_n, (m1, m2)):
+                continue
+            c1, c2 = two_n // m1, two_n // m2
+            for a in units_mod(n):
+                solutions = 0
+                for k1 in units_mod(m1):
+                    remainder = (-2 * a - c1 * k1) % two_n
+                    k2 = remainder // c2
+                    if (remainder % c2 == 0 and gcd(k2, m2) == 1
+                            and (m1 != m2 or k1 <= k2)):
+                        solutions += 1
+                # the exponents l in [2, 2n-1] with l*a = 2 (mod n)
+                ls = [l for l in range(2, two_n) if (l * a - 2) % n == 0]
+                count += solutions * len(ls)
+                exponents.update((l, two_n) for l in ls if solutions)
+    return len(exponents), count
+
+
 # every fourth genus, plus the cap and the genera with the most essential orders
 @pytest.mark.parametrize("g", sorted(set(range(41, 129, 4)) | {96, 105, 120, 126, 128}))
 def test_spectra_side_preserving_counts_past_the_enumerator(g):
+    # despite its name, it holds the side-exchanging columns too
     row = spectra(g)
     assert (row.e_sp, row.n_sp) == _essential_sp_counts_by_pairs(g)
+    assert (row.e_se, row.n_se) == _essential_se_counts_by_units(g)
+
+
+def test_two_cone_counts_do_not_depend_on_the_unit():
+    # a unit u = a (mod n) of Z/2n scales the canonical assignments with
+    # residual -2 one-to-one onto those with residual -2a
+    checked = 0
+    for two_n in range(4, 65, 2):
+        n = two_n // 2
+        for target in range(two_n + 2, 2 * two_n, 2):  # genus 1, 2, ... at g0 = 0
+            for signature in cone_signatures(two_n, target, 2):
+                if len(signature) != 2 or not _odd_cofactors(two_n, signature):
+                    continue
+                assignments = _assignments(two_n, signature)
+                counts = {len(assignments.get(-2 * a % two_n, ())) for a in units_mod(n)}
+                assert len(counts) == 1, (two_n, signature, counts)
+                checked += 1
+    assert checked > 100  # 105 signatures
+
+
+def test_spectra_needs_no_signature_walk(monkeypatch):
+    expected = [spectra(g) for g in (1, 4, 19, 40)]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("spectra walked the cone signatures")
+
+    for name in ("cone_signatures", "_signatures", "Filters"):
+        monkeypatch.setattr(enumeration, name, fail)
+    assert [spectra(g) for g in (1, 4, 19, 40)] == expected
 
 
 def test_spectra_stays_healthy_past_the_reference_range():
