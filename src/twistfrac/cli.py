@@ -203,14 +203,18 @@ def cmd_validate(args, out) -> int:
 
     kind = None if args.kind == "auto" else args.kind
     # A listing holds few distinct reports: each is rendered once, and
-    # `lines` holds the shared output line of every record.
+    # `lines` holds the shared output line of every record.  Listings also
+    # repeat cone texts, which `record_fields` reads through a bounded memo.
+    # A line is stripped once here: stripping it again in `record_fields`
+    # returns the same string.
     rendered = {}
     lines = []
     all_valid = True
     try:
         with stream as handle:
             for number, line in enumerate(handle, start=1):
-                if not line.strip():
+                line = line.strip()
+                if not line:
                     continue
                 try:
                     shape, fields = record_fields(line, kind)

@@ -405,9 +405,13 @@ def _short_repr(value) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+# The field checks take an int or an int subclass, never a bool.  JSON gives
+# plain ints, so `type(v) is int` answers first, and isinstance runs only for
+# other types.
+
 def _int_field(record: dict, key: str) -> int:
     value = record.get(key)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"field {key!r} must be an integer")
     return value
 
@@ -420,8 +424,8 @@ def _cones_field(record: dict) -> tuple[tuple[int, int], ...]:
     for entry in raw:
         if isinstance(entry, (list, tuple)) and len(entry) == 2:
             k, m = entry
-            if (isinstance(k, int) and isinstance(m, int)
-                    and not isinstance(k, bool) and not isinstance(m, bool)):
+            if ((type(k) is int or isinstance(k, int) and not isinstance(k, bool))
+                    and (type(m) is int or isinstance(m, int) and not isinstance(m, bool))):
                 cones.append((k, m))
                 continue
         raise ValueError(f"bad cone entry {_short_repr(entry)}")
@@ -466,14 +470,35 @@ _TUPLE_TEXT = re.compile(
 _CONE_PAIR = re.compile(r"(-?[0-9]+)\s*,\s*(-?[0-9]+)")
 
 
+# Listings repeat cone texts (318 distinct among the 822 sets of genus 9), so
+# each text of at most _CONE_MEMO_CHARS characters is turned into ints once
+# while it stays among the memo's 4096 most recent texts.  The cap bounds
+# what an entry retains, whatever the input: about 6.5 MiB for a full memo of
+# the densest texts.  No cone text of the genus-24 listing is longer, and 1.7 %
+# of the genus-32 listing's are.
+_CONE_MEMO_CHARS = 128
+
+
+def _cone_pairs(cone_text: str) -> tuple[tuple[int, int], ...]:
+    """The (twist, order) int pairs of the cone group of a tuple text."""
+    return tuple([(int(k), int(m)) for k, m in _CONE_PAIR.findall(cone_text)])
+
+
+_cone_memo = lru_cache(maxsize=4096)(_cone_pairs)
+
+
 def _tuple_fields(text: str) -> tuple[str, tuple]:
-    """The kind and fields of the tuple text syntax; its shape decides SP vs SE."""
+    """The kind and fields of the tuple text syntax; its shape decides SP vs SE.
+
+    A cone group of at most _CONE_MEMO_CHARS characters is read through a
+    bounded memo of cone text -> int pairs; a longer one, such as a cone int
+    too long to convert, is parsed anew, and a failed parse is never cached."""
     mo = _TUPLE_TEXT.fullmatch(text)
     if mo is None:
         more = "..." if len(text) > 40 else ""
         raise ValueError(f"not a data set in tuple text: {text[:40]!r}{more}")
     *ints, cone_text = mo.groups()
-    cones = tuple([(int(k), int(m)) for k, m in _CONE_PAIR.findall(cone_text)])
+    cones = (_cone_memo if len(cone_text) <= _CONE_MEMO_CHARS else _cone_pairs)(cone_text)
     ints = [int(v) for v in ints if v is not None]  # l, order, g0, then a, b or a
     return "sp" if len(ints) == 5 else "se", (*ints, cones)
 
@@ -483,12 +508,37 @@ def parse_tuple_text(text: str) -> DataSet:
     return _data_set(*_tuple_fields(text))
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _json_value(text: str):
+    """json.loads(text) for a text that does not start with JSON whitespace.
+
+    raw_decode skips json.loads's two whitespace scans.  A text with more
+    after its value goes to json.loads, which accepts trailing whitespace or
+    raises its own "Extra data" error, so the value or the exception's type
+    and message are json.loads's."""
+    value, end = _raw_decode(text)
+    return value if end == len(text) else json.loads(text)
+
+
+def _json_fields(text: str) -> tuple[str, tuple]:
+    """The kind and fields of a JSON record text.
+
+    Its decode runs three Python frames below `record_fields`, as json.loads,
+    decode and raw_decode did, so on Pythons where the C scanner's nesting
+    counts against the recursion limit it gives up at the same depth."""
+    return _record_fields(_json_value(text))
+
+
 def record_fields(line: str, kind: str | None = None) -> tuple[str, tuple]:
     """The kind and fields of a JSON or tuple text record, checked against `kind`:
-    the arguments of `_sp_report` or `_se_report`, with no data set built."""
+    the arguments of `_sp_report` or `_se_report`, with no data set built.
+
+    A JSON record is decoded as json.loads would (see `_json_value`); tuple
+    text reads its cones through `_tuple_fields`'s bounded memo."""
     text = line.strip()
-    shape, fields = (_record_fields(json.loads(text)) if text.startswith("{")
-                     else _tuple_fields(text))
+    shape, fields = _json_fields(text) if text.startswith("{") else _tuple_fields(text)
     if kind is not None and kind != shape:
         raise ValueError(f"record is {shape.upper()} but --kind {kind} was given")
     return shape, fields

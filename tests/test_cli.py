@@ -31,6 +31,7 @@ from twistfrac import (
 from twistfrac.cli import main
 from twistfrac.datasets import (
     CONDITION_LABELS,
+    _cone_memo,
     _se_report,
     _sp_report,
     key_text,
@@ -534,6 +535,25 @@ def test_validate_bytes_equal_the_per_report_rendering(fmt, per_write, tmp_path,
     expected = _rendered_reports([validate(d) for d in sets[::4]], fmt)
     assert expected[0] == 0
     assert run_cli("validate", str(path), "--format", fmt) == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+def test_validate_bytes_do_not_depend_on_the_cone_memo(fmt, tmp_path):
+    # The genus 9 listing, each set also with a -> a+1, validated twice in one
+    # process: the cone memo cold, then warm.
+    sets = [e for d in enumerate_sp(9) + enumerate_se(9) for e in (d, replace(d, a=d.a + 1))]
+    expected = _rendered_reports([validate(d) for d in sets], fmt)
+    assert expected[0] == 2
+    for syntax, render in (("json", lambda d: json.dumps(to_record(d))), ("text", str)):
+        path = tmp_path / f"{syntax}.txt"
+        path.write_text("".join(render(d) + "\n" for d in sets))
+        _cone_memo.cache_clear()
+        cold = run_cli("validate", str(path), "--format", fmt)
+        hits = _cone_memo.cache_info().hits
+        warm = run_cli("validate", str(path), "--format", fmt)
+        assert cold == warm == expected
+        # tuple text reads every cone text from the warm memo; JSON never uses it
+        assert _cone_memo.cache_info().hits - hits == (len(sets) if syntax == "text" else 0)
 
 
 def test_validate_csv_row_needs_no_quoting(tmp_path, monkeypatch):

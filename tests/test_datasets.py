@@ -1,5 +1,7 @@
 import json
 import random
+import sys
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -25,7 +27,18 @@ from twistfrac import (
     validate_se,
     validate_sp,
 )
-from twistfrac.datasets import _cones_field, _report, se_genus_if_valid, sp_genus_if_valid
+from twistfrac.datasets import (
+    _CONE_MEMO_CHARS,
+    _cone_memo,
+    _cones_field,
+    _json_value,
+    _record_fields,
+    _report,
+    record_fields,
+    se_genus_if_valid,
+    sp_genus_if_valid,
+)
+from test_cli import MALFORMED_LINES, PARITY_DEPTHS, deeply_nested_records
 
 
 def sp(l, n, g0, a, b, cones):
@@ -617,6 +630,128 @@ def test_from_record_builds_cone_pairs_from_tuples_and_int_subclasses():
     assert d.cones == (ConePair(5, 9), ConePair(1, 3))
     assert [type(c) for c in d.cones] == [ConePair, ConePair]
     assert (type(d.cones[0].order), type(d.cones[1].twist)) == (_Order, _Order)
+
+
+INT_FIELDS = {"SP": ("l", "n", "g0", "a", "b"), "SE": ("l", "two_n", "g0", "a")}
+RECORDS_BY_KIND = {"SP": to_record(sp(1, 9, 0, 2, 2, [(5, 9)])),
+                   "SE": to_record(se(17, 18, 0, 7, [(1, 2), (13, 18)]))}
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, keys in INT_FIELDS.items()
+                                       for key in keys])
+def test_int_fields_accept_int_subclasses_and_refuse_bools(kind, key):
+    record = {**RECORDS_BY_KIND[kind], key: _Order(RECORDS_BY_KIND[kind][key])}
+    d = from_record(record)
+    assert (getattr(d, key), type(getattr(d, key))) == (record[key], _Order)
+    shape, fields = _record_fields(record)
+    assert shape == kind.lower() and fields == _record_fields(RECORDS_BY_KIND[kind])[1]
+    assert _Order in {type(v) for v in fields}
+    for flag in (True, False):
+        record = {**RECORDS_BY_KIND[kind], key: flag}
+        for parse in (from_record, _record_fields, lambda r: record_fields(json.dumps(r))):
+            with pytest.raises(ValueError) as info:
+                parse(record)
+            assert str(info.value) == f"field {key!r} must be an integer"
+
+
+# ------------------------------------------------------------ record parsing
+
+def _decode_outcome(decode, text):
+    """What decoding `text` gives: its value's repr (NaN equals itself there),
+    or the exception's type and message."""
+    try:
+        return repr(decode(text))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+# More after a value, as a line can hold it: a word, a second value, JSON
+# whitespace before either, and a line separator that str.strip would drop.
+JSON_TAILS = st.sampled_from(["x", "{}", " \tx", " \t{}", "\t\n 1", " \t", "\u2028"])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.one_of(JSON_VALUES.map(json.dumps),
+                 st.sampled_from(MALFORMED_LINES),
+                 st.tuples(JSON_VALUES.map(json.dumps), JSON_TAILS).map("".join),
+                 deeply_nested_records(PARITY_DEPTHS).map(lambda text_depth: text_depth[0])))
+def test_json_value_equals_json_loads(text):
+    assert not text[:1].isspace()  # record_fields strips every line first
+    assert _decode_outcome(_json_value, text) == _decode_outcome(json.loads, text)
+
+
+def _loads_record_fields(line):
+    """record_fields as it was for JSON, decoding through json.loads."""
+    return _record_fields(json.loads(line.strip()))
+
+
+def test_json_records_meet_the_recursion_limit_where_json_loads_did():
+    # Where the C scanner's nesting counts against the recursion limit
+    # (Python < 3.12), one frame more or less moves the depth that fails.
+    limit = sys.getrecursionlimit()
+    outcomes = set()
+    for depth in range(limit - 300, limit):
+        line = '{"cones":' + "[" * depth + "]" * depth + "}"
+        new = _decode_outcome(record_fields, line)
+        assert new == _decode_outcome(_loads_record_fields, line), depth
+        outcomes.add(new[0])
+    if sys.version_info < (3, 12):
+        assert outcomes == {ValueError, RecursionError}
+
+
+def _cone_text(pairs):
+    return ", ".join(f"({k}, {m})" for k, m in pairs)
+
+
+def test_cone_texts_over_the_cap_bypass_the_memo():
+    pairs = [(1, 2)] * (_CONE_MEMO_CHARS // 8 + 1)
+    long_text = _cone_text(pairs)
+    assert len(long_text) > _CONE_MEMO_CHARS
+    before = _cone_memo.cache_info()
+    assert record_fields(f"((1, 2), 0, 1; {long_text})") == ("se", (1, 2, 0, 1, tuple(pairs)))
+    after = _cone_memo.cache_info()
+    assert (after.currsize, after.hits, after.misses) == (before.currsize, before.hits,
+                                                          before.misses)
+
+    _cone_memo.cache_clear()
+    at_cap = "(1, 2), " * (_CONE_MEMO_CHARS // 8 - 1) + "(1, 2)" + " " * 2
+    assert len(at_cap) == _CONE_MEMO_CHARS
+    record_fields(f"((1, 2), 0, 1;{at_cap})")  # the cone text runs from ';' to the last ')'
+    assert _cone_memo.cache_info().currsize == 1
+
+
+def test_a_cone_int_past_the_digit_limit_fails_alike_on_every_call():
+    line = f"((1, 9), 0, (2, 2); (5, {'9' * 5000}))"
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            record_fields(line)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] and "\n" not in messages[0]
+    assert "digits" in messages[0]
+
+
+def test_the_cone_memo_is_bounded_in_entries_and_bytes():
+    # The densest texts at the cap: each pair a new tuple of two ints past the
+    # small-int cache, so an entry retains the most it can.
+    texts = []
+    for i in range(_cone_memo.cache_info().maxsize + 100):
+        text = _cone_text([(i, 2)] + [(257 + j, 300 + j) for j in range(_CONE_MEMO_CHARS)])
+        texts.append(text[:text.rfind(")", 0, _CONE_MEMO_CHARS) + 1])
+    assert len(set(texts)) == len(texts) and max(map(len, texts)) <= _CONE_MEMO_CHARS
+    _cone_memo.cache_clear()
+    tracemalloc.start()
+    try:
+        for text in texts:
+            record_fields(f"((1, 2), 0, 1;{text})")
+        retained, _ = tracemalloc.get_traced_memory()
+        info = _cone_memo.cache_info()
+    finally:
+        tracemalloc.stop()
+        _cone_memo.cache_clear()
+    assert info.currsize == info.maxsize == 4096 and info.misses == len(texts)
+    # 4,096 entries of up to 128 characters: about 6.5 MiB at most
+    assert retained < 8 * 2**20
 
 
 def _old_str(d):
