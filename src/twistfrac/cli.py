@@ -8,6 +8,9 @@ Exit codes are a stable contract:
     2  validation failure (invalid record, failed decomposition)
     3  internal consistency failure (oracle mismatch, law violation)
 
+Every exit-1 refusal is raised, and `main` alone prints its one line; a
+closed stdout ends with exit 1 and nothing on stderr.
+
 Text listings group data sets under 'Exponent l/order' headers ascending
 by (order, l); json-lines output round-trips through `from_record`.  Every
 listing format is one `_LISTING_FORMATS` row, written in batches by `_write`.
@@ -139,8 +142,8 @@ def render_listing(kinds, fmt: str, out) -> None:
             del chunk
 
 
-class _OutputError(Exception):
-    """The --output path cannot be written; main() reports it and exits 1."""
+class _Refused(Exception):
+    """A refused input or output path; main() prints the message and exits 1."""
 
 
 @contextmanager
@@ -152,7 +155,7 @@ def _open_output(path: str | None, fallback):
     everything.  If the command fails, the temporary file is removed and
     PATH is left as it was.  Symlinks are followed, and a PATH that is not
     a regular file, such as a pipe or a device, is written directly: it
-    cannot be replaced.  An OSError becomes an _OutputError.
+    cannot be replaced.  An OSError becomes a _Refused.
     """
     if path is None:
         yield fallback
@@ -173,7 +176,7 @@ def _open_output(path: str | None, fallback):
             os.replace(temp, target)
             temp = None
     except OSError as exc:
-        raise _OutputError(f"cannot write {path}: {exc}") from None
+        raise _Refused(f"cannot write {path}: {exc}")
     finally:
         if temp is not None:
             with suppress(OSError):
@@ -196,8 +199,7 @@ def cmd_validate(args, out) -> int:
         try:
             stream = open(args.file, encoding="utf-8")
         except OSError as exc:
-            print(f"cannot open {args.file}: {exc}", file=sys.stderr)
-            return 1
+            raise _Refused(f"cannot open {args.file}: {exc}")
     else:
         stream = nullcontext(sys.stdin)
 
@@ -219,8 +221,7 @@ def cmd_validate(args, out) -> int:
                 try:
                     shape, fields = record_fields(line, kind)
                 except (ValueError, RecursionError) as exc:
-                    print(f"line {number}: {exc}", file=sys.stderr)
-                    return 1
+                    raise _Refused(f"line {number}: {exc}")
                 report = (_sp_report if shape == "sp" else _se_report)(*fields)
                 text = rendered.get(report)
                 if text is None:
@@ -228,15 +229,12 @@ def cmd_validate(args, out) -> int:
                         text = rendered[report] = _report_line(report, args.format)
                     except ValueError:
                         # str() refuses ints past sys.get_int_max_str_digits()
-                        print(f"line {number}: genus has too many digits to print",
-                              file=sys.stderr)
-                        return 1
+                        raise _Refused(f"line {number}: genus has too many digits to print")
                     all_valid = all_valid and report.valid
                 lines.append(text)
     except UnicodeDecodeError as exc:
         # raised by the reads, which decode ahead of the line being parsed
-        print(f"input is not UTF-8 text: {exc}", file=sys.stderr)
-        return 1
+        raise _Refused(f"input is not UTF-8 text: {exc}")
 
     # Nothing is written before the whole input has parsed.
     with _open_output(args.output, out) as sink:
@@ -275,18 +273,12 @@ def cmd_enumerate(args, out) -> int:
         filters = Filters(essential_only=args.essential, exponent=exponent,
                           g0=args.g0, cone_count=args.cones)
     except ValueError as exc:  # Filters refuses an exponent order below 2
-        print(exc, file=sys.stderr)
-        return 1
+        raise _Refused(str(exc))
 
     if args.oracle:
         if args.kind == "both":
-            print("--oracle needs --kind sp or --kind se", file=sys.stderr)
-            return 1
-        try:
-            reference = enumerate_oracle(args.genus, args.kind)
-        except OracleBoundError as exc:
-            print(exc, file=sys.stderr)
-            return 1
+            raise _Refused("--oracle needs --kind sp or --kind se")
+        reference = enumerate_oracle(args.genus, args.kind)
         enumerate_kind = enumerate_sp if args.kind == "sp" else enumerate_se
         sets = enumerate_kind(args.genus, filters)
         # the oracle lists every set of the genus
@@ -314,20 +306,17 @@ def cmd_enumerate(args, out) -> int:
     return 0
 
 
-def _genus_range(args) -> range | None:
-    """The genera --from..--to, or None once a reversed range is reported."""
+def _genus_range(args) -> range:
+    """The genera --from..--to; a reversed range is refused."""
     if not 1 <= args.start <= args.end:
-        print(f"need 1 <= --from <= --to, got {args.start}..{args.end}", file=sys.stderr)
-        return None
+        raise _Refused(f"need 1 <= --from <= --to, got {args.start}..{args.end}")
     return range(args.start, args.end + 1)
 
 
 def cmd_spectra(args, out) -> int:
-    if (genera := _genus_range(args)) is None:
-        return 1
+    genera = _genus_range(args)
     if genera.stop - 1 > SPECTRA_MAX_GENUS:
-        print(f"spectra is capped at genus {SPECTRA_MAX_GENUS}", file=sys.stderr)
-        return 1
+        raise _Refused(f"spectra is capped at genus {SPECTRA_MAX_GENUS}")
     rows = [(r.genus_plus_one, r.e_sp, r.e_se, r.n_sp, r.n_se) for r in map(spectra, genera)]
     with _open_output(args.output, out) as sink:
         if args.format == "text":
@@ -346,33 +335,20 @@ def cmd_spectra(args, out) -> int:
 
 def cmd_decompose(args, out) -> int:
     if args.format == "csv":
-        print("decompose supports --format text or json-lines", file=sys.stderr)
-        return 1
+        raise _Refused("decompose supports --format text or json-lines")
     try:
         d = parse_record_line(args.record, args.kind)
     except (ValueError, RecursionError) as exc:
-        print(f"bad record: {exc}", file=sys.stderr)
-        return 1
+        raise _Refused(f"bad record: {exc}")
 
     if args.kind == "sp":
         if args.r is not None:
-            print("--r applies to side-exchanging decompositions only", file=sys.stderr)
-            return 1
-        try:
-            result = sp_root_decompose(d)
-        except NotApplicableError as exc:
-            print(exc, file=sys.stderr)
-            return 1
-        status, record, adjustments = "exact", result, ()
+            raise _Refused("--r applies to side-exchanging decompositions only")
+        status, record, adjustments = "exact", sp_root_decompose(d), ()
     else:
         if args.r is None:
-            print("side-exchanging decomposition needs --r", file=sys.stderr)
-            return 1
-        try:
-            outcome = se_power_decompose(d, args.r)
-        except NotApplicableError as exc:
-            print(exc, file=sys.stderr)
-            return 1
+            raise _Refused("side-exchanging decomposition needs --r")
+        outcome = se_power_decompose(d, args.r)
         status, record, adjustments = outcome.status, outcome.result, outcome.adjustments
 
     with _open_output(args.output, out) as sink:
@@ -427,18 +403,15 @@ def cmd_families(args, out) -> int:
                 sink.write(f'"{label}",{csv_head(key)}{csv_cones(key[-1])},'
                            f'"{str(report.valid).lower()}",{genus}\n')
     except ValueError:
-        print("genus has too many digits to print", file=sys.stderr)
-        return 1
+        raise _Refused("genus has too many digits to print")
     with _open_output(args.output, out) as target:
         target.write(sink.getvalue())
     return 0 if all(report.valid for _, _, report in rows) else 2
 
 
 def cmd_audit(args, out) -> int:
-    if (genera := _genus_range(args)) is None:
-        return 1
     kinds = ("sp", "se") if args.kind == "both" else (args.kind,)
-    results = [audit(g, kind) for g in genera for kind in kinds]
+    results = [audit(g, kind) for g in _genus_range(args) for kind in kinds]
     total_violations = sum(len(r.violations) for r in results)
     with _open_output(args.output, out) as sink:
         if args.format == "text":
@@ -555,16 +528,23 @@ def main(argv=None, stdout=None) -> int:
         # argparse exits 2 on usage errors; our contract reserves 1 for
         # input problems and 2 for validation failures.
         return 0 if exc.code in (0, None) else 1
-    if args.output is not None:
-        # Refuse a missing directory before computing anything.
-        parent = os.path.dirname(os.path.abspath(args.output))
-        if not os.path.isdir(parent):
-            print(f"cannot write {args.output}: no directory {parent}", file=sys.stderr)
-            return 1
     try:
-        return args.handler(args, out)
-    except _OutputError as exc:
+        if args.output is not None:
+            # Refuse a missing directory before computing anything.
+            parent = os.path.dirname(os.path.abspath(args.output))
+            if not os.path.isdir(parent):
+                raise _Refused(f"cannot write {args.output}: no directory {parent}")
+        code = args.handler(args, out)
+        if out is sys.stdout:  # a closed stdout fails here, not at interpreter exit
+            out.flush()
+        return code
+    except (_Refused, NotApplicableError, OracleBoundError) as exc:
         print(exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        if out is sys.stdout:  # the buffer left is flushed at exit, into devnull
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), out.fileno())
         return 1
 
 

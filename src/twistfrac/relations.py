@@ -39,9 +39,11 @@ class DecompositionResult:
     """Outcome of a side-exchanging power decomposition.
 
     status is "exact" (plain residue scaling), "adjusted" (some cone
-    product needed its unit lift; see `adjustments`) or "failed" (no unit
-    lift exists, or the adjusted tuple does not validate).  Each
-    adjustment is (1-based cone index, raw product, chosen residue).
+    product needed its unit lift; see `adjustments`) or "failed" (the
+    adjusted tuple does not validate: a guard, as a unit lift always exists
+    but no proof here shows that it keeps the residue sum; none fails up to
+    genus 16).  Each adjustment is (1-based cone index, raw product, chosen
+    residue).
     """
 
     status: str
@@ -86,8 +88,8 @@ def se_power_decompose(d: SeDataSet, r: int) -> DecompositionResult:
     Requires r > 1 dividing l with l/r >= 2 (exponent-1 side-exchanging
     powers of even order do not exist) and gcd(l, n) = 1.  The candidate
     scales a and the cone twists by r; a cone product that is not a unit
-    is replaced, when the cone order is even, by the unique unit residue
-    congruent to it modulo half the order.
+    is replaced by the unique unit residue congruent to it modulo half the
+    order.
     """
     if not validate_se(d).valid:
         raise NotApplicableError("input is not a valid side-exchanging data set")
@@ -108,14 +110,15 @@ def se_power_decompose(d: SeDataSet, r: int) -> DecompositionResult:
         if gcd(raw, c.order) == 1:
             cones.append(ConePair(raw, c.order))
             continue
-        if c.order % 2:
-            return DecompositionResult("failed", None, tuple(adjustments))
+        # Not a unit: the order shares a factor with r, which is prime to n,
+        # so r is even, n odd, the order 2 mod 4 and its half odd and prime
+        # to r.  Of the two residues congruent to raw mod half, the odd one
+        # is the unit.
         half = c.order // 2
-        lifts = [x for x in (raw % half, raw % half + half) if gcd(x, c.order) == 1]
-        if len(lifts) != 1:
-            return DecompositionResult("failed", None, tuple(adjustments))
-        adjustments.append((index, raw, lifts[0]))
-        cones.append(ConePair(lifts[0], c.order))
+        low = raw % half
+        lift = low if low % 2 else low + half
+        adjustments.append((index, raw, lift))
+        cones.append(ConePair(lift, c.order))
 
     candidate = canonicalize_se(
         SeDataSet(d.l // r, d.two_n, d.g0, r * d.a % n, tuple(cones)))

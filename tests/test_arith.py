@@ -84,6 +84,12 @@ def test_mod_inverse_basics():
         mod_inverse(4, 10)
 
 
+def test_mod_inverse_refuses_a_modulus_below_2():
+    for n in (1, 0, -3):
+        with pytest.raises(ValueError, match="needs modulus >= 2"):
+            mod_inverse(0, n)
+
+
 def test_mod_inverse_everywhere():
     for n in range(2, 60):
         for a in units_mod(n):

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import select
 import stat
 import subprocess
 import sys
@@ -658,16 +659,26 @@ def test_enumerate_oracle_agreement_exit_0():
     assert code == 0
 
 
-@pytest.mark.parametrize("mangle", [lambda sets: sets[::-1], lambda sets: sets[:1] + sets],
-                         ids=["reversed", "repeated"])
-def test_enumerate_oracle_mismatch_of_the_same_sets_is_explained(mangle, monkeypatch, capsys):
+GENUS_4_SP = SpDataSet(1, 9, 0, 2, 2, (ConePair(5, 9),))  # in no genus-3 listing
+
+
+@pytest.mark.parametrize("mangle, err", [
+    (lambda sets: sets[::-1], "enumerator lists the oracle's sets in another order or "
+                              "with repeats (40 listed, 40 expected)\n"),
+    (lambda sets: sets[:1] + sets, "enumerator lists the oracle's sets in another order or "
+                                   "with repeats (41 listed, 40 expected)\n"),
+    (lambda sets: sets[1:], "oracle only: ((1, 3), 0, (2, 2); (1, 3), (2, 3), (2, 3))\n"),
+    (lambda sets: sets + [GENUS_4_SP], "enumerator only: ((1, 9), 0, (2, 2); (5, 9))\n"),
+], ids=["reversed", "repeated", "dropped", "added"])
+def test_enumerate_oracle_mismatch_of_the_same_sets_is_explained(mangle, err, monkeypatch,
+                                                                 capsys):
     import twistfrac.cli as cli_mod
 
     listing = cli_mod.enumerate_sp
     monkeypatch.setattr(cli_mod, "enumerate_sp", lambda g, f: mangle(listing(g, f)))
     code, out = run_cli("enumerate", "--genus", "3", "--kind", "sp", "--oracle")
     assert (code, out) == (3, "")
-    assert len(capsys.readouterr().err.splitlines()) >= 1
+    assert capsys.readouterr().err == err
 
 
 def test_enumerate_oracle_bound_exit_1(capsys):
@@ -1149,11 +1160,104 @@ def test_argparse_errors_map_to_exit_1():
     assert run_cli("audit", "--from", "1", "--to", "1", "--jobs", "2")[0] == 1
 
 
-def _run_child_cli(*args, stdin=None):
-    """Run the CLI in a child Python that finds the package in src/, installed or not."""
+DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="str() of an int has no digit limit")
+SP_RECORD = "((2, 9), 0, (1, 1); (7, 9))"
+SE_RECORD = "((6, 10), 0, 2; (3, 10), (3, 10))"
+
+# Every refusal: argv, the bytes of {tmp}/records.txt, and the one stderr
+# text.  {tmp} stands for the test's directory.
+REFUSALS = [
+    pytest.param(["validate", "{tmp}/missing.txt"], b"",
+                 "cannot open {tmp}/missing.txt: [Errno 2] No such file or directory: "
+                 "'{tmp}/missing.txt'\n", id="validate-missing-file"),
+    pytest.param(["validate", "{tmp}/records.txt"],
+                 b"((1, 9), 0, (2, 2); (5, 9))\nnot a record\n",
+                 "line 2: not a data set in tuple text: 'not a record'\n",
+                 id="validate-bad-line"),
+    pytest.param(["validate", "{tmp}/records.txt"], b"\xff(\n",
+                 "input is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                 "position 0: invalid start byte\n", id="validate-not-utf8"),
+    pytest.param(["validate", "{tmp}/records.txt", "--kind", "se"],
+                 b"((1, 9), 0, (2, 2); (5, 9))\n",
+                 "line 1: record is SP but --kind se was given\n", id="validate-kind-mismatch"),
+    pytest.param(["validate", "{tmp}/records.txt"],
+                 b"((1, 9), 0, (2, 2); (5, 9))\n((2, 3), 9" + b"0" * 4299 + b", (1, 1); (1, 3))\n",
+                 "line 2: genus has too many digits to print\n",
+                 id="validate-unprintable-genus", marks=DIGIT_LIMIT),
+    pytest.param(["enumerate", "--genus", "4", "--exponent", "3/1"], b"",
+                 "exponent order must be >= 2, got 1\n", id="enumerate-exponent-order"),
+    pytest.param(["enumerate", "--genus", "4", "--exponent", "8-16"], b"",
+                 "exponent must look like 'l/order', got '8-16'\n",
+                 id="enumerate-exponent-syntax"),
+    pytest.param(["enumerate", "--genus", "3", "--oracle"], b"",
+                 "--oracle needs --kind sp or --kind se\n", id="enumerate-oracle-both"),
+    pytest.param(["enumerate", "--genus", "9", "--kind", "sp", "--oracle"], b"",
+                 "oracle enumeration is bounded to genus <= 8, got 9\n",
+                 id="enumerate-oracle-bound"),
+    pytest.param(["spectra", "--from", "3", "--to", "2"], b"",
+                 "need 1 <= --from <= --to, got 3..2\n", id="spectra-reversed"),
+    pytest.param(["audit", "--from", "3", "--to", "2"], b"",
+                 "need 1 <= --from <= --to, got 3..2\n", id="audit-reversed"),
+    pytest.param(["spectra", "--from", "1", "--to", "999"], b"",
+                 "spectra is capped at genus 128\n", id="spectra-cap"),
+    pytest.param(["decompose", "--kind", "sp", "--format", "csv", SP_RECORD], b"",
+                 "decompose supports --format text or json-lines\n", id="decompose-csv"),
+    pytest.param(["decompose", "--kind", "sp", "not a record"], b"",
+                 "bad record: not a data set in tuple text: 'not a record'\n",
+                 id="decompose-bad-record"),
+    pytest.param(["decompose", "--kind", "sp", "--r", "2", SP_RECORD], b"",
+                 "--r applies to side-exchanging decompositions only\n", id="decompose-sp-r"),
+    pytest.param(["decompose", "--kind", "sp", "((4, 12), 0, (5, 11); (2, 3))"], b"",
+                 "gcd(l, n) = 4, need 1\n", id="decompose-sp-not-coprime"),
+    pytest.param(["decompose", "--kind", "se", SE_RECORD], b"",
+                 "side-exchanging decomposition needs --r\n", id="decompose-se-no-r"),
+    pytest.param(["decompose", "--kind", "se", "--r", "4", SE_RECORD], b"",
+                 "r = 4 does not divide l = 6\n", id="decompose-se-r-not-dividing"),
+    pytest.param(["families", "--genus", "3" + "0" * 4299], b"",
+                 "genus has too many digits to print\n",
+                 id="families-unprintable-genus", marks=DIGIT_LIMIT),
+    pytest.param(["spectra", "--from", "1", "--to", "2", "--output", "{tmp}/missing/out.txt"],
+                 b"", "cannot write {tmp}/missing/out.txt: no directory {tmp}/missing\n",
+                 id="output-missing-directory"),
+    pytest.param(["spectra", "--from", "1", "--to", "2", "--output", "{tmp}"], b"",
+                 "cannot write {tmp}: [Errno 21] Is a directory: '{tmp}'\n",
+                 id="output-is-a-directory"),
+    pytest.param(["enumerate"], b"",
+                 "usage: twistfrac enumerate [-h] --genus GENUS [--kind {sp,se,both}] "
+                 "[--essential] [--exponent L/ORDER] [--g0 G0] [--cones CONES] [--oracle] "
+                 "[--format {text,json-lines,csv}] [--output PATH]\n"
+                 "twistfrac enumerate: error: the following arguments are required: --genus\n",
+                 id="missing-required-flag"),
+]
+
+
+@pytest.mark.parametrize("argv, data, err", REFUSALS)
+def test_every_refusal_exits_1_with_its_exact_stderr(argv, data, err, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setenv("COLUMNS", "1000")  # argparse's usage line, unwrapped
+    (tmp_path / "records.txt").write_bytes(data)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert run_cli(*argv) == (1, "")
+    assert capsys.readouterr().err == err.replace("{tmp}", str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.txt"]
+
+
+def _child_env():
+    """The environment of a child Python that finds the package in src/, installed or not.
+
+    Its stdout is block-buffered, as in a plain shell, even when the tests run with
+    PYTHONUNBUFFERED set.
+    """
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _run_child_cli(*args, stdin=None):
     return subprocess.run([sys.executable, "-m", "twistfrac.cli", *args], input=stdin,
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_child_env())
 
 
 def test_console_script_entry_point():
@@ -1166,6 +1270,56 @@ def test_validate_reads_stdin():
     proc = _run_child_cli("validate", "--kind", "sp", stdin="((1, 9), 0, (2, 2); (5, 9))\n")
     assert proc.returncode == 0
     assert proc.stdout == "valid genus=4\n"
+
+
+STRICT_CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "twistfrac.cli"]
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    (["enumerate", "--genus", "12", "--kind", "both", "--format", "text"], 1),
+    (["validate", "LISTING"], 2),
+], ids=["enumerate", "validate"])
+def test_stdout_closed_mid_output_ends_quietly(argv, lines_read, tmp_path):
+    # both outputs outgrow the pipe buffer, so a write meets the closed pipe
+    listing = tmp_path / "listing.jsonl"
+    listing.write_text(run_cli("enumerate", "--genus", "9", "--format", "json-lines")[1] * 24)
+    argv = [str(listing) if arg == "LISTING" else arg for arg in argv]
+    with open(tmp_path / "stderr.txt", "w+b") as err:
+        proc = subprocess.Popen(STRICT_CLI + argv, stdout=subprocess.PIPE, stderr=err,
+                                env=_child_env())
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        err.seek(0)
+        assert err.read() == b""
+
+
+def test_stdout_closed_before_the_first_write_ends_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(STRICT_CLI + ["families", "--genus", "3"], stdout=write_end,
+                              stderr=subprocess.PIPE, env=_child_env(), timeout=120)
+    finally:
+        os.close(write_end)
+    assert b"Exception ignored" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_output_to_a_pipe_closed_mid_output_is_one_line(tmp_path):
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # so the child's open() does not block
+    try:
+        proc = subprocess.Popen(STRICT_CLI + ["enumerate", "--genus", "12", "--output", str(pipe)],
+                                stderr=subprocess.PIPE, env=_child_env())
+        assert select.select([reader], [], [], 120)[0]
+        assert os.read(reader, 10)
+    finally:
+        os.close(reader)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err.decode()) == (1, f"cannot write {pipe}: [Errno 32] Broken pipe\n")
 
 
 # ---------------------------------------------------------- hardened input

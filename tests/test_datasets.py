@@ -75,6 +75,10 @@ def test_validate_se_known_valid():
     assert report.valid and report.genus == 4
 
 
+def test_se_n_is_half_the_full_order():
+    assert se(17, 18, 0, 7, [(1, 2), (13, 18)]).n == 9
+
+
 def test_validate_se_unit_failure():
     report = validate_se(se(3, 10, 0, 4, [(6, 10), (6, 10)]))
     assert not report.valid

@@ -94,6 +94,12 @@ def test_sp_power_compose_rejects_non_units():
         sp_power_compose(sp(2, 9, 0, 1, 1, [(7, 9)]), 2)  # not a root
 
 
+def test_sp_power_compose_rejects_an_invalid_root():
+    # fails conditions (ii)-(iv)
+    with pytest.raises(NotApplicableError, match="not a valid side-preserving data set"):
+        sp_power_compose(sp(1, 9, 0, 2, 3, [(5, 9)]), 2)
+
+
 def test_sp_round_trips():
     for g in range(1, 7):
         roots = [d for d in enumerate_sp(g) if d.l == 1]
@@ -158,9 +164,7 @@ def test_se_power_decompose_results_validate():
                 if d.l % r or d.l // r < 2:
                     continue
                 result = se_power_decompose(d, r)
-                if result.status == "failed":
-                    assert result.result is None
-                    continue
+                assert result.status in ("exact", "adjusted")
                 report = validate_se(result.result)
                 assert report.valid and report.genus == g
                 assert result.result.exponent == (d.l // r, d.two_n)
