@@ -30,16 +30,15 @@ from contextlib import contextmanager, nullcontext, suppress
 from itertools import islice
 
 from .datasets import (
+    CONE_SYNTAX,
     CSV_COLUMNS,
     _se_report,
     _sp_report,
     csv_cones,
     csv_head,
-    key_text_cones,
     key_text_head,
     parse_record_line,
     record_fields,
-    record_line_cones,
     record_line_head,
     to_record,
     validate,
@@ -51,8 +50,8 @@ from .enumeration import (
     enumerate_oracle,
     enumerate_se,
     enumerate_sp,
-    se_keys,
-    sp_keys,
+    se_blocks,
+    sp_blocks,
     spectra,
 )
 from .laws import audit
@@ -83,35 +82,49 @@ def _json_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-# Each listing format: the listing's first line, a row's head (a function
-# of the sort key) and a row's cone text (a function of the key's cones).
+# Each listing format: the listing's first line and a block head's text (a
+# function of the head, a sort key without its cones).  The cones follow in
+# the format's `CONE_SYNTAX`.
 _LISTING_FORMATS = {
-    "text": ("", lambda key: "  " + key_text_head(key), key_text_cones),
-    "json-lines": ("", record_line_head, record_line_cones),
-    "csv": (CSV_COLUMNS + "\n", csv_head, csv_cones),
+    "text": ("", lambda head: "  " + key_text_head(head)),
+    "json-lines": ("", record_line_head),
+    "csv": (CSV_COLUMNS + "\n", csv_head),
 }
 
 _KIND_HEADINGS = {"sp": "side-preserving:\n", "se": "side-exchanging:\n"}
 
 
-def _rendered(chunk, head, cones_part, grouped):
-    """`head(key) + cones_part(key[-1])` and a newline for each key of one sorted chunk.
+class _PairTexts(dict):
+    """The text of each (order, twist) pair from a `CONE_SYNTAX` template, made once."""
 
-    Each distinct cones tuple of the chunk is rendered once, and each head
-    once per run of adjacent keys that share it.  `grouped` puts an
+    def __init__(self, template: str):
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, pair):
+        order, twist = pair
+        text = self[pair] = self.template.format(k=twist, m=order)
+        return text
+
+
+def _rendered(chunk, head_text, pairs, separator, ending, grouped):
+    """The lines of one order's sorted blocks: each head's text before each of its cone texts.
+
+    A cone text joins the `pairs` texts with `separator` and adds `ending`.
+    Each shared cones list is rendered once, keyed by its id() while the
+    chunk keeps it alive, and each head once per block.  `grouped` puts an
     'Exponent l/order' line before each exponent (a chunk holds one order).
     """
-    parts, last = {}, ()
-    for key in chunk:
-        if key[:-1] != last:
-            if grouped and key[:2] != last[:2]:
-                yield f"Exponent {key[1]}/{key[0]}\n"
-            last, first = key[:-1], head(key)
-        cones = key[-1]
-        rest = parts.get(cones)
+    texts, exponent = {}, None
+    for head, cones in chunk:
+        if grouped and head[:2] != exponent:
+            exponent = head[:2]
+            yield f"Exponent {head[1]}/{head[0]}\n"
+        rest = texts.get(id(cones))
         if rest is None:
-            rest = parts[cones] = cones_part(cones) + "\n"
-        yield first + rest
+            rest = texts[id(cones)] = [separator.join(map(pairs.__getitem__, c)) + ending
+                                       for c in cones]
+        yield from map(head_text(head).__add__, rest)
 
 
 def _write(out, lines) -> None:
@@ -125,12 +138,16 @@ def render_listing(kinds, fmt: str, out) -> None:
     """Write a listing to `out`, each chunk of sets as soon as it arrives.
 
     `kinds` holds (kind, chunks) pairs, "sp" first; `chunks` iterates, maybe
-    lazily and once, over lists of the kind's sort keys in order (the
-    enumerator yields one per order).  Text puts two kinds under headings.
+    lazily and once, over sorted lists of the kind's blocks, (head, cones)
+    pairs whose sets have the sort keys head + (c,) for each c in cones
+    (the enumerator yields one list per order).  Text puts two kinds under
+    headings.  Each (order, twist) pair's text is made once per listing.
     Each chunk is deleted once written, so it is freed before the next one
     is built.
     """
-    first_line, head, cones_part = _LISTING_FORMATS[fmt]
+    first_line, head_text = _LISTING_FORMATS[fmt]
+    template, separator, closing = CONE_SYNTAX[fmt]
+    pairs, ending = _PairTexts(template), closing + "\n"
     if first_line:
         out.write(first_line)
     grouped = fmt == "text"
@@ -138,7 +155,7 @@ def render_listing(kinds, fmt: str, out) -> None:
         if grouped and len(kinds) == 2:
             out.write(_KIND_HEADINGS[kind])
         for chunk in chunks:
-            _write(out, _rendered(chunk, head, cones_part, grouped))
+            _write(out, _rendered(chunk, head_text, pairs, separator, ending, grouped))
             del chunk
 
 
@@ -295,11 +312,12 @@ def cmd_enumerate(args, out) -> int:
                 print(f"enumerator lists the oracle's sets in another order or with repeats "
                       f"({len(sets)} listed, {len(expected)} expected)", file=sys.stderr)
             return 3
-        kinds = [(args.kind, [[d.sort_key() for d in sets]])]
+        keys = [d.sort_key() for d in sets]
+        kinds = [(args.kind, [[(key[:-1], [key[-1]]) for key in keys]])]  # a block per set
     else:
-        # Lazy: the keys of each order are written as they are enumerated.
-        kinds = [(kind, keys(args.genus, filters)) for kind, keys
-                 in (("sp", sp_keys), ("se", se_keys)) if args.kind in (kind, "both")]
+        # Lazy: the blocks of each order are written as they are enumerated.
+        kinds = [(kind, blocks(args.genus, filters)) for kind, blocks
+                 in (("sp", sp_blocks), ("se", se_blocks)) if args.kind in (kind, "both")]
 
     with _open_output(args.output, out) as sink:
         render_listing(kinds, args.format, sink)
@@ -400,7 +418,7 @@ def cmd_families(args, out) -> int:
             for label, d, report in rows:
                 key = d.sort_key()
                 genus = '""' if report.genus is None else report.genus
-                sink.write(f'"{label}",{csv_head(key)}{csv_cones(key[-1])},'
+                sink.write(f'"{label}",{csv_head(key[:-1])}{csv_cones(key[-1])},'
                            f'"{str(report.valid).lower()}",{genus}\n')
     except ValueError:
         raise _Refused("genus has too many digits to print")

@@ -135,19 +135,35 @@ DataSet = Union[SpDataSet, SeDataSet]
 
 def key_text(key: tuple) -> str:
     """The tuple text of the data set whose sort key is `key`."""
-    return key_text_head(key) + key_text_cones(key[-1])
+    return key_text_head(key[:-1]) + key_text_cones(key[-1])
 
 
-def key_text_head(key: tuple) -> str:
-    """`key_text(key)` up to its cones: '((l, order), g0, a; '."""
-    order, l, g0, *residues, _ = key
+def key_text_head(head: tuple) -> str:
+    """`key_text` up to the cones, '((l, order), g0, a; '; `head` is the key without cones."""
+    order, l, g0, *residues = head
     a = residues[0] if len(residues) == 1 else "({}, {})".format(*residues)
     return f"(({l}, {order}), {g0}, {a}; "
 
 
+# How each record syntax writes the cones: the template of one (order, twist)
+# pair, the separator between pairs and the closing after the last one.  Each
+# syntax's head function ends where the first pair begins.
+CONE_SYNTAX = {
+    "text": ("({k}, {m})", ", ", ")"),
+    "json-lines": ("[{k},{m}]", ",", "]}"),
+    "csv": ("{k}:{m}", ";", '"'),
+}
+
+
+def cones_text(cones: tuple, syntax: str) -> str:
+    """The (order, twist) pairs `cones` of a key in `syntax`, closing included."""
+    template, separator, closing = CONE_SYNTAX[syntax]
+    return separator.join([template.format(k=k, m=m) for m, k in cones]) + closing
+
+
 def key_text_cones(cones: tuple) -> str:
     """The rest of `key_text` for the (order, twist) pairs `cones` of a key."""
-    return ", ".join([f"({k}, {m})" for m, k in cones]) + ")"
+    return cones_text(cones, "text")
 
 
 # Flag label used in reports and CLI output for each validity condition.
@@ -358,23 +374,23 @@ def to_record(d: DataSet) -> dict:
             "a": d.a, "cones": cones}
 
 
-def record_line_head(key: tuple) -> str:
-    """`to_record` of the set with sort key `key` as compact JSON, up to the first cone.
+def record_line_head(head: tuple) -> str:
+    """`to_record` of a set as compact JSON up to the first cone; `head` is its key without cones.
 
-    With `record_line_cones(key[-1])` it equals
+    With `record_line_cones(cones)` it equals
     json.dumps(to_record(d), separators=(",", ":")) for a canonical d with
-    key = d.sort_key(); unlike `to_record` it does not sort cones.
+    d.sort_key() = head + (cones,); unlike `to_record` it does not sort cones.
     """
-    if len(key) == 6:
-        n, l, g0, a, b, _ = key
+    if len(head) == 5:
+        n, l, g0, a, b = head
         return f'{{"kind":"SP","l":{l},"n":{n},"g0":{g0},"a":{a},"b":{b},"cones":['
-    two_n, l, g0, a, _ = key
+    two_n, l, g0, a = head
     return f'{{"kind":"SE","l":{l},"two_n":{two_n},"g0":{g0},"a":{a},"cones":['
 
 
 def record_line_cones(cones: tuple) -> str:
     """The rest of `record_line_head`'s line for the (order, twist) pairs `cones`."""
-    return ",".join([f"[{k},{m}]" for m, k in cones]) + "]}"
+    return cones_text(cones, "json-lines")
 
 
 # CSV cells as csv.writer(quoting=QUOTE_NONNUMERIC) writes them, under CSV_COLUMNS.
@@ -382,15 +398,18 @@ def record_line_cones(cones: tuple) -> str:
 CSV_COLUMNS = '"kind","l","order","g0","a","b","cones"'
 
 
-def csv_head(key: tuple) -> str:
-    """The kind, l, order, g0, a and b cells of the set with sort key `key`."""
-    order, l, g0, a, *b, _ = key  # b is [] in a side-exchanging key
-    return f'"SP",{l},{order},{g0},{a},{b[0]},' if b else f'"SE",{l},{order},{g0},{a},"",'
+def csv_head(head: tuple) -> str:
+    """The kind, l, order, g0, a and b cells and the cones cell's opening quote.
+
+    `head` is the set's sort key without its cones.
+    """
+    order, l, g0, a, *b = head  # b is [] in a side-exchanging key
+    return f'"SP",{l},{order},{g0},{a},{b[0]},"' if b else f'"SE",{l},{order},{g0},{a},"","'
 
 
 def csv_cones(cones: tuple) -> str:
-    """The cones cell for the (order, twist) pairs `cones` of a key."""
-    return '"' + ";".join([f"{k}:{m}" for m, k in cones]) + '"'
+    """The rest of the cones cell for the (order, twist) pairs `cones` of a key."""
+    return cones_text(cones, "csv")
 
 
 class _ShortRepr(reprlib.Repr):

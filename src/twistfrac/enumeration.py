@@ -21,10 +21,14 @@ Two independent engines produce the same sets:
 
 Output contract shared by both: canonical data sets only, no duplicates,
 sorted by (order, l, g0, residues, cones).  The pruned engine works one
-order at a time: it collects the sort keys of that order's sets as plain
-tuples and sorts them.  Orders are visited ascending, so `sp_keys` /
-`se_keys` stream the sorted listing, one key list per order, without
-building a data set; only `enumerate_sp` / `enumerate_se` build them.
+order at a time, in blocks: a block is a head, a set's sort key without
+its cones, (n, l, g0, a, b) or (2n, l, g0, a), and the ascending list of
+the cones tuples that complete it.  The heads of one (order, g0) with one
+residual share one list object, so an order builds one tuple per head,
+not per set, and sorts its heads alone (they are unique).  Orders are
+visited ascending, so `sp_blocks` / `se_blocks` stream the sorted
+listing, one block list per order, without building a data set; only
+`enumerate_sp` / `enumerate_se` build them.
 
 `spectra` lists nothing: it reads the essential signatures off cofactor
 divisors and counts their sets without the signature walk.
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, groupby, product
 from math import gcd, prod
+from operator import itemgetter
 
 from .arith import cone_signatures, divisors, prime_factors, units_mod
 from .datasets import (
@@ -177,93 +182,113 @@ def _signatures(f: Filters, order: int, targets: range, essential_cones: int):
                 yield g0, sig
 
 
-def _sp_order_rows(g: int, f: Filters, n: int) -> list[tuple]:
-    """Sorted keys (n, l, g0, a, b, cones) of the SP sets of genus g and order n.
+def _merged(by_residuals: list[dict]) -> dict[int, list[tuple]]:
+    """One ascending cones list per residual over several signatures' assignments.
 
-    `cones` is the (order, twist) tuple from `_assignments`, so each row
-    is its set's `SpDataSet.sort_key()`.  The assignments of a signature
-    are solved once, and every pair (a, b) reads those of its residual
-    -(a+b).
+    With one signature its own buckets are returned.  Signatures differ,
+    so their cones tuples do, and each union is its concatenation, sorted.
     """
-    rows: list[tuple] = []
+    if len(by_residuals) == 1:
+        return by_residuals[0]
+    merged: dict[int, list[tuple]] = {}
+    for by_residual in by_residuals:
+        for residual, cones in by_residual.items():
+            merged.setdefault(residual, []).extend(cones)
+    for cones in merged.values():
+        cones.sort()
+    return merged
+
+
+def _sp_order_blocks(g: int, f: Filters, n: int) -> list[tuple]:
+    """Sorted blocks ((n, l, g0, a, b), cones) of the SP sets of genus g and order n.
+
+    `cones` lists the ascending (order, twist) tuples of `_assignments`
+    that complete the head, so head + (c,) is a set's `SpDataSet.sort_key()`
+    for each c in it.  Every pair (a, b) reads the list of its residual
+    -(a+b) at its g0, which all heads with that residual share.
+    """
+    blocks: list[tuple] = []
     units, inverse = _units(n), {}
     targets = range(2 * g, -1, -2 * n)  # 2(g - g0 n), g0 = 0, 1, ...
-    for g0, sig in _signatures(f, n, targets, 1):
+    for g0, signatures in groupby(_signatures(f, n, targets, 1), key=itemgetter(0)):
         # built at the first signature: an order the filters exclude needs none
         inverse = inverse or {u: pow(u, -1, n) for u in units}
-        assignments = _assignments(n, sig)
+        by_residual = _merged([_assignments(n, sig) for _, sig in signatures])
         for i, a in enumerate(units):
             for b in units[i:]:
                 # twist relation a+b = l*a*b fixes the exponent
                 l = (a + b) * inverse[a] * inverse[b] % n
                 if l == 0 or (f.exponent is not None and l != f.exponent[0]):
                     continue
-                rows.extend([(n, l, g0, a, b, cones)
-                             for cones in assignments.get((-(a + b)) % n, ())])
-    rows.sort()
-    return rows
+                cones = by_residual.get((-(a + b)) % n)
+                if cones:
+                    blocks.append(((n, l, g0, a, b), cones))
+    blocks.sort(key=itemgetter(0))
+    return blocks
 
 
-def _se_order_rows(g: int, f: Filters, two_n: int) -> list[tuple]:
-    """Sorted keys (two_n, l, g0, a, cones) of the SE sets of genus g and order 2n.
+def _se_order_blocks(g: int, f: Filters, two_n: int) -> list[tuple]:
+    """Sorted blocks ((two_n, l, g0, a), cones) of the SE sets of genus g and order 2n.
 
-    As `_sp_order_rows`: each row is its set's `SeDataSet.sort_key()`.
+    As `_sp_order_blocks`: every a reads the list of its residual -2a, one
+    block per exponent l.
     """
-    rows: list[tuple] = []
+    blocks: list[tuple] = []
     n = two_n // 2
     targets = range(2 * g + two_n, -1, -2 * two_n)  # 2(g + n) - 4 g0 n, g0 = 0, 1, ...
-    for g0, sig in _signatures(f, two_n, targets, 2):
-        if not (g0 or _odd_cofactors(two_n, sig)):
-            continue  # over a sphere, sets generate only through an odd cofactor
-        assignments = _assignments(two_n, sig)
+    for g0, signatures in groupby(_signatures(f, two_n, targets, 2), key=itemgetter(0)):
+        # over a sphere, sets generate only through an odd cofactor
+        assignments = [_assignments(two_n, sig) for _, sig in signatures
+                       if g0 or _odd_cofactors(two_n, sig)]
+        if not assignments:
+            continue
+        by_residual = _merged(assignments)
         for a in _units(n):
-            exponents = [l for l in _se_exponents(a, n)
-                         if f.exponent is None or l == f.exponent[0]]
-            rows.extend([(two_n, l, g0, a, cones)
-                         for cones in assignments.get((-2 * a) % two_n, ())
-                         for l in exponents])
-    rows.sort()
-    return rows
+            cones = by_residual.get((-2 * a) % two_n)
+            if cones:
+                blocks.extend([((two_n, l, g0, a), cones) for l in _se_exponents(a, n)
+                               if f.exponent is None or l == f.exponent[0]])
+    blocks.sort(key=itemgetter(0))
+    return blocks
 
 
-def _sets(cls, keys: list[tuple]) -> list:
-    """The `cls` data sets of one order's sorted keys, freeing keys as it goes."""
-    cone_pairs: dict = {}  # equal `cones` tuples share one ConePair tuple
-    keys.reverse()
+def _sets(cls, blocks: list[tuple]) -> list:
+    """The `cls` data sets of one order's sorted blocks."""
+    pairs_of: dict = {}  # id of a shared cones list -> its ConePair tuples
     out = []
-    while keys:
-        order, l, *residues, cones = keys.pop()
-        pairs = cone_pairs.get(cones)
+    for (order, l, *residues), cones in blocks:
+        pairs = pairs_of.get(id(cones))
         if pairs is None:
-            pairs = cone_pairs[cones] = tuple([ConePair(k, m) for m, k in cones])
-        out.append(cls(l, order, *residues, pairs))
+            pairs = pairs_of[id(cones)] = [tuple([ConePair(k, m) for m, k in c])
+                                           for c in cones]
+        out.extend([cls(l, order, *residues, p) for p in pairs])
     return out
 
 
-def sp_keys(g: int, filters: Filters | None = None):
-    """The keys of `enumerate_sp`'s sets, one sorted list per order, lazily."""
+def sp_blocks(g: int, filters: Filters | None = None):
+    """The blocks of `enumerate_sp`'s sets, one sorted list per order, lazily."""
     _check_genus(g)
     f = filters or Filters()
-    return (_sp_order_rows(g, f, n) for n in range(2, 4 * g + 1))
+    return (_sp_order_blocks(g, f, n) for n in range(2, 4 * g + 1))
 
 
-def se_keys(g: int, filters: Filters | None = None):
-    """The keys of `enumerate_se`'s sets, one sorted list per order, lazily."""
+def se_blocks(g: int, filters: Filters | None = None):
+    """The blocks of `enumerate_se`'s sets, one sorted list per order, lazily."""
     _check_genus(g)
     f = filters or Filters()
-    return (_se_order_rows(g, f, two_n) for two_n in range(4, 4 * g + 3, 2))
+    return (_se_order_blocks(g, f, two_n) for two_n in range(4, 4 * g + 3, 2))
 
 
 def enumerate_sp(g: int, filters: Filters | None = None) -> list[SpDataSet]:
     """All valid canonical side-preserving data sets of genus g, sorted."""
     return list(chain.from_iterable(
-        _sets(SpDataSet, keys) for keys in sp_keys(g, filters)))
+        _sets(SpDataSet, blocks) for blocks in sp_blocks(g, filters)))
 
 
 def enumerate_se(g: int, filters: Filters | None = None) -> list[SeDataSet]:
     """All valid canonical side-exchanging data sets of genus g, sorted."""
     return list(chain.from_iterable(
-        _sets(SeDataSet, keys) for keys in se_keys(g, filters)))
+        _sets(SeDataSet, blocks) for blocks in se_blocks(g, filters)))
 
 
 def _oracle_sp(g: int) -> list[SpDataSet]:

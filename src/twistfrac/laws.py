@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .datasets import DataSet, SeDataSet, SpDataSet, _essential, genus_se, genus_sp
-from .enumeration import Filters, enumerate_se, enumerate_sp, se_keys, sp_keys
+from .enumeration import Filters, enumerate_se, enumerate_sp, se_blocks, sp_blocks
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,26 @@ class AuditResult:
 def audit(g: int, kind: str) -> AuditResult:
     """Run the matching laws over the full enumeration at genus g.
 
-    Each (order, l, g0, cone count) class of the sort keys is checked once;
-    only an (order, l, g0) group with a failing class is listed and checked
-    set by set, in listing order, for its witnesses.
+    Each (order, l, g0, cone count) class of the enumerator's blocks is
+    checked once, and the cone counts of each shared cones list are taken
+    once; only an (order, l, g0) group with a failing class is listed and
+    checked set by set, in listing order, for its witnesses.
     """
     if kind not in ("sp", "se"):
         raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
-    keys_of, laws, listing, checker = (
-        (sp_keys, _sp_laws, enumerate_sp, check_sp_laws) if kind == "sp"
-        else (se_keys, _se_laws, enumerate_se, check_se_laws))
+    blocks_of, laws, listing, checker = (
+        (sp_blocks, _sp_laws, enumerate_sp, check_sp_laws) if kind == "sp"
+        else (se_blocks, _se_laws, enumerate_se, check_se_laws))
     checked, failing = 0, set()
-    for keys in keys_of(g):
-        checked += len(keys)
-        for order, l, g0, m in {(k[0], k[1], k[2], len(k[-1])) for k in keys}:
+    for blocks in blocks_of(g):
+        counts, classes = {}, set()  # counts: id of a shared cones list -> its cone counts
+        for (order, l, g0, *_), cones in blocks:
+            checked += len(cones)
+            sizes = counts.get(id(cones))
+            if sizes is None:
+                sizes = counts[id(cones)] = {len(c) for c in cones}
+            classes.update([(order, l, g0, m) for m in sizes])
+        for order, l, g0, m in classes:
             if not all(holds for _, holds in laws(order, l, g0, m, g)):
                 failing.add((order, l, g0))
     violations = [r for order, l, g0 in sorted(failing)

@@ -22,7 +22,8 @@ from twistfrac import (
 )
 from twistfrac import enumeration
 from twistfrac.arith import cone_signatures, divisors, units_mod
-from twistfrac.enumeration import _assignments, _odd_cofactors, se_keys, sp_keys
+from twistfrac.enumeration import _assignments, _odd_cofactors, se_blocks, sp_blocks
+from conftest import flat_keys
 from reference_data import SE_ESSENTIAL_G4, SP_ESSENTIAL_G4
 
 ESSENTIAL = Filters(essential_only=True)
@@ -151,9 +152,9 @@ def test_enumeration_rejects_bad_genus():
         enumerate_se(-1)
     # the streaming forms refuse when called, not at their first chunk
     with pytest.raises(ValueError):
-        sp_keys(0)
+        sp_blocks(0)
     with pytest.raises(ValueError):
-        se_keys(0)
+        se_blocks(0)
 
 
 @pytest.mark.parametrize("g", range(1, 11))
@@ -162,10 +163,71 @@ def test_keys_are_the_sort_keys_of_the_sets(g):
                     Filters(exponent=(2, 4))):
         sp_sets = enumerate_sp(g, filters)
         se_sets = enumerate_se(g, filters)
-        assert list(chain.from_iterable(sp_keys(g, filters))) == [d.sort_key() for d in sp_sets]
-        assert list(chain.from_iterable(se_keys(g, filters))) == [d.sort_key() for d in se_sets]
+        assert flat_keys(sp_blocks(g, filters)) == [d.sort_key() for d in sp_sets]
+        assert flat_keys(se_blocks(g, filters)) == [d.sort_key() for d in se_sets]
         assert all(len(d.sort_key()) == 6 for d in sp_sets)
         assert all(len(d.sort_key()) == 5 for d in se_sets)
+
+
+BLOCK_FILTERS = (Filters(), Filters(g0=1), Filters(cone_count=3), Filters(exponent=(2, 18)))
+
+
+def _residual(head):
+    """The residue sum -(a+b) or -2a that the cones of a block's sets must make."""
+    order, _, _, a, *b = head
+    return (-(a + (b[0] if b else a))) % order
+
+
+@pytest.mark.parametrize("g", [1, 2, 5, 8, 12])
+def test_heads_are_unique_and_ascending_within_an_order(g):
+    for filters in BLOCK_FILTERS:
+        for blocks in chain(sp_blocks(g, filters), se_blocks(g, filters)):
+            heads = [head for head, _ in blocks]
+            assert all(first < second for first, second in zip(heads, heads[1:]))
+            assert len({head[0] for head in heads}) <= 1
+            assert all(cones for _, cones in blocks)
+
+
+@pytest.mark.parametrize("g", [1, 2, 5, 8, 12])
+def test_heads_of_one_order_g0_and_residual_share_one_list(g):
+    shared = 0
+    for filters in BLOCK_FILTERS:
+        for blocks in chain(sp_blocks(g, filters), se_blocks(g, filters)):
+            lists = {}  # (order, g0, residual) -> ids of its heads' lists
+            for head, cones in blocks:
+                lists.setdefault((head[0], head[2], _residual(head)), set()).add(id(cones))
+            assert all(len(ids) == 1 for ids in lists.values())
+            # and no two groups share a list
+            assert len(set().union(*lists.values())) == len(lists)
+            shared += len(blocks) > len(lists)
+    assert shared > 0  # some list serves several heads
+
+
+def _signature_union(order, g0, residual, g, side_exchanging):
+    """The sorted union of the `_assignments` buckets at `residual` over the
+    signatures of one order and g0, solved here from the genus identity."""
+    if side_exchanging:
+        target = 2 * (g + order // 2) - 2 * g0 * order
+    else:
+        target = 2 * (g - g0 * order)
+    union = []
+    for sig in cone_signatures(order, target) if target > 0 else ():
+        if side_exchanging and not (g0 or _odd_cofactors(order, sig)):
+            continue  # over a sphere, sets generate only through an odd cofactor
+        union.extend(_assignments(order, sig).get(residual, ()))
+    return sorted(union)
+
+
+def test_each_list_is_the_sorted_union_of_its_signatures_buckets():
+    merged = 0
+    for g in (1, 2, 5, 8, 12):
+        for blocks in chain(sp_blocks(g), se_blocks(g)):
+            for head, cones in blocks:
+                order, _, g0, *residues = head
+                union = _signature_union(order, g0, _residual(head), g, len(residues) == 1)
+                assert cones == union
+                merged += len({tuple(m for m, _ in c) for c in cones}) > 1
+    assert merged > 0  # some lists join several signatures
 
 
 def _brute_assignments(ambient, signature):
