@@ -4,8 +4,9 @@ Subcommands: validate, enumerate, spectra, decompose, families, audit.
 Exit codes are a stable contract:
 
     0  success
-    1  input error (unparseable record, bad flag value, oracle bound)
-    2  validation failure (invalid record, failed decomposition)
+    1  input error (unparseable record, bad flag value, oracle bound, a
+       `decompose` record that is not a valid data set)
+    2  validation failure (invalid record in `validate`, failed decomposition)
     3  internal consistency failure (oracle mismatch, law violation)
 
 Every exit-1 refusal is raised, and `main` alone prints its one line; a
@@ -13,7 +14,7 @@ closed stdout ends with exit 1 and nothing on stderr.
 
 Text listings group data sets under 'Exponent l/order' headers ascending
 by (order, l); json-lines output round-trips through `from_record`.  Every
-listing format is one `_LISTING_FORMATS` row, written in batches by `_write`.
+listing format is one `datasets.SYNTAXES` row, written in batches by `_write`.
 """
 
 from __future__ import annotations
@@ -30,16 +31,13 @@ from contextlib import contextmanager, nullcontext, suppress
 from itertools import islice
 
 from .datasets import (
-    CONE_SYNTAX,
     CSV_COLUMNS,
+    SYNTAXES,
     _se_report,
     _sp_report,
-    csv_cones,
-    csv_head,
-    key_text_head,
+    key_line,
     parse_record_line,
     record_fields,
-    record_line_head,
     to_record,
     validate,
 )
@@ -82,20 +80,11 @@ def _json_line(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-# Each listing format: the listing's first line and a block head's text (a
-# function of the head, a sort key without its cones).  The cones follow in
-# the format's `CONE_SYNTAX`.
-_LISTING_FORMATS = {
-    "text": ("", lambda head: "  " + key_text_head(head)),
-    "json-lines": ("", record_line_head),
-    "csv": (CSV_COLUMNS + "\n", csv_head),
-}
-
 _KIND_HEADINGS = {"sp": "side-preserving:\n", "se": "side-exchanging:\n"}
 
 
 class _PairTexts(dict):
-    """The text of each (order, twist) pair from a `CONE_SYNTAX` template, made once."""
+    """The text of each (order, twist) pair from a `SYNTAXES` template, made once."""
 
     def __init__(self, template: str):
         super().__init__()
@@ -112,10 +101,11 @@ def _rendered(chunk, head_text, pairs, separator, ending, grouped):
 
     A cone text joins the `pairs` texts with `separator` and adds `ending`.
     Each shared cones list is rendered once, keyed by its id() while the
-    chunk keeps it alive, and each head once per block.  `grouped` puts an
-    'Exponent l/order' line before each exponent (a chunk holds one order).
+    chunk keeps it alive, and each head once per block.  `grouped` (text)
+    puts an 'Exponent l/order' line before each exponent (a chunk holds one
+    order) and indents each set by two spaces.
     """
-    texts, exponent = {}, None
+    texts, exponent, indent = {}, None, "  " if grouped else ""
     for head, cones in chunk:
         if grouped and head[:2] != exponent:
             exponent = head[:2]
@@ -124,7 +114,7 @@ def _rendered(chunk, head_text, pairs, separator, ending, grouped):
         if rest is None:
             rest = texts[id(cones)] = [separator.join(map(pairs.__getitem__, c)) + ending
                                        for c in cones]
-        yield from map(head_text(head).__add__, rest)
+        yield from map((indent + head_text(head)).__add__, rest)
 
 
 def _write(out, lines) -> None:
@@ -145,11 +135,10 @@ def render_listing(kinds, fmt: str, out) -> None:
     Each chunk is deleted once written, so it is freed before the next one
     is built.
     """
-    first_line, head_text = _LISTING_FORMATS[fmt]
-    template, separator, closing = CONE_SYNTAX[fmt]
+    head_text, template, separator, closing = SYNTAXES[fmt]
     pairs, ending = _PairTexts(template), closing + "\n"
-    if first_line:
-        out.write(first_line)
+    if fmt == "csv":
+        out.write(CSV_COLUMNS + "\n")
     grouped = fmt == "text"
     for kind, chunks in kinds:
         if grouped and len(kinds) == 2:
@@ -416,9 +405,8 @@ def cmd_families(args, out) -> int:
         else:
             sink.write(f'"family",{CSV_COLUMNS},"valid","genus"\n')
             for label, d, report in rows:
-                key = d.sort_key()
                 genus = '""' if report.genus is None else report.genus
-                sink.write(f'"{label}",{csv_head(key[:-1])}{csv_cones(key[-1])},'
+                sink.write(f'"{label}",{key_line(d.sort_key(), "csv")},'
                            f'"{str(report.valid).lower()}",{genus}\n')
     except ValueError:
         raise _Refused("genus has too many digits to print")

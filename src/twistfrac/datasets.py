@@ -54,6 +54,8 @@ set's own order.  The enumerator yields exactly these keys.
 
 Records are accepted in two syntaxes: one JSON object per line in the
 wire format, or the tuples above as text; listings also render CSV rows.
+`SYNTAXES` holds how each of the three writes a set from its sort key,
+and `key_line` writes one set.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class SpDataSet:
                 tuple(_cone_key(c) for c in self.cones))
 
     def __str__(self) -> str:
-        return key_text(self.sort_key())
+        return key_line(self.sort_key(), "text")
 
 
 @dataclass(frozen=True)
@@ -127,43 +129,10 @@ class SeDataSet:
                 tuple(_cone_key(c) for c in self.cones))
 
     def __str__(self) -> str:
-        return key_text(self.sort_key())
+        return key_line(self.sort_key(), "text")
 
 
 DataSet = Union[SpDataSet, SeDataSet]
-
-
-def key_text(key: tuple) -> str:
-    """The tuple text of the data set whose sort key is `key`."""
-    return key_text_head(key[:-1]) + key_text_cones(key[-1])
-
-
-def key_text_head(head: tuple) -> str:
-    """`key_text` up to the cones, '((l, order), g0, a; '; `head` is the key without cones."""
-    order, l, g0, *residues = head
-    a = residues[0] if len(residues) == 1 else "({}, {})".format(*residues)
-    return f"(({l}, {order}), {g0}, {a}; "
-
-
-# How each record syntax writes the cones: the template of one (order, twist)
-# pair, the separator between pairs and the closing after the last one.  Each
-# syntax's head function ends where the first pair begins.
-CONE_SYNTAX = {
-    "text": ("({k}, {m})", ", ", ")"),
-    "json-lines": ("[{k},{m}]", ",", "]}"),
-    "csv": ("{k}:{m}", ";", '"'),
-}
-
-
-def cones_text(cones: tuple, syntax: str) -> str:
-    """The (order, twist) pairs `cones` of a key in `syntax`, closing included."""
-    template, separator, closing = CONE_SYNTAX[syntax]
-    return separator.join([template.format(k=k, m=m) for m, k in cones]) + closing
-
-
-def key_text_cones(cones: tuple) -> str:
-    """The rest of `key_text` for the (order, twist) pairs `cones` of a key."""
-    return cones_text(cones, "text")
 
 
 # Flag label used in reports and CLI output for each validity condition.
@@ -374,23 +343,24 @@ def to_record(d: DataSet) -> dict:
             "a": d.a, "cones": cones}
 
 
+def key_text_head(head: tuple) -> str:
+    """Tuple text up to the cones, '((l, order), g0, a; '; `head` is a sort key without cones."""
+    order, l, g0, *residues = head
+    a = residues[0] if len(residues) == 1 else "({}, {})".format(*residues)
+    return f"(({l}, {order}), {g0}, {a}; "
+
+
 def record_line_head(head: tuple) -> str:
     """`to_record` of a set as compact JSON up to the first cone; `head` is its key without cones.
 
-    With `record_line_cones(cones)` it equals
-    json.dumps(to_record(d), separators=(",", ":")) for a canonical d with
-    d.sort_key() = head + (cones,); unlike `to_record` it does not sort cones.
+    `key_line(key, "json-lines")` equals json.dumps(to_record(d), separators=(",", ":"))
+    for a canonical d with d.sort_key() = key; unlike `to_record` it does not sort cones.
     """
     if len(head) == 5:
         n, l, g0, a, b = head
         return f'{{"kind":"SP","l":{l},"n":{n},"g0":{g0},"a":{a},"b":{b},"cones":['
     two_n, l, g0, a = head
     return f'{{"kind":"SE","l":{l},"two_n":{two_n},"g0":{g0},"a":{a},"cones":['
-
-
-def record_line_cones(cones: tuple) -> str:
-    """The rest of `record_line_head`'s line for the (order, twist) pairs `cones`."""
-    return cones_text(cones, "json-lines")
 
 
 # CSV cells as csv.writer(quoting=QUOTE_NONNUMERIC) writes them, under CSV_COLUMNS.
@@ -407,9 +377,22 @@ def csv_head(head: tuple) -> str:
     return f'"SP",{l},{order},{g0},{a},{b[0]},"' if b else f'"SE",{l},{order},{g0},{a},"","'
 
 
-def csv_cones(cones: tuple) -> str:
-    """The rest of the cones cell for the (order, twist) pairs `cones` of a key."""
-    return cones_text(cones, "csv")
+# How each record syntax writes a set from its sort key: the head function (of
+# the key without its cones; it ends where the first pair begins), the template
+# of one (order, twist) pair, the separator between pairs and the closing after
+# the last one.
+SYNTAXES = {
+    "text": (key_text_head, "({k}, {m})", ", ", ")"),
+    "json-lines": (record_line_head, "[{k},{m}]", ",", "]}"),
+    "csv": (csv_head, "{k}:{m}", ";", '"'),
+}
+
+
+def key_line(key: tuple, fmt: str) -> str:
+    """The set whose sort key is `key` in the syntax `fmt`, without a newline."""
+    head_text, template, separator, closing = SYNTAXES[fmt]
+    cones = separator.join([template.format(k=k, m=m) for m, k in key[-1]])
+    return head_text(key[:-1]) + cones + closing
 
 
 class _ShortRepr(reprlib.Repr):
@@ -520,11 +503,6 @@ def _tuple_fields(text: str) -> tuple[str, tuple]:
     cones = (_cone_memo if len(cone_text) <= _CONE_MEMO_CHARS else _cone_pairs)(cone_text)
     ints = [int(v) for v in ints if v is not None]  # l, order, g0, then a, b or a
     return "sp" if len(ints) == 5 else "se", (*ints, cones)
-
-
-def parse_tuple_text(text: str) -> DataSet:
-    """Parse the tuple text syntax; its shape decides SP vs SE."""
-    return _data_set(*_tuple_fields(text))
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -5,9 +5,10 @@ Two independent engines produce the same sets:
 * `enumerate_sp` / `enumerate_se` prune hard: orders are capped by the
   proven bounds (n <= 4g side-preserving, 2n <= 4g+2 side-exchanging),
   one filtered signature walk (`_signatures`) solves the cone signatures
-  from the genus identity, l is solved from the twist relation, and each
-  signature's twist assignments are listed once, filed by residue sum,
-  so condition (iv) is a lookup.  Only valid tuples are built.
+  from the genus identity, l is solved from the twist relation, and the
+  twist assignments of all the signatures of one (order, g0) are listed
+  once into one residue table (`_assignments`), so condition (iv) is a
+  lookup.  Only valid tuples are built.
 
 * `enumerate_oracle` walks every order in the same hard range, every
   admissible quotient genus and every divisor multiset within the
@@ -137,28 +138,35 @@ def _odd_cofactors(ambient: int, signature) -> int:
     return sum((ambient // m) % 2 for m in signature)
 
 
-def _assignments(ambient: int, signature) -> dict[int, list[tuple]]:
-    """Canonical twist assignments for the cones of one signature, by residual.
+def _assignments(ambient: int, signatures: list) -> dict[int, list[tuple]]:
+    """Canonical twist assignments for the cones of the signatures, by residual.
 
     Maps each residual r to the ascending tuples of (order, twist) pairs,
-    so a tuple is its own sort key; each twist is a unit in its order,
-    twists are non-decreasing within runs of equal order, and
+    so a tuple is its own sort key; each tuple is a signature's orders with
+    a unit twist each, twists non-decreasing within runs of equal order, and
 
         sum (ambient/order) * twist = r  (mod ambient).
 
-    One pass lists every canonical assignment once and files it under its
-    residual, so every residue pair with the same residual shares the work.
+    One pass per signature lists every canonical assignment once and files
+    it under its residual, so every residue pair with the same residual
+    shares the work.  One signature files its tuples ascending; the tuples
+    of several interleave (they differ, as their signatures do), so then
+    each list is sorted.
     """
-    partial = [(0, ())]  # (residue sum, cones) of the runs so far, ascending
-    for order, count in _runs(signature):
-        step = ambient // order
-        choices = [(step * sum(twists), tuple([(order, k) for k in twists]))
-                   for twists in combinations_with_replacement(_units(order), count)]
-        partial = [(total + more, cones + run)
-                   for total, cones in partial for more, run in choices]
     by_residual: dict[int, list[tuple]] = {}
-    for total, cones in partial:
-        by_residual.setdefault(total % ambient, []).append(cones)
+    for signature in signatures:
+        partial = [(0, ())]  # (residue sum, cones) of the runs so far, ascending
+        for order, count in _runs(signature):
+            step = ambient // order
+            choices = [(step * sum(twists), tuple([(order, k) for k in twists]))
+                       for twists in combinations_with_replacement(_units(order), count)]
+            partial = [(total + more, cones + run)
+                       for total, cones in partial for more, run in choices]
+        for total, cones in partial:
+            by_residual.setdefault(total % ambient, []).append(cones)
+    if len(signatures) > 1:
+        for cones in by_residual.values():
+            cones.sort()
     return by_residual
 
 
@@ -182,23 +190,6 @@ def _signatures(f: Filters, order: int, targets: range, essential_cones: int):
                 yield g0, sig
 
 
-def _merged(by_residuals: list[dict]) -> dict[int, list[tuple]]:
-    """One ascending cones list per residual over several signatures' assignments.
-
-    With one signature its own buckets are returned.  Signatures differ,
-    so their cones tuples do, and each union is its concatenation, sorted.
-    """
-    if len(by_residuals) == 1:
-        return by_residuals[0]
-    merged: dict[int, list[tuple]] = {}
-    for by_residual in by_residuals:
-        for residual, cones in by_residual.items():
-            merged.setdefault(residual, []).extend(cones)
-    for cones in merged.values():
-        cones.sort()
-    return merged
-
-
 def _sp_order_blocks(g: int, f: Filters, n: int) -> list[tuple]:
     """Sorted blocks ((n, l, g0, a, b), cones) of the SP sets of genus g and order n.
 
@@ -213,7 +204,7 @@ def _sp_order_blocks(g: int, f: Filters, n: int) -> list[tuple]:
     for g0, signatures in groupby(_signatures(f, n, targets, 1), key=itemgetter(0)):
         # built at the first signature: an order the filters exclude needs none
         inverse = inverse or {u: pow(u, -1, n) for u in units}
-        by_residual = _merged([_assignments(n, sig) for _, sig in signatures])
+        by_residual = _assignments(n, [sig for _, sig in signatures])
         for i, a in enumerate(units):
             for b in units[i:]:
                 # twist relation a+b = l*a*b fixes the exponent
@@ -238,11 +229,8 @@ def _se_order_blocks(g: int, f: Filters, two_n: int) -> list[tuple]:
     targets = range(2 * g + two_n, -1, -2 * two_n)  # 2(g + n) - 4 g0 n, g0 = 0, 1, ...
     for g0, signatures in groupby(_signatures(f, two_n, targets, 2), key=itemgetter(0)):
         # over a sphere, sets generate only through an odd cofactor
-        assignments = [_assignments(two_n, sig) for _, sig in signatures
-                       if g0 or _odd_cofactors(two_n, sig)]
-        if not assignments:
-            continue
-        by_residual = _merged(assignments)
+        by_residual = _assignments(two_n, [sig for _, sig in signatures
+                                           if g0 or _odd_cofactors(two_n, sig)])
         for a in _units(n):
             cones = by_residual.get((-2 * a) % two_n)
             if cones:

@@ -62,9 +62,7 @@ def sp_root_decompose(d: SpDataSet) -> SpDataSet:
         raise NotApplicableError("input is not a valid side-preserving data set")
     if gcd(d.l, d.n) != 1:
         raise NotApplicableError(f"gcd(l, n) = {gcd(d.l, d.n)}, need 1")
-    cones = tuple(ConePair(d.l * c.twist % c.order, c.order) for c in d.cones)
-    root = SpDataSet(1, d.n, d.g0, d.l * d.a % d.n, d.l * d.b % d.n, cones)
-    return canonicalize_sp(root)
+    return _scaled_sp(d, 1, d.l)
 
 
 def sp_power_compose(root: SpDataSet, l: int) -> SpDataSet:
@@ -75,11 +73,13 @@ def sp_power_compose(root: SpDataSet, l: int) -> SpDataSet:
         raise NotApplicableError(f"root must have exponent 1/n, got {root.l}/{root.n}")
     if not 1 <= l <= root.n - 1 or gcd(l, root.n) != 1:
         raise NotApplicableError(f"power {l} is not a unit exponent for n = {root.n}")
-    inv = mod_inverse(l, root.n)
-    cones = tuple(ConePair(inv * c.twist % c.order, c.order) for c in root.cones)
-    powered = SpDataSet(l, root.n, root.g0,
-                        inv * root.a % root.n, inv * root.b % root.n, cones)
-    return canonicalize_sp(powered)
+    return _scaled_sp(root, l, mod_inverse(l, root.n))
+
+
+def _scaled_sp(d: SpDataSet, l: int, u: int) -> SpDataSet:
+    """The canonical set of exponent l/n with a, b and every cone twist of `d` scaled by u."""
+    cones = tuple(ConePair(u * c.twist % c.order, c.order) for c in d.cones)
+    return canonicalize_sp(SpDataSet(l, d.n, d.g0, u * d.a % d.n, u * d.b % d.n, cones))
 
 
 def se_power_decompose(d: SeDataSet, r: int) -> DecompositionResult:

@@ -34,12 +34,9 @@ from twistfrac.datasets import (
     _cone_memo,
     _se_report,
     _sp_report,
-    key_text,
+    key_line,
     parse_record_line,
-    parse_tuple_text,
     record_fields,
-    record_line_cones,
-    record_line_head,
 )
 from twistfrac.enumeration import se_blocks, sp_blocks
 from conftest import SRC, flat_keys
@@ -54,26 +51,26 @@ def run_cli(*argv):
 # ---------------------------------------------------------------- parsing
 
 def test_parse_tuple_text_shapes():
-    d = parse_tuple_text("((1, 9), 0, (2, 2); (5, 9))")
+    d = parse_record_line("((1, 9), 0, (2, 2); (5, 9))")
     assert d == SpDataSet(1, 9, 0, 2, 2, (ConePair(5, 9),))
-    e = parse_tuple_text("((17,18),0,7;(1,2),(13,18))")
+    e = parse_record_line("((17,18),0,7;(1,2),(13,18))")
     assert e == SeDataSet(17, 18, 0, 7, (ConePair(1, 2), ConePair(13, 18)))
 
 
 def test_parse_tuple_text_round_trips_str():
     d = SpDataSet(8, 16, 0, 1, 7, (ConePair(1, 2),))
-    assert parse_tuple_text(str(d)) == d
+    assert parse_record_line(str(d)) == d
     e = SeDataSet(2, 10, 0, 1, (ConePair(9, 10), ConePair(9, 10)))
-    assert parse_tuple_text(str(e)) == e
+    assert parse_record_line(str(e)) == e
 
 
 def test_parse_tuple_text_errors():
     with pytest.raises(ValueError):
-        parse_tuple_text("((1, 9), 0, (2, 2); (5, 9)) trailing")
+        parse_record_line("((1, 9), 0, (2, 2); (5, 9)) trailing")
     with pytest.raises(ValueError):
-        parse_tuple_text("((1, 9), 0, (2, 2))")  # no cones
+        parse_record_line("((1, 9), 0, (2, 2))")  # no cones
     with pytest.raises(ValueError):
-        parse_tuple_text("((1, x), 0, (2, 2); (5, 9))")
+        parse_record_line("((1, x), 0, (2, 2); (5, 9))")
     with pytest.raises(ValueError):
         parse_record_line("((1, 9), 0, (2, 2); (5, 9))", kind="se")
 
@@ -210,7 +207,7 @@ def test_parse_tuple_text_agrees_with_the_token_parser(text, kind):
 def test_parse_tuple_text_error_is_one_truncated_line():
     text = "((1, 9), 0, (2, 2);\n" + " (5, 9)," * 20
     with pytest.raises(ValueError) as caught:
-        parse_tuple_text(text)
+        parse_record_line(text)
     message = str(caught.value)
     assert "\n" not in message and message.endswith("...")
     assert len(message) < 100
@@ -391,7 +388,7 @@ def test_validate_fields_agree_with_the_data_set_path(line, kind):
 
 def test_record_parsers_still_build_cone_pairs():
     text = "((1, 9), 0, (2, 2); (5, 9))"
-    for d in (parse_tuple_text(text), parse_record_line(text),
+    for d in (parse_record_line(text, "sp"), parse_record_line(text),
               parse_record_line(json.dumps(SP_JSON)), from_record(SP_JSON)):
         assert [(type(c), c.twist, c.order) for c in d.cones] == [(ConePair, 5, 9)]
 
@@ -766,7 +763,7 @@ def _listing_key_by_key(g, filters, fmt):
                 if key[:2] != current:
                     current = key[:2]
                     out.write(f"Exponent {key[1]}/{key[0]}\n")
-                out.write(f"  {key_text(key)}\n")
+                out.write(f"  {key_line(key, 'text')}\n")
     elif fmt == "json-lines":
         for d in enumerate_sp(g, filters) + enumerate_se(g, filters):
             out.write(json.dumps(to_record(d), separators=(",", ":")) + "\n")
@@ -961,8 +958,7 @@ def test_listings_build_no_data_sets(monkeypatch):
 def test_record_line_is_compact_json_of_to_record(g):
     for d in enumerate_sp(g) + enumerate_se(g):
         key = d.sort_key()
-        line = record_line_head(key[:-1]) + record_line_cones(key[-1])
-        assert line == json.dumps(to_record(d), separators=(",", ":"))
+        assert key_line(key, "json-lines") == json.dumps(to_record(d), separators=(",", ":"))
 
 
 # ---------------------------------------------------------------- spectra
@@ -1196,6 +1192,11 @@ REFUSALS = [
                  "side-exchanging decomposition needs --r\n", id="decompose-se-no-r"),
     pytest.param(["decompose", "--kind", "se", "--r", "4", SE_RECORD], b"",
                  "r = 4 does not divide l = 6\n", id="decompose-se-r-not-dividing"),
+    # well formed but invalid: decompose refuses it as input, not as a validation failure
+    pytest.param(["decompose", "--kind", "sp", "((2, 9), 0, (1, 2); (7, 9))"], b"",
+                 "input is not a valid side-preserving data set\n", id="decompose-sp-invalid"),
+    pytest.param(["decompose", "--kind", "se", "--r", "2", "((2, 10), 0, 1; (1, 10))"], b"",
+                 "input is not a valid side-exchanging data set\n", id="decompose-se-invalid"),
     pytest.param(["families", "--genus", "3" + "0" * 4299], b"",
                  "genus has too many digits to print\n",
                  id="families-unprintable-genus", marks=DIGIT_LIMIT),

@@ -214,7 +214,7 @@ def _signature_union(order, g0, residual, g, side_exchanging):
     for sig in cone_signatures(order, target) if target > 0 else ():
         if side_exchanging and not (g0 or _odd_cofactors(order, sig)):
             continue  # over a sphere, sets generate only through an odd cofactor
-        union.extend(_assignments(order, sig).get(residual, ()))
+        union.extend(_assignments(order, [sig]).get(residual, ()))
     return sorted(union)
 
 
@@ -249,11 +249,12 @@ def test_assignments_match_brute_force():
     for ambient in range(2, 31):
         for target in range(0, 3 * ambient, 2):
             for signature in cone_signatures(ambient, target, 3):
-                got = _assignments(ambient, signature)
+                got = _assignments(ambient, [signature])
                 assert got == _brute_assignments(ambient, signature)
                 assert all(len(set(bucket)) == len(bucket) for bucket in got.values())
                 checked += 1
-        assert _assignments(ambient, ()) == {0: [()]}
+        assert _assignments(ambient, [()]) == {0: [()]}
+        assert _assignments(ambient, []) == {}
     assert checked > 400  # 469 signatures, 29 of them empty
 
 
@@ -266,7 +267,7 @@ def test_assignment_residuals_have_the_parity_of_odd_cofactors():
         for size in range(5):
             for signature in combinations_with_replacement(parts, size):
                 parity = _odd_cofactors(ambient, signature) % 2
-                assert all(r % 2 == parity for r in _assignments(ambient, signature))
+                assert all(r % 2 == parity for r in _assignments(ambient, [signature]))
                 checked += 1
         # ... and that count is even for every signature of an even weight,
         # so no solved signature can be skipped for parity
@@ -372,7 +373,7 @@ def test_two_cone_counts_do_not_depend_on_the_unit():
             for signature in cone_signatures(two_n, target, 2):
                 if len(signature) != 2 or not _odd_cofactors(two_n, signature):
                     continue
-                assignments = _assignments(two_n, signature)
+                assignments = _assignments(two_n, [signature])
                 counts = {len(assignments.get(-2 * a % two_n, ())) for a in units_mod(n)}
                 assert len(counts) == 1, (two_n, signature, counts)
                 checked += 1
