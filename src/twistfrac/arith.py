@@ -13,7 +13,6 @@ finite search.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, isqrt
 
 # A cone signature is the multiset of cone-point orders, kept as an
@@ -67,12 +66,6 @@ def cone_weight(order: int, m: int) -> int:
     return (order // m) * (m - 1)
 
 
-@lru_cache(maxsize=None)
-def _parts(order: int) -> tuple[tuple[int, int], ...]:
-    """The (m, weight) parts of `order`, ascending in both; computed once per order."""
-    return tuple((m, cone_weight(order, m)) for m in divisors(order)[1:])
-
-
 def cone_signatures(
     order: int, target: int, max_count: int | None = None
 ) -> set[ConeSignature]:
@@ -90,7 +83,7 @@ def cone_signatures(
     if target < 0:
         raise ValueError(f"cone_signatures() needs target >= 0, got {target}")
 
-    parts = _parts(order)
+    parts = [(m, cone_weight(order, m)) for m in divisors(order)[1:]]  # ascending in both
     limit = min(2 * target // order, target if max_count is None else max_count)
 
     found: set[ConeSignature] = {()} if target == 0 else set()

@@ -374,21 +374,13 @@ def cmd_decompose(args, out) -> int:
     return 0 if status in ("exact", "adjusted") else 2
 
 
-FAMILY_BUILDERS = (
-    ("sp-max-exponent-1", lambda g: family_sp_top(g)[0]),
-    ("sp-max-exponent-2", lambda g: family_sp_top(g)[1]),
-    ("sp-order-4g-1", lambda g: family_sp_4g(g)[0]),
-    ("sp-order-4g-2", lambda g: family_sp_4g(g)[1]),
-    ("se-order-max", family_se_max),
-    ("se-order-min", family_se_min),
-)
-
-
 def cmd_families(args, out) -> int:
-    rows = []
-    for label, builder in FAMILY_BUILDERS:
-        d = builder(args.genus)
-        rows.append((label, d, validate(d)))
+    g = args.genus
+    top, wide = family_sp_top(g), family_sp_4g(g)
+    rows = [(label, d, validate(d)) for label, d in (
+        ("sp-max-exponent-1", top[0]), ("sp-max-exponent-2", top[1]),
+        ("sp-order-4g-1", wide[0]), ("sp-order-4g-2", wide[1]),
+        ("se-order-max", family_se_max(g)), ("se-order-min", family_se_min(g)))]
     sink = io.StringIO()  # all rows first: str() refuses a huge order
     try:
         if args.format == "text":
@@ -536,8 +528,9 @@ def main(argv=None, stdout=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         if args.output is not None:
-            # Refuse a missing directory before computing anything.
-            parent = os.path.dirname(os.path.abspath(args.output))
+            # Refuse a missing directory before computing anything: the one
+            # `_open_output` writes into, past any symlink at PATH.
+            parent = os.path.dirname(os.path.realpath(args.output))
             if not os.path.isdir(parent):
                 raise _Refused(f"cannot write {args.output}: no directory {parent}")
         code = args.handler(args, out)

@@ -89,9 +89,8 @@ def audit(g: int, kind: str) -> AuditResult:
     """Run the matching laws over the full enumeration at genus g.
 
     Each (order, l, g0, cone count) class of the enumerator's blocks is
-    checked once, and the cone counts of each shared cones list are taken
-    once; only an (order, l, g0) group with a failing class is listed and
-    checked set by set, in listing order, for its witnesses.
+    checked once; only an (order, l, g0) group with a failing class is
+    listed and checked set by set, in listing order, for its witnesses.
     """
     if kind not in ("sp", "se"):
         raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
@@ -100,13 +99,10 @@ def audit(g: int, kind: str) -> AuditResult:
         else (se_blocks, _se_laws, enumerate_se, check_se_laws))
     checked, failing = 0, set()
     for blocks in blocks_of(g):
-        counts, classes = {}, set()  # counts: id of a shared cones list -> its cone counts
+        classes = set()
         for (order, l, g0, *_), cones in blocks:
             checked += len(cones)
-            sizes = counts.get(id(cones))
-            if sizes is None:
-                sizes = counts[id(cones)] = {len(c) for c in cones}
-            classes.update([(order, l, g0, m) for m in sizes])
+            classes.update([(order, l, g0, m) for m in {len(c) for c in cones}])
         for order, l, g0, m in classes:
             if not all(holds for _, holds in laws(order, l, g0, m, g)):
                 failing.add((order, l, g0))

@@ -642,9 +642,17 @@ def test_enumerate_both_kinds_sections():
     assert "side-exchanging:\n" in out
 
 
-def test_enumerate_oracle_agreement_exit_0():
-    code, _ = run_cli("enumerate", "--genus", "4", "--kind", "sp", "--oracle")
-    assert code == 0
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+@pytest.mark.parametrize("flags", [
+    *(f"--genus {g} --kind {kind}" for g in range(1, 6) for kind in ("sp", "se")),
+    "--genus 4 --kind sp --essential --exponent 8/16",
+    "--genus 5 --kind se --g0 0 --cones 3",
+])
+def test_enumerate_oracle_prints_the_plain_listing(flags, fmt):
+    argv = ["enumerate", *flags.split(), "--format", fmt]
+    code, listing = run_cli(*argv)
+    assert code == 0 and listing.count("\n") > 1
+    assert run_cli(*argv, "--oracle") == (0, listing)
 
 
 GENUS_4_SP = SpDataSet(1, 9, 0, 2, 2, (ConePair(5, 9),))  # in no genus-3 listing
@@ -1022,6 +1030,36 @@ def test_decompose_json_format():
         3, 10, 0, 4, (ConePair(1, 10), ConePair(1, 10)))
 
 
+SE_ADJUSTED = "((6, 10), 0, 2; (3, 10), (3, 10))"  # r = 2 adjusts both cones
+
+
+@pytest.fixture
+def candidate_rejected(monkeypatch):
+    """`relations.validate_se` failing only the r = 2 candidate of SE_ADJUSTED."""
+    import twistfrac.relations as relations
+
+    real = relations.validate_se
+    candidate = SeDataSet(3, 10, 0, 4, (ConePair(1, 10), ConePair(1, 10)))
+    monkeypatch.setattr(relations, "validate_se", lambda d: (
+        replace(real(d), cone_sum=False) if d == candidate else real(d)))
+
+
+def test_decompose_rejected_candidate_is_failed(candidate_rejected):
+    from twistfrac.relations import DecompositionResult, se_power_decompose
+
+    assert se_power_decompose(parse_record_line(SE_ADJUSTED, "se"), 2) == (
+        DecompositionResult("failed", None, ((1, 6, 1), (2, 6, 1))))
+
+
+@pytest.mark.parametrize("fmt, expected", [
+    ("text", "status: failed\ncone 1: raw 6 -> 1\ncone 2: raw 6 -> 1\n"),
+    ("json-lines", '{"status":"failed","result":null,"adjustments":[[1,6,1],[2,6,1]]}\n'),
+])
+def test_decompose_failed_exits_2(candidate_rejected, fmt, expected):
+    assert run_cli("decompose", "--kind", "se", "--r", "2", SE_ADJUSTED,
+                   "--format", fmt) == (2, expected)
+
+
 # ---------------------------------------------------------------- families
 
 def test_families_text_includes_known_tuples():
@@ -1116,13 +1154,6 @@ def test_audit_violation_exits_3(monkeypatch):
     assert code == 3
     assert "sp:order-le-4g" in out
     assert out.endswith("total violations: 1\n")
-
-
-def test_enumerate_oracle_respects_filters():
-    code, out = run_cli("enumerate", "--genus", "4", "--kind", "sp",
-                        "--essential", "--exponent", "8/16", "--oracle")
-    assert code == 0
-    assert out.count("(") > 0  # the four 8/16 sets survive the comparison
 
 
 # ------------------------------------------------------------- exit codes
@@ -1468,6 +1499,22 @@ def test_output_through_a_symlink_keeps_the_link_and_the_mode(tmp_path):
     assert real.read_text() == run_cli("spectra", "--from", "1", "--to", "2")[1]
     assert stat.S_IMODE(real.stat().st_mode) == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
+def test_output_through_a_symlink_into_a_missing_directory_is_refused_first(
+        tmp_path, monkeypatch, capsys):
+    import twistfrac.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("audited before checking --output")
+
+    monkeypatch.setattr(cli_mod, "audit", fail)
+    link = tmp_path / "out.txt"
+    link.symlink_to(tmp_path / "no_such_dir" / "out.txt")
+    missing = os.path.join(os.path.realpath(tmp_path), "no_such_dir")
+    assert run_cli("audit", "--from", "1", "--to", "12", "--output", str(link)) == (1, "")
+    assert capsys.readouterr().err == f"cannot write {link}: no directory {missing}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_output_to_a_pipe_writes_through_it(tmp_path):

@@ -114,6 +114,42 @@ def test_essential_floors_fire_exactly_on_essential_classes():
     assert _essential(0, 1, False) and _essential(0, 2, True)
 
 
+# Each law at the edge of its bound, and one step past it: fields are
+# (order, l, g0, cone count, genus).  A row is named by its law, and by the
+# bound too when the law has two.  Parity laws step the order from odd to
+# even; side-exchanging orders step by 2.
+LAW_BOUNDS = {
+    "sp:odd-l-odd-n": ((9, 1, 0, 1, 4), (10, 1, 0, 1, 4)),
+    "sp:coprime-order-cap": ((9, 1, 0, 1, 4), (10, 1, 0, 1, 4)),
+    "sp:order-window floor": ((9, 2, 0, 1, 4), (8, 2, 0, 1, 4)),
+    "sp:order-window cap": ((16, 2, 0, 1, 4), (17, 2, 0, 1, 4)),
+    "sp:order-le-4g": ((16, 2, 0, 1, 4), (17, 2, 0, 1, 4)),
+    "sp:handles-force-small-order": ((3, 2, 1, 1, 4), (4, 2, 1, 1, 4)),
+    "sp:large-order-single-cone": ((8, 2, 0, 2, 4), (9, 2, 0, 2, 4)),
+    "sp:essential-order-floor": ((9, 2, 0, 1, 4), (8, 2, 0, 1, 4)),
+    "se:odd-l-odd-n": ((18, 1, 0, 2, 4), (20, 1, 0, 2, 4)),
+    "se:order-floor": ((10, 2, 0, 2, 4), (8, 2, 0, 2, 4)),
+    "se:order-floor denominator": ((18, 2, 0, 2, 4), (18, 2, 0, 1, 4)),
+    "se:wiman-order-cap": ((18, 2, 0, 2, 4), (20, 2, 0, 2, 4)),
+    "se:sphere-needs-two-cones": ((18, 2, 0, 2, 4), (18, 2, 0, 1, 4)),
+    "se:essential-order-floor": ((10, 2, 0, 2, 4), (8, 2, 0, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("row", sorted(LAW_BOUNDS))
+def test_law_holds_at_its_bound_and_fails_one_step_past(row):
+    law = row.split()[0]
+    kernel = _sp_laws if law.startswith("sp:") else _se_laws
+    at_bound, past_bound = LAW_BOUNDS[row]
+    assert dict(kernel(*at_bound))[law]
+    assert not dict(kernel(*past_bound))[law]
+
+
+def test_every_law_has_a_bound_row():
+    laws = {law for law, _ in _sp_laws(9, 1, 0, 1, 4) + _se_laws(18, 1, 0, 2, 4)}
+    assert {row.split()[0] for row in LAW_BOUNDS} == laws
+
+
 def test_audit_small_range_is_clean():
     for g in range(1, 13):
         for kind in ("sp", "se"):
