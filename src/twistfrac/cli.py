@@ -528,11 +528,14 @@ def main(argv=None, stdout=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         if args.output is not None:
-            # Refuse a missing directory before computing anything: the one
-            # `_open_output` writes into, past any symlink at PATH.
-            parent = os.path.dirname(os.path.realpath(args.output))
+            # Refuse a PATH that cannot be written before computing anything:
+            # `_open_output` writes past any symlink at PATH, into its directory.
+            target = os.path.realpath(args.output)
+            parent = os.path.dirname(target)
             if not os.path.isdir(parent):
                 raise _Refused(f"cannot write {args.output}: no directory {parent}")
+            if os.path.isdir(target):
+                raise _Refused(f"cannot write {args.output}: {target} is a directory")
         code = args.handler(args, out)
         if out is sys.stdout:  # a closed stdout fails here, not at interpreter exit
             out.flush()

@@ -16,9 +16,12 @@ Two independent engines produce the same sets:
   from the validity kernel and skips the signature unless it is the
   requested genus; the skip is exact, because the genus depends on the
   order, g0 and the cone orders alone.  Only then does it walk every
-  unit twist tuple, residue and exponent, keeping whatever the validator
-  accepts.  It shares no solver with the pruned engine, is deliberately
-  slow and refuses genus above its bound.
+  unit twist tuple and residue.  For each it reads the flags that do not
+  read l (all but the twist relation and the range of l) from one kernel
+  call and skips every exponent unless they hold; this skip is exact for
+  the same reason.  Every exponent left goes through the validator, and
+  the oracle keeps whatever it accepts.  It shares no solver with the
+  pruned engine and refuses genus above its bound.
 
 Output contract shared by both: canonical data sets only, no duplicates,
 sorted by (order, l, g0, residues, cones).  The pruned engine works one
@@ -49,6 +52,7 @@ from .datasets import (
     DataSet,
     SeDataSet,
     SpDataSet,
+    ValidationReport,
     _check_genus,
     _se_report,
     _sp_report,
@@ -57,8 +61,9 @@ from .datasets import (
     sp_genus_if_valid,
 )
 
-# The naive engine is quadratic-ish in everything; keep it on a leash.
-ORACLE_MAX_GENUS = 8
+# The naive engine is quadratic-ish in everything; keep it on a leash
+# (genus 24 takes about 3 s, side-preserving).
+ORACLE_MAX_GENUS = 24
 
 # Cap for the spectra table; the count above this is still exact, only slower
 # (genus 1..128 takes about 0.1 s in process).
@@ -279,6 +284,16 @@ def enumerate_se(g: int, filters: Filters | None = None) -> list[SeDataSet]:
         _sets(SeDataSet, blocks) for blocks in se_blocks(g, filters)))
 
 
+def _l_free_flags_hold(report: ValidationReport) -> bool:
+    """Whether every flag of `report` that does not read the exponent l holds.
+
+    Only the twist relation and the range of l read l, so one kernel call
+    at any l settles these flags for every l.
+    """
+    return (report.structure and report.residues and report.cone_sum
+            and report.genus_integral and report.genus_positive and report.generating)
+
+
 def _oracle_sp(g: int) -> list[SpDataSet]:
     out = []
     for n in range(2, 4 * g + 1):
@@ -293,8 +308,10 @@ def _oracle_sp(g: int) -> list[SpDataSet]:
                     if _sp_report(1, n, g0, 1, 1, [(1, m) for m in sig]).genus != g:
                         continue
                     for cones in _oracle_twists(sig):
-                        for l in range(1, n):
-                            for a, b in pair_choices:
+                        for a, b in pair_choices:
+                            if not _l_free_flags_hold(_sp_report(1, n, g0, a, b, cones)):
+                                continue
+                            for l in range(1, n):
                                 if sp_genus_if_valid(l, n, g0, a, b, cones) == g:
                                     out.append(SpDataSet(l, n, g0, a, b, cones))
     return out
@@ -314,8 +331,10 @@ def _oracle_se(g: int) -> list[SeDataSet]:
                     if _se_report(2, two_n, g0, 1, [(1, m) for m in sig]).genus != g:
                         continue
                     for cones in _oracle_twists(sig):
-                        for l in range(2, two_n):
-                            for a in units_n:
+                        for a in units_n:
+                            if not _l_free_flags_hold(_se_report(2, two_n, g0, a, cones)):
+                                continue
+                            for l in range(2, two_n):
                                 if se_genus_if_valid(l, two_n, g0, a, cones) == g:
                                     out.append(SeDataSet(l, two_n, g0, a, cones))
     return out

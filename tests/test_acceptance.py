@@ -207,13 +207,13 @@ def test_criterion_5_families_to_genus_200():
 
 def test_criterion_6_oracle_equivalence():
     started = time.monotonic()
-    for g in range(1, 9):
+    for g in range(1, 17):
         assert enumerate_oracle(g, "sp") == enumerate_sp(g), f"sp mismatch at {g}"
         assert enumerate_oracle(g, "se") == enumerate_se(g), f"se mismatch at {g}"
     elapsed = time.monotonic() - started
     assert elapsed < 120.0, f"oracle sweep took {elapsed:.2f}s"
     print(f"\nPASS criterion 6: pruned and naive enumerators agree for "
-          f"g = 1..8, both kinds ({elapsed:.2f}s)")
+          f"g = 1..16, both kinds ({elapsed:.2f}s)")
 
 
 def test_criterion_7_law_audit():

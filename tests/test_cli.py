@@ -1201,8 +1201,8 @@ REFUSALS = [
                  id="enumerate-exponent-syntax"),
     pytest.param(["enumerate", "--genus", "3", "--oracle"], b"",
                  "--oracle needs --kind sp or --kind se\n", id="enumerate-oracle-both"),
-    pytest.param(["enumerate", "--genus", "9", "--kind", "sp", "--oracle"], b"",
-                 "oracle enumeration is bounded to genus <= 8, got 9\n",
+    pytest.param(["enumerate", "--genus", "25", "--kind", "sp", "--oracle"], b"",
+                 "oracle enumeration is bounded to genus <= 24, got 25\n",
                  id="enumerate-oracle-bound"),
     pytest.param(["spectra", "--from", "3", "--to", "2"], b"",
                  "need 1 <= --from <= --to, got 3..2\n", id="spectra-reversed"),
@@ -1235,8 +1235,12 @@ REFUSALS = [
                  b"", "cannot write {tmp}/missing/out.txt: no directory {tmp}/missing\n",
                  id="output-missing-directory"),
     pytest.param(["spectra", "--from", "1", "--to", "2", "--output", "{tmp}"], b"",
-                 "cannot write {tmp}: [Errno 21] Is a directory: '{tmp}'\n",
+                 "cannot write {tmp}: {tmp} is a directory\n",
                  id="output-is-a-directory"),
+    # refused before the audits run, and named by the directory PATH resolves to
+    pytest.param(["audit", "--from", "1", "--to", "24", "--output", "{tmp}/."], b"",
+                 "cannot write {tmp}/.: {tmp} is a directory\n",
+                 id="output-resolves-to-a-directory"),
     pytest.param(["enumerate"], b"",
                  "usage: twistfrac enumerate [-h] --genus GENUS [--kind {sp,se,both}] "
                  "[--essential] [--exponent L/ORDER] [--g0 G0] [--cones CONES] [--oracle] "
@@ -1438,7 +1442,7 @@ def test_output_checked_before_computing(tmp_path, monkeypatch):
 
 
 def test_output_open_error_exits_1(tmp_path, capsys):
-    # the path is an existing directory: open() itself fails
+    # the path is an existing directory: refused before the command runs
     code, out = run_cli("spectra", "--from", "1", "--to", "1",
                         "--output", str(tmp_path))
     assert code == 1 and out == ""
@@ -1515,6 +1519,23 @@ def test_output_through_a_symlink_into_a_missing_directory_is_refused_first(
     assert run_cli("audit", "--from", "1", "--to", "12", "--output", str(link)) == (1, "")
     assert capsys.readouterr().err == f"cannot write {link}: no directory {missing}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_output_to_a_directory_is_refused_before_computing(tmp_path, monkeypatch, capsys):
+    import twistfrac.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise AssertionError("audited before checking --output")
+
+    monkeypatch.setattr(cli_mod, "audit", fail)
+    (tmp_path / "sub").mkdir()
+    link = tmp_path / "out.txt"
+    link.symlink_to(tmp_path / "sub")
+    real = os.path.join(os.path.realpath(tmp_path), "sub")
+    assert run_cli("audit", "--from", "1", "--to", "24", "--output", str(link)) == (1, "")
+    assert capsys.readouterr().err == f"cannot write {link}: {real} is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "sub"]
+    assert not any((tmp_path / "sub").iterdir())
 
 
 def test_output_to_a_pipe_writes_through_it(tmp_path):

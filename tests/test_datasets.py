@@ -2,6 +2,8 @@ import json
 import random
 import sys
 import tracemalloc
+from collections import Counter
+from dataclasses import fields
 from math import gcd
 
 import pytest
@@ -226,6 +228,51 @@ def test_genus_reads_only_order_g0_and_cone_orders():
             assert validate_se(e).genus == first.genus, e
     # both integral and non-integral genera must be exercised
     assert 400 < hits_sp < 3600 and 400 < hits_se < 3600
+
+
+def test_only_the_twist_relation_and_the_range_read_l():
+    """The oracle skips every l of a candidate on one kernel verdict; that needs this.
+
+    Whether or not a tuple passes condition (i), changing l alone leaves
+    every flag but `twist_relation` and `l_in_range`, and the genus, as
+    they were.
+    """
+    rng = random.Random(2208)
+    flags = [f.name for f in fields(ValidationReport)
+             if f.name not in ("twist_relation", "l_in_range", "genus")]
+    seen = Counter()
+
+    def cones(order):
+        divs = [m for m in range(2, order + 1) if order % m == 0]
+        # now and then an order that need not divide: condition (i) may fail
+        return [(rng.randrange(-order, 2 * order), rng.randrange(1, order + 2)
+                 if rng.random() < 0.05 else rng.choice(divs))
+                for _ in range(rng.randrange(0, 5))]
+
+    def residue(order):
+        return rng.randrange(-order, 2 * order)
+
+    def exponents(order):
+        return [rng.randrange(-order, 2 * order + 2) for _ in range(5)]
+
+    for _ in range(3000):
+        g0 = rng.randrange(-1, 3)
+        n = rng.randrange(2, 25)
+        a, b, sp_cones = residue(n), residue(n), cones(n)
+        reports = [validate_sp(sp(l, n, g0, a, b, sp_cones)) for l in exponents(n)]
+        two_n = 2 * rng.randrange(2, 13)
+        a, se_cones = residue(two_n // 2), cones(two_n)
+        reports += [validate_se(se(l, two_n, g0, a, se_cones)) for l in exponents(two_n)]
+        for kernel in (reports[:5], reports[5:]):
+            verdicts = {(tuple(getattr(r, name) for name in flags), r.genus) for r in kernel}
+            assert len(verdicts) == 1, kernel
+            ((held, _),) = verdicts
+            seen.update(zip(flags, held))
+            seen["every l-free flag"] += all(held)
+            seen["l decides"] += len({(r.twist_relation, r.l_in_range) for r in kernel}) > 1
+    # each l-free flag holds and fails, and the skip both drops and keeps candidates
+    assert all(seen[name, True] and seen[name, False] for name in flags)
+    assert seen["every l-free flag"] > 40 and seen["l decides"] > 1000
 
 
 # ---------------------------------------------------------- canonical form

@@ -132,12 +132,10 @@ def test_oracle_contains_hand_checked_set():
 
 
 def test_oracle_refuses_large_genus():
-    with pytest.raises(OracleBoundError):
-        enumerate_oracle(9, "sp")
-    # past the bound the oracle still agrees with the pruned engine
-    for g in (9, 10, 11):
-        assert enumerate_oracle(g, "sp", max_genus=11) == enumerate_sp(g)
-        assert enumerate_oracle(g, "se", max_genus=11) == enumerate_se(g)
+    with pytest.raises(OracleBoundError, match="genus <= 24, got 25"):
+        enumerate_oracle(25, "sp")
+    with pytest.raises(OracleBoundError, match="genus <= 2, got 3"):
+        enumerate_oracle(3, "se", max_genus=2)
 
 
 def test_oracle_rejects_bad_kind():
