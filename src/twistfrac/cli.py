@@ -14,7 +14,7 @@ closed stdout ends with exit 1 and nothing on stderr.
 
 Text listings group data sets under 'Exponent l/order' headers ascending
 by (order, l); json-lines output round-trips through `from_record`.  Every
-listing format is one `datasets.SYNTAXES` row, written in batches by `_write`.
+listing format is one `datasets.SYNTAXES` row of templates, written by `_write`.
 """
 
 from __future__ import annotations
@@ -96,14 +96,15 @@ class _PairTexts(dict):
         return text
 
 
-def _rendered(chunk, head_text, pairs, separator, ending, grouped):
+def _rendered(chunk, heads, pairs, separator, ending, grouped):
     """The lines of one order's sorted blocks: each head's text before each of its cone texts.
 
-    A cone text joins the `pairs` texts with `separator` and adds `ending`.
-    Each shared cones list is rendered once, keyed by its id() while the
-    chunk keeps it alive, and each head once per block.  `grouped` (text)
-    puts an 'Exponent l/order' line before each exponent (a chunk holds one
-    order) and indents each set by two spaces.
+    A head's text is its `heads` template for its length; a cone text joins
+    the `pairs` texts with `separator` and adds `ending`.  Each shared cones
+    list is rendered once, keyed by its id() while the chunk keeps it alive,
+    and each head once per block.  `grouped` (text) puts an 'Exponent
+    l/order' line before each exponent (a chunk holds one order) and indents
+    each set by two spaces.
     """
     texts, exponent, indent = {}, None, "  " if grouped else ""
     for head, cones in chunk:
@@ -114,7 +115,7 @@ def _rendered(chunk, head_text, pairs, separator, ending, grouped):
         if rest is None:
             rest = texts[id(cones)] = [separator.join(map(pairs.__getitem__, c)) + ending
                                        for c in cones]
-        yield from map((indent + head_text(head)).__add__, rest)
+        yield from map((indent + heads[len(head)].format(*head)).__add__, rest)
 
 
 def _write(out, lines) -> None:
@@ -135,7 +136,7 @@ def render_listing(kinds, fmt: str, out) -> None:
     Each chunk is deleted once written, so it is freed before the next one
     is built.
     """
-    head_text, template, separator, closing = SYNTAXES[fmt]
+    heads, template, separator, closing = SYNTAXES[fmt]
     pairs, ending = _PairTexts(template), closing + "\n"
     if fmt == "csv":
         out.write(CSV_COLUMNS + "\n")
@@ -144,7 +145,7 @@ def render_listing(kinds, fmt: str, out) -> None:
         if grouped and len(kinds) == 2:
             out.write(_KIND_HEADINGS[kind])
         for chunk in chunks:
-            _write(out, _rendered(chunk, head_text, pairs, separator, ending, grouped))
+            _write(out, _rendered(chunk, heads, pairs, separator, ending, grouped))
             del chunk
 
 

@@ -54,8 +54,8 @@ set's own order.  The enumerator yields exactly these keys.
 
 Records are accepted in two syntaxes: one JSON object per line in the
 wire format, or the tuples above as text; listings also render CSV rows.
-`SYNTAXES` holds how each of the three writes a set from its sort key,
-and `key_line` writes one set.
+`SYNTAXES` holds how each of the three writes a set from its sort key, in
+templates that read the key's head by its length; `key_line` writes one set.
 """
 
 from __future__ import annotations
@@ -343,56 +343,33 @@ def to_record(d: DataSet) -> dict:
             "a": d.a, "cones": cones}
 
 
-def key_text_head(head: tuple) -> str:
-    """Tuple text up to the cones, '((l, order), g0, a; '; `head` is a sort key without cones."""
-    order, l, g0, *residues = head
-    a = residues[0] if len(residues) == 1 else "({}, {})".format(*residues)
-    return f"(({l}, {order}), {g0}, {a}; "
-
-
-def record_line_head(head: tuple) -> str:
-    """`to_record` of a set as compact JSON up to the first cone; `head` is its key without cones.
-
-    `key_line(key, "json-lines")` equals json.dumps(to_record(d), separators=(",", ":"))
-    for a canonical d with d.sort_key() = key; unlike `to_record` it does not sort cones.
-    """
-    if len(head) == 5:
-        n, l, g0, a, b = head
-        return f'{{"kind":"SP","l":{l},"n":{n},"g0":{g0},"a":{a},"b":{b},"cones":['
-    two_n, l, g0, a = head
-    return f'{{"kind":"SE","l":{l},"two_n":{two_n},"g0":{g0},"a":{a},"cones":['
-
-
 # CSV cells as csv.writer(quoting=QUOTE_NONNUMERIC) writes them, under CSV_COLUMNS.
 # No string cell (the kind, an empty b, the cones) holds a quote, a comma or a newline.
 CSV_COLUMNS = '"kind","l","order","g0","a","b","cones"'
 
 
-def csv_head(head: tuple) -> str:
-    """The kind, l, order, g0, a and b cells and the cones cell's opening quote.
-
-    `head` is the set's sort key without its cones.
-    """
-    order, l, g0, a, *b = head  # b is [] in a side-exchanging key
-    return f'"SP",{l},{order},{g0},{a},{b[0]},"' if b else f'"SE",{l},{order},{g0},{a},"","'
-
-
-# How each record syntax writes a set from its sort key: the head function (of
-# the key without its cones; it ends where the first pair begins), the template
-# of one (order, twist) pair, the separator between pairs and the closing after
-# the last one.
+# How each record syntax writes a set from its sort key: the template of a head
+# (the key without its cones, up to the first pair) by its length, 5 for SP
+# (n, l, g0, a, b) and 4 for SE (2n, l, g0, a); the template of one (order,
+# twist) pair; the separator between pairs; the closing after the last one.
+# A json-lines line is json.dumps(to_record(d), separators=(",", ":")) for a
+# canonical d with that key; unlike `to_record`, it keeps the key's cone order.
 SYNTAXES = {
-    "text": (key_text_head, "({k}, {m})", ", ", ")"),
-    "json-lines": (record_line_head, "[{k},{m}]", ",", "]}"),
-    "csv": (csv_head, "{k}:{m}", ";", '"'),
+    "text": ({5: "(({1}, {0}), {2}, ({3}, {4}); ", 4: "(({1}, {0}), {2}, {3}; "},
+             "({k}, {m})", ", ", ")"),
+    "json-lines": ({5: '{{"kind":"SP","l":{1},"n":{0},"g0":{2},"a":{3},"b":{4},"cones":[',
+                    4: '{{"kind":"SE","l":{1},"two_n":{0},"g0":{2},"a":{3},"cones":['},
+                   "[{k},{m}]", ",", "]}"),
+    "csv": ({5: '"SP",{1},{0},{2},{3},{4},"', 4: '"SE",{1},{0},{2},{3},"","'},
+            "{k}:{m}", ";", '"'),
 }
 
 
 def key_line(key: tuple, fmt: str) -> str:
     """The set whose sort key is `key` in the syntax `fmt`, without a newline."""
-    head_text, template, separator, closing = SYNTAXES[fmt]
+    heads, template, separator, closing = SYNTAXES[fmt]
     cones = separator.join([template.format(k=k, m=m) for m, k in key[-1]])
-    return head_text(key[:-1]) + cones + closing
+    return heads[len(key) - 1].format(*key[:-1]) + cones + closing
 
 
 class _ShortRepr(reprlib.Repr):

@@ -47,7 +47,7 @@ def _sp_laws(n: int, l: int, g0: int, m: int, g: int) -> list[tuple[str, bool]]:
         ("sp:order-window",
          2 * g + m <= n * (2 * g0 + m) and n * (4 * g0 + m) <= 4 * g),
         ("sp:order-le-4g", n <= 4 * g),
-        ("sp:handles-force-small-order", n < g if g0 >= 1 else True),
+        ("sp:handles-force-small-order", 5 * n <= 4 * g if g0 >= 1 else True),
         ("sp:large-order-single-cone", m == 1 if n > 2 * g else True),
         ("sp:essential-order-floor",
          n >= 2 * g + 1 if _essential(g0, m, False) else True),

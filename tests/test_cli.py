@@ -1441,12 +1441,24 @@ def test_output_checked_before_computing(tmp_path, monkeypatch):
                    "--output", str(target))[0] == 1
 
 
-def test_output_open_error_exits_1(tmp_path, capsys):
-    # the path is an existing directory: refused before the command runs
-    code, out = run_cli("spectra", "--from", "1", "--to", "1",
-                        "--output", str(tmp_path))
+@pytest.mark.parametrize("module, name", [("tempfile", "mkstemp"), ("os", "replace")],
+                         ids=["mkstemp", "replace"])
+def test_output_open_error_exits_1(module, name, tmp_path, monkeypatch, capsys):
+    # the temporary file cannot be made, or cannot replace PATH
+    import twistfrac.cli as cli_mod
+
+    def fail(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(getattr(cli_mod, module), name, fail)
+    target = tmp_path / "rows.csv"
+    target.write_text("previous\n")
+    code, out = run_cli("spectra", "--from", "1", "--to", "2", "--output", str(target))
     assert code == 1 and out == ""
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert capsys.readouterr().err == (
+        f"cannot write {target}: [Errno 28] No space left on device\n")
+    assert target.read_text() == "previous\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_output_file_mode_follows_umask(tmp_path):

@@ -124,7 +124,7 @@ LAW_BOUNDS = {
     "sp:order-window floor": ((9, 2, 0, 1, 4), (8, 2, 0, 1, 4)),
     "sp:order-window cap": ((16, 2, 0, 1, 4), (17, 2, 0, 1, 4)),
     "sp:order-le-4g": ((16, 2, 0, 1, 4), (17, 2, 0, 1, 4)),
-    "sp:handles-force-small-order": ((3, 2, 1, 1, 4), (4, 2, 1, 1, 4)),
+    "sp:handles-force-small-order": ((4, 2, 1, 1, 5), (5, 2, 1, 1, 6)),
     "sp:large-order-single-cone": ((8, 2, 0, 2, 4), (9, 2, 0, 2, 4)),
     "sp:essential-order-floor": ((9, 2, 0, 1, 4), (8, 2, 0, 1, 4)),
     "se:odd-l-odd-n": ((18, 1, 0, 2, 4), (20, 1, 0, 2, 4)),
@@ -143,6 +143,11 @@ def test_law_holds_at_its_bound_and_fails_one_step_past(row):
     at_bound, past_bound = LAW_BOUNDS[row]
     assert dict(kernel(*at_bound))[law]
     assert not dict(kernel(*past_bound))[law]
+
+
+def test_sp_handles_bound_is_reached():
+    # 5n <= 4g for g0 >= 1 holds with equality at genus 5, order 4
+    assert any(d.g0 == 1 and d.n == 4 for d in enumerate_sp(5))
 
 
 def test_every_law_has_a_bound_row():
