@@ -10,7 +10,8 @@ Exit codes are a stable contract:
     3  internal consistency failure (oracle mismatch, law violation)
 
 Every exit-1 refusal is raised, and `main` alone prints its one line; a
-closed stdout ends with exit 1 and nothing on stderr.
+closed stdout ends with exit 1 and nothing on stderr, and any other failure
+to write stdout with exit 1 and one line.
 
 Text listings group data sets under 'Exponent l/order' headers ascending
 by (order, l); json-lines output round-trips through `from_record`.  Every
@@ -242,6 +243,9 @@ def cmd_validate(args, out) -> int:
     except UnicodeDecodeError as exc:
         # raised by the reads, which decode ahead of the line being parsed
         raise _Refused(f"input is not UTF-8 text: {exc}")
+    except OSError as exc:
+        name = "stdin" if args.file in (None, "-") else args.file
+        raise _Refused(f"cannot read {name}: {exc}")
 
     # Nothing is written before the whole input has parsed.
     with _open_output(args.output, out) as sink:
@@ -302,13 +306,10 @@ def cmd_enumerate(args, out) -> int:
                 print(f"enumerator lists the oracle's sets in another order or with repeats "
                       f"({len(sets)} listed, {len(expected)} expected)", file=sys.stderr)
             return 3
-        keys = [d.sort_key() for d in sets]
-        kinds = [(args.kind, [[(key[:-1], [key[-1]]) for key in keys]])]  # a block per set
-    else:
-        # Lazy: the blocks of each order are written as they are enumerated.
-        kinds = [(kind, blocks(args.genus, filters)) for kind, blocks
-                 in (("sp", sp_blocks), ("se", se_blocks)) if args.kind in (kind, "both")]
 
+    # Lazy: the blocks of each order are written as they are enumerated.
+    kinds = [(kind, blocks(args.genus, filters)) for kind, blocks
+             in (("sp", sp_blocks), ("se", se_blocks)) if args.kind in (kind, "both")]
     with _open_output(args.output, out) as sink:
         render_listing(kinds, args.format, sink)
     return 0
@@ -544,7 +545,11 @@ def main(argv=None, stdout=None) -> int:
     except (_Refused, NotApplicableError, OracleBoundError) as exc:
         print(exc, file=sys.stderr)
         return 1
-    except BrokenPipeError:
+    except OSError as exc:
+        # Every other OSError is a _Refused by now, so this one wrote stdout.
+        # A closed pipe ends quietly; any other failure says so in one line.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"cannot write stdout: {exc}", file=sys.stderr)
         if out is sys.stdout:  # the buffer left is flushed at exit, into devnull
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), out.fileno())

@@ -10,9 +10,12 @@ Two independent engines produce the same sets:
   once into one residue table (`_assignments`), so condition (iv) is a
   lookup.  Only valid tuples are built.
 
-* `enumerate_oracle` walks every order in the same hard range, every
+* `enumerate_oracle` walks every order N in the same hard range, every
   admissible quotient genus and every divisor multiset within the
-  weight-derived size cap.  It reads the genus of each such signature
+  weight-derived size cap.  One walk serves both kinds, bounded by
+  2g + extra = 2 g0 N + sum (N/m)(m-1): the extra weight is N for a
+  side-exchanging set, whose two capped points make one orbit, and 0 for
+  a side-preserving one.  It reads the genus of each such signature
   from the validity kernel and skips the signature unless it is the
   requested genus; the skip is exact, because the genus depends on the
   order, g0 and the cone orders alone.  Only then does it walk every
@@ -294,49 +297,33 @@ def _l_free_flags_hold(report: ValidationReport) -> bool:
             and report.genus_integral and report.genus_positive and report.generating)
 
 
-def _oracle_sp(g: int) -> list[SpDataSet]:
+def _oracle(g: int, kind: str) -> list:
+    """`enumerate_oracle`'s sets, unsorted; it reads its kernels by name at each call."""
+    if kind == "sp":  # residues (a, b), a <= b, mod n; exponents from 1
+        cls, report, genus_if_valid, l_min = SpDataSet, _sp_report, sp_genus_if_valid, 1
+        orders, width, fold, extra = range(2, 4 * g + 1), 2, 1, 0
+    else:  # residue a mod n at order 2n; exponents from 2
+        cls, report, genus_if_valid, l_min = SeDataSet, _se_report, se_genus_if_valid, 2
+        orders, width, fold, extra = range(4, 4 * g + 3, 2), 1, 2, 1
     out = []
-    for n in range(2, 4 * g + 1):
-        units = _units(n)
-        pair_choices = [(a, b) for i, a in enumerate(units) for b in units[i:]]
-        parts = [m for m in divisors(n) if m > 1]
-        size_cap = (2 * g) // max(1, n // 2)  # every cone weighs >= n/2 >= 1
-        for g0 in range(g // n + 1):
-            for size in range(size_cap + 1):
+    for order in orders:
+        choices = list(combinations_with_replacement(_units(order // fold), width))
+        parts = [m for m in divisors(order) if m > 1]
+        weight_cap = 2 * g + extra * order  # = 2 g0 N + sum (N/m)(m-1) at N = order
+        for g0 in range(weight_cap // (2 * order) + 1):
+            # every cone weighs (order/m)(m-1) >= order/2 >= 1
+            for size in range(weight_cap // (order // 2) + 1):
                 for sig in combinations_with_replacement(parts, size):
-                    # the genus reads only n, g0 and the cone orders
-                    if _sp_report(1, n, g0, 1, 1, [(1, m) for m in sig]).genus != g:
+                    # the genus reads only the order, g0 and the cone orders
+                    if report(l_min, order, g0, *choices[0], [(1, m) for m in sig]).genus != g:
                         continue
                     for cones in _oracle_twists(sig):
-                        for a, b in pair_choices:
-                            if not _l_free_flags_hold(_sp_report(1, n, g0, a, b, cones)):
+                        for residues in choices:
+                            if not _l_free_flags_hold(report(l_min, order, g0, *residues, cones)):
                                 continue
-                            for l in range(1, n):
-                                if sp_genus_if_valid(l, n, g0, a, b, cones) == g:
-                                    out.append(SpDataSet(l, n, g0, a, b, cones))
-    return out
-
-
-def _oracle_se(g: int) -> list[SeDataSet]:
-    out = []
-    for two_n in range(4, 4 * g + 3, 2):
-        n = two_n // 2
-        units_n = _units(n)
-        parts = [m for m in divisors(two_n) if m > 1]
-        size_cap = (2 * (g + n)) // max(1, n)  # every cone weighs >= n/2
-        for g0 in range((g + n) // (2 * n) + 1):
-            for size in range(size_cap + 1):
-                for sig in combinations_with_replacement(parts, size):
-                    # the genus reads only 2n, g0 and the cone orders
-                    if _se_report(2, two_n, g0, 1, [(1, m) for m in sig]).genus != g:
-                        continue
-                    for cones in _oracle_twists(sig):
-                        for a in units_n:
-                            if not _l_free_flags_hold(_se_report(2, two_n, g0, a, cones)):
-                                continue
-                            for l in range(2, two_n):
-                                if se_genus_if_valid(l, two_n, g0, a, cones) == g:
-                                    out.append(SeDataSet(l, two_n, g0, a, cones))
+                            for l in range(l_min, order):
+                                if genus_if_valid(l, order, g0, *residues, cones) == g:
+                                    out.append(cls(l, order, g0, *residues, cones))
     return out
 
 
@@ -363,8 +350,7 @@ def enumerate_oracle(g: int, kind: str,
             f"oracle enumeration is bounded to genus <= {max_genus}, got {g}")
     if kind not in ("sp", "se"):
         raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
-    out = _oracle_sp(g) if kind == "sp" else _oracle_se(g)
-    return sorted(out, key=lambda d: d.sort_key())
+    return sorted(_oracle(g, kind), key=lambda d: d.sort_key())
 
 
 def _essential_sp_counts(g: int) -> tuple[int, int]:

@@ -428,6 +428,18 @@ def test_validate_bytes_not_utf8_exit_1(tmp_path, monkeypatch, capsys):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_validate_read_error_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def failing_stdin():
+        yield "((1, 9), 0, (2, 2); (5, 9))\n"
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(sys, "stdin", failing_stdin())
+    target = tmp_path / "reports.txt"
+    assert run_cli("validate", "--output", str(target)) == (1, "")
+    assert capsys.readouterr().err == "cannot read stdin: [Errno 5] Input/output error\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 RECORD_LINES = [
     b"((1, 9), 0, (2, 2); (5, 9))",
     b'{"kind":"SE","l":17,"two_n":18,"g0":0,"a":7,"cones":[[1,2],[13,18]]}',
@@ -1323,6 +1335,23 @@ def test_stdout_closed_before_the_first_write_ends_quietly():
         os.close(write_end)
     assert b"Exception ignored" not in proc.stderr
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--genus", "8"],
+    ["spectra", "--from", "1", "--to", "3"],
+    ["validate", "LISTING"],
+], ids=["enumerate", "spectra", "validate"])
+def test_stdout_write_failure_is_one_line(argv, tmp_path):
+    listing = tmp_path / "listing.jsonl"
+    listing.write_text(run_cli("enumerate", "--genus", "4", "--format", "json-lines")[1])
+    argv = [str(listing) if arg == "LISTING" else arg for arg in argv]
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(STRICT_CLI + argv, stdout=full, stderr=subprocess.PIPE,
+                              env=_child_env(), timeout=120)
+    assert (proc.returncode, proc.stderr.decode()) == (
+        1, "cannot write stdout: [Errno 28] No space left on device\n")
 
 
 def test_output_to_a_pipe_closed_mid_output_is_one_line(tmp_path):

@@ -125,6 +125,22 @@ def test_oracle_equivalence_small_genus():
         assert enumerate_oracle(g, "se") == enumerate_se(g)
 
 
+@pytest.mark.parametrize("kind", ["sp", "se"])
+def test_oracle_calls_the_adapters_the_bench_counts(kind, monkeypatch):
+    # the bench counts kernel calls by rebinding these names in the module
+    import twistfrac.enumeration as enumeration
+
+    expected, calls = enumerate_oracle(3, kind), {"sp": 0, "se": 0}
+    for name in calls:
+        def counting(*args, name=name, adapter=getattr(enumeration, f"{name}_genus_if_valid")):
+            calls[name] += 1
+            return adapter(*args)
+
+        monkeypatch.setattr(enumeration, f"{name}_genus_if_valid", counting)
+    assert enumerate_oracle(3, kind) == expected
+    assert calls[kind] > 0 and calls["se" if kind == "sp" else "sp"] == 0
+
+
 def test_oracle_contains_hand_checked_set():
     found = enumerate_oracle(1, "se")
     expected = SeDataSet(5, 6, 0, 1, (ConePair(1, 2), ConePair(1, 6)))

@@ -1,5 +1,6 @@
 import io
 import json
+from math import gcd
 
 import pytest
 
@@ -17,7 +18,7 @@ from twistfrac import (
     enumerate_sp,
     validate_se,
 )
-from twistfrac.enumeration import Filters
+from twistfrac.enumeration import Filters, se_blocks, sp_blocks
 from twistfrac.cli import main
 from twistfrac.datasets import _essential
 from twistfrac.laws import LawReport, _se_laws, _sp_laws
@@ -145,9 +146,42 @@ def test_law_holds_at_its_bound_and_fails_one_step_past(row):
     assert not dict(kernel(*past_bound))[law]
 
 
-def test_sp_handles_bound_is_reached():
-    # 5n <= 4g for g0 >= 1 holds with equality at genus 5, order 4
-    assert any(d.g0 == 1 and d.n == 4 for d in enumerate_sp(5))
+# Each bound law met with equality on an (order, l, g0, cone count) class at
+# genus g: a row is named as in LAW_BOUNDS.  `sp:large-order-single-cone` is
+# met when some order exceeds 2g, so that its premise holds.
+LAW_EQUALITIES = {
+    "sp:coprime-order-cap": lambda n, l, g0, m, g: n == 2 * g + 1 and gcd(l, n) == 1,
+    "sp:order-window floor": lambda n, l, g0, m, g: 2 * g + m == n * (2 * g0 + m),
+    "sp:order-window cap": lambda n, l, g0, m, g: n * (4 * g0 + m) == 4 * g,
+    "sp:order-le-4g": lambda n, l, g0, m, g: n == 4 * g,
+    "sp:handles-force-small-order": lambda n, l, g0, m, g: 5 * n == 4 * g and g0 >= 1,
+    "sp:large-order-single-cone": lambda n, l, g0, m, g: n > 2 * g,
+    "sp:essential-order-floor":
+        lambda n, l, g0, m, g: n == 2 * g + 1 and _essential(g0, m, False),
+    "se:order-floor": lambda two_n, l, g0, m, g: two_n * (2 * g0 + m - 1) == 2 * g + m,
+    "se:wiman-order-cap": lambda two_n, l, g0, m, g: two_n == 4 * g + 2,
+    "se:sphere-needs-two-cones": lambda two_n, l, g0, m, g: g0 == 0 and m == 2,
+    "se:essential-order-floor":
+        lambda two_n, l, g0, m, g: two_n == 2 * g + 2 and _essential(g0, m, True),
+}
+
+
+def test_every_bound_law_is_attained():
+    # LAW_BOUNDS pins where each law puts its bound; this shows that a listed
+    # set reaches it, so no bound is slack and no extreme set goes unlisted.
+    for g in range(1, 17):
+        classes = {kind: {(order, l, g0, len(c))
+                          for chunk in blocks(g) for (order, l, g0, *_), cones in chunk
+                          for c in cones}
+                   for kind, blocks in (("sp", sp_blocks), ("se", se_blocks))}
+        attained = {row for row, equal in LAW_EQUALITIES.items()
+                    if any(equal(*c, g) for c in classes[row[:2]])}
+        # 5n = 4g needs 5 | g
+        assert attained == {row for row in LAW_EQUALITIES
+                            if g % 5 == 0 or row != "sp:handles-force-small-order"}, g
+    parity_laws = {"sp:odd-l-odd-n", "se:odd-l-odd-n"}
+    assert {row.split()[0] for row in LAW_EQUALITIES} | parity_laws == {
+        row.split()[0] for row in LAW_BOUNDS}
 
 
 def test_every_law_has_a_bound_row():
