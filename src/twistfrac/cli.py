@@ -21,6 +21,7 @@ listing format is one `datasets.SYNTAXES` row of templates, written by `_write`.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -46,7 +47,9 @@ from .enumeration import (
     SPECTRA_MAX_GENUS,
     Filters,
     OracleBoundError,
+    block_sets,
     enumerate_oracle,
+    # not called here, but perfbench's tracer wraps cli.enumerate_sp / cli.enumerate_se
     enumerate_se,
     enumerate_sp,
     se_blocks,
@@ -286,12 +289,17 @@ def cmd_enumerate(args, out) -> int:
     except ValueError as exc:  # Filters refuses an exponent order below 2
         raise _Refused(str(exc))
 
+    # Lazy: the blocks of each order are written as they are enumerated.
+    kinds = [(kind, blocks(args.genus, filters)) for kind, blocks
+             in (("sp", sp_blocks), ("se", se_blocks)) if args.kind in (kind, "both")]
     if args.oracle:
         if args.kind == "both":
             raise _Refused("--oracle needs --kind sp or --kind se")
         reference = enumerate_oracle(args.genus, args.kind)
-        enumerate_kind = enumerate_sp if args.kind == "sp" else enumerate_se
-        sets = enumerate_kind(args.genus, filters)
+        # listed once: the blocks checked are the blocks written
+        chunks = list(kinds[0][1])
+        kinds = [(args.kind, chunks)]
+        sets = block_sets(args.kind, chunks)
         # the oracle lists every set of the genus
         expected = [d for d in reference if filters.accepts(d)]
         if sets != expected:
@@ -307,9 +315,6 @@ def cmd_enumerate(args, out) -> int:
                       f"({len(sets)} listed, {len(expected)} expected)", file=sys.stderr)
             return 3
 
-    # Lazy: the blocks of each order are written as they are enumerated.
-    kinds = [(kind, blocks(args.genus, filters)) for kind, blocks
-             in (("sp", sp_blocks), ("se", se_blocks)) if args.kind in (kind, "both")]
     with _open_output(args.output, out) as sink:
         render_listing(kinds, args.format, sink)
     return 0
@@ -458,7 +463,9 @@ def _nonnegative_int(text: str) -> int:
     return _integer(text, 0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="twistfrac",
         description="Classify, enumerate and relate the data sets of "

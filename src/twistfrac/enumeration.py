@@ -5,10 +5,12 @@ Two independent engines produce the same sets:
 * `enumerate_sp` / `enumerate_se` prune hard: orders are capped by the
   proven bounds (n <= 4g side-preserving, 2n <= 4g+2 side-exchanging),
   one filtered signature walk (`_signatures`) solves the cone signatures
-  from the genus identity, l is solved from the twist relation, and the
-  twist assignments of all the signatures of one (order, g0) are listed
-  once into one residue table (`_assignments`), so condition (iv) is a
-  lookup.  Only valid tuples are built.
+  from the genus identity, and `_heads` solves l from the twist relation
+  and gives each head the residual its cones must sum to.  `_groups`
+  joins the two per (order, g0); the twist assignments of all its
+  signatures are listed once into one residue table (`_assignments`),
+  only at the residuals some head reads, so condition (iv) is a lookup.
+  Only valid tuples are built.
 
 * `enumerate_oracle` walks every order N in the same hard range, every
   admissible quotient genus and every divisor multiset within the
@@ -35,10 +37,15 @@ residual share one list object, so an order builds one tuple per head,
 not per set, and sorts its heads alone (they are unique).  Orders are
 visited ascending, so `sp_blocks` / `se_blocks` stream the sorted
 listing, one block list per order, without building a data set; only
-`enumerate_sp` / `enumerate_se` build them.
+`block_sets` builds them, for `enumerate_sp` / `enumerate_se`.
 
-`spectra` lists nothing: it reads the essential signatures off cofactor
-divisors and counts their sets without the signature walk.
+`class_counts` folds the same join over counts instead of lists: the
+number of a signature's assignments per residual (`_twist_counts`) comes
+from convolving the residue counts of its runs, so it gives the sets of
+each (order, l, g0, cone count) class without building one; `laws.audit`
+reads it.  `spectra` lists nothing either: it reads the essential
+signatures off cofactor divisors and counts their sets without the
+signature walk.
 """
 
 from __future__ import annotations
@@ -146,36 +153,92 @@ def _odd_cofactors(ambient: int, signature) -> int:
     return sum((ambient // m) % 2 for m in signature)
 
 
-def _assignments(ambient: int, signatures: list) -> dict[int, list[tuple]]:
+def _run_choices(ambient: int, order: int, count: int) -> list[tuple]:
+    """(residue sum, cones) of each canonical twist run of `count` cones of one order.
+
+    The twists are `combinations_with_replacement` of the units, so they do
+    not decrease and the cones tuples come ascending.
+    """
+    step = ambient // order
+    return [(step * sum(twists), tuple([(order, k) for k in twists]))
+            for twists in combinations_with_replacement(_units(order), count)]
+
+
+def _assignments(ambient: int, signatures: list, residuals) -> dict[int, list[tuple]]:
     """Canonical twist assignments for the cones of the signatures, by residual.
 
-    Maps each residual r to the ascending tuples of (order, twist) pairs,
-    so a tuple is its own sort key; each tuple is a signature's orders with
-    a unit twist each, twists non-decreasing within runs of equal order, and
+    Maps each residual r in `residuals` that some assignment reaches to the
+    ascending tuples of (order, twist) pairs, so a tuple is its own sort
+    key; each tuple is a signature's orders with a unit twist each, twists
+    non-decreasing within runs of equal order, and
 
         sum (ambient/order) * twist = r  (mod ambient).
 
-    One pass per signature lists every canonical assignment once and files
+    One pass per signature lists each canonical assignment once and files
     it under its residual, so every residue pair with the same residual
-    shares the work.  One signature files its tuples ascending; the tuples
-    of several interleave (they differ, as their signatures do), so then
-    each list is sorted.
+    shares the work.  The last run's choices are grouped by residue, so a
+    prefix is completed only by the runs that reach a residual asked for,
+    and no residual gets an empty list.  One signature files its tuples
+    ascending; the tuples of several interleave (they differ, as their
+    signatures do), so then each list is sorted.
     """
     by_residual: dict[int, list[tuple]] = {}
     for signature in signatures:
+        *runs, last = ([_run_choices(ambient, order, count)
+                        for order, count in _runs(signature)] or [[(0, ())]])
         partial = [(0, ())]  # (residue sum, cones) of the runs so far, ascending
-        for order, count in _runs(signature):
-            step = ambient // order
-            choices = [(step * sum(twists), tuple([(order, k) for k in twists]))
-                       for twists in combinations_with_replacement(_units(order), count)]
+        for choices in runs:
             partial = [(total + more, cones + run)
                        for total, cones in partial for more, run in choices]
+        ends: dict[int, list[tuple]] = {}  # the last run's choices by residue, ascending
+        for more, run in last:
+            ends.setdefault(more % ambient, []).append(run)
         for total, cones in partial:
-            by_residual.setdefault(total % ambient, []).append(cones)
+            for more, runs_of_more in ends.items():
+                residual = (total + more) % ambient
+                if residual in residuals:
+                    by_residual.setdefault(residual, []).extend(
+                        [cones + run for run in runs_of_more])
     if len(signatures) > 1:
         for cones in by_residual.values():
             cones.sort()
     return by_residual
+
+
+@lru_cache(maxsize=None)
+def _run_counts(order: int, count: int) -> dict[int, int]:
+    """How many canonical twist runs of `count` cones of one order have each twist sum mod order.
+
+    A canonical run is a multiset of units.  Adding the units one at a
+    time, ways[j][s] counts the multisets of j of the units so far with
+    sum s (mod order); a unit u adds ways[j - 1] shifted by u to ways[j],
+    for j ascending, so u may repeat.
+    """
+    ways = [[1] + [0] * (order - 1)] + [[0] * order for _ in range(count)]
+    for u in _units(order):
+        for j in range(1, count + 1):
+            previous = ways[j - 1]
+            ways[j] = [w + v for w, v in zip(ways[j], previous[-u:] + previous[:-u])]
+    return {s: w for s, w in enumerate(ways[count]) if w}
+
+
+def _twist_counts(ambient: int, signature) -> dict[int, int]:
+    """The number of canonical twist assignments of the signature, by residual.
+
+    Counts what `_assignments(ambient, [signature], range(ambient))` lists
+    without building a cones tuple: the counts of each run's twist sums
+    (`_run_counts`), scaled by ambient/order, are convolved mod ambient.
+    No residual maps to 0.
+    """
+    counts = {0: 1}
+    for order, count in _runs(signature):
+        step, convolved = ambient // order, {}
+        for total, sets in counts.items():
+            for more, runs in _run_counts(order, count).items():
+                residual = (total + step * more) % ambient
+                convolved[residual] = convolved.get(residual, 0) + sets * runs
+        counts = convolved
+    return counts
 
 
 def _signatures(f: Filters, order: int, targets: range, essential_cones: int):
@@ -198,54 +261,100 @@ def _signatures(f: Filters, order: int, targets: range, essential_cones: int):
                 yield g0, sig
 
 
-def _sp_order_blocks(g: int, f: Filters, n: int) -> list[tuple]:
-    """Sorted blocks ((n, l, g0, a, b), cones) of the SP sets of genus g and order n.
+def _orders(g: int, kind: str) -> range:
+    """The orders of the `kind` sets of genus g: n <= 4g (SP), 2n <= 4g + 2 (SE)."""
+    return range(2, 4 * g + 1) if kind == "sp" else range(4, 4 * g + 3, 2)
+
+
+def _heads(kind: str, f: Filters, order: int, g0: int) -> list[tuple]:
+    """(head, residual) of each head of one order and g0 that the exponent filter keeps.
+
+    A head is a set's sort key without its cones, and its sets are its
+    completions by the twist assignments of the residual.  SP: (n, l, g0,
+    a, b) for unit pairs a <= b, l fixed by the twist relation a+b = l*a*b,
+    residual -(a+b).  SE: (2n, l, g0, a) for each exponent l of a unit a mod
+    n, residual -2a.
+    """
+    wanted = None if f.exponent is None else f.exponent[0]
+    heads = []
+    if kind == "sp":
+        units = _units(order)
+        inverse = [pow(u, -1, order) for u in units]
+        for i, a in enumerate(units):
+            for b, inverse_b in zip(units[i:], inverse[i:]):
+                l = (a + b) * inverse[i] * inverse_b % order
+                if l and (wanted is None or l == wanted):
+                    heads.append(((order, l, g0, a, b), -(a + b) % order))
+    else:
+        n = order // 2
+        for a in _units(n):
+            heads.extend([((order, l, g0, a), -2 * a % order) for l in _se_exponents(a, n)
+                          if wanted is None or l == wanted])
+    return heads
+
+
+def _groups(g: int, f: Filters, kind: str, order: int):
+    """(signatures, heads) of each g0 at which the `kind` sets of genus g and `order` have cones.
+
+    The signatures are those `_signatures` keeps, the heads those of
+    `_heads`; a head's sets are its completions over all the signatures.
+    Over a sphere, SE sets generate only through an odd cofactor.
+    """
+    if kind == "sp":
+        targets, essential_cones = range(2 * g, -1, -2 * order), 1  # 2(g - g0 n)
+    else:
+        targets, essential_cones = range(2 * g + order, -1, -2 * order), 2  # 2(g + n) - 4 g0 n
+    for g0, group in groupby(_signatures(f, order, targets, essential_cones), key=itemgetter(0)):
+        signatures = [sig for _, sig in group
+                      if kind == "sp" or g0 or _odd_cofactors(order, sig)]
+        if signatures:
+            yield signatures, _heads(kind, f, order, g0)
+
+
+def _order_blocks(g: int, f: Filters, kind: str, order: int) -> list[tuple]:
+    """Sorted blocks (head, cones) of the `kind` sets of genus g and `order`.
 
     `cones` lists the ascending (order, twist) tuples of `_assignments`
-    that complete the head, so head + (c,) is a set's `SpDataSet.sort_key()`
-    for each c in it.  Every pair (a, b) reads the list of its residual
-    -(a+b) at its g0, which all heads with that residual share.
+    that complete the head, so head + (c,) is a set's sort_key() for each
+    c in it.  Every head reads the list of its residual at its g0, which
+    all heads with that residual share; only residuals some head reads are
+    listed.
     """
     blocks: list[tuple] = []
-    units, inverse = _units(n), {}
-    targets = range(2 * g, -1, -2 * n)  # 2(g - g0 n), g0 = 0, 1, ...
-    for g0, signatures in groupby(_signatures(f, n, targets, 1), key=itemgetter(0)):
-        # built at the first signature: an order the filters exclude needs none
-        inverse = inverse or {u: pow(u, -1, n) for u in units}
-        by_residual = _assignments(n, [sig for _, sig in signatures])
-        for i, a in enumerate(units):
-            for b in units[i:]:
-                # twist relation a+b = l*a*b fixes the exponent
-                l = (a + b) * inverse[a] * inverse[b] % n
-                if l == 0 or (f.exponent is not None and l != f.exponent[0]):
-                    continue
-                cones = by_residual.get((-(a + b)) % n)
-                if cones:
-                    blocks.append(((n, l, g0, a, b), cones))
-    blocks.sort(key=itemgetter(0))
-    return blocks
-
-
-def _se_order_blocks(g: int, f: Filters, two_n: int) -> list[tuple]:
-    """Sorted blocks ((two_n, l, g0, a), cones) of the SE sets of genus g and order 2n.
-
-    As `_sp_order_blocks`: every a reads the list of its residual -2a, one
-    block per exponent l.
-    """
-    blocks: list[tuple] = []
-    n = two_n // 2
-    targets = range(2 * g + two_n, -1, -2 * two_n)  # 2(g + n) - 4 g0 n, g0 = 0, 1, ...
-    for g0, signatures in groupby(_signatures(f, two_n, targets, 2), key=itemgetter(0)):
-        # over a sphere, sets generate only through an odd cofactor
-        by_residual = _assignments(two_n, [sig for _, sig in signatures
-                                           if g0 or _odd_cofactors(two_n, sig)])
-        for a in _units(n):
-            cones = by_residual.get((-2 * a) % two_n)
+    for signatures, heads in _groups(g, f, kind, order):
+        by_residual = _assignments(order, signatures, {residual for _, residual in heads})
+        for head, residual in heads:
+            cones = by_residual.get(residual)
             if cones:
-                blocks.extend([((two_n, l, g0, a), cones) for l in _se_exponents(a, n)
-                               if f.exponent is None or l == f.exponent[0]])
+                blocks.append((head, cones))
     blocks.sort(key=itemgetter(0))
     return blocks
+
+
+def class_counts(g: int, kind: str) -> dict[tuple, int]:
+    """The number of `kind` sets of genus g in each (order, l, g0, cone count) class.
+
+    The same join as the listing, folded over counts: each signature's sets
+    by residual come from `_twist_counts`, and each head adds the count of
+    its residual at each cone count.  No set or cones tuple is built, and
+    no class maps to 0.
+    """
+    _check_genus(g)
+    if kind not in ("sp", "se"):
+        raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
+    classes: dict[tuple, int] = {}
+    for order in _orders(g, kind):
+        for signatures, heads in _groups(g, Filters(), kind, order):
+            by_residual: dict[int, dict] = {}  # residual -> cone count -> sets
+            for signature in signatures:
+                for residual, sets in _twist_counts(order, signature).items():
+                    by_count = by_residual.setdefault(residual, {})
+                    by_count[len(signature)] = by_count.get(len(signature), 0) + sets
+            for head, residual in heads:
+                for m, sets in by_residual.get(residual, {}).items():
+                    key = (*head[:3], m)
+                    classes[key] = classes.get(key, 0) + sets
+    return classes
 
 
 def _sets(cls, blocks: list[tuple]) -> list:
@@ -265,26 +374,30 @@ def sp_blocks(g: int, filters: Filters | None = None):
     """The blocks of `enumerate_sp`'s sets, one sorted list per order, lazily."""
     _check_genus(g)
     f = filters or Filters()
-    return (_sp_order_blocks(g, f, n) for n in range(2, 4 * g + 1))
+    return (_order_blocks(g, f, "sp", n) for n in _orders(g, "sp"))
 
 
 def se_blocks(g: int, filters: Filters | None = None):
     """The blocks of `enumerate_se`'s sets, one sorted list per order, lazily."""
     _check_genus(g)
     f = filters or Filters()
-    return (_se_order_blocks(g, f, two_n) for two_n in range(4, 4 * g + 3, 2))
+    return (_order_blocks(g, f, "se", two_n) for two_n in _orders(g, "se"))
+
+
+def block_sets(kind: str, chunks) -> list:
+    """The `kind` data sets of `chunks`, lists of blocks as `sp_blocks` / `se_blocks` yield."""
+    cls = SpDataSet if kind == "sp" else SeDataSet
+    return list(chain.from_iterable(_sets(cls, blocks) for blocks in chunks))
 
 
 def enumerate_sp(g: int, filters: Filters | None = None) -> list[SpDataSet]:
     """All valid canonical side-preserving data sets of genus g, sorted."""
-    return list(chain.from_iterable(
-        _sets(SpDataSet, blocks) for blocks in sp_blocks(g, filters)))
+    return block_sets("sp", sp_blocks(g, filters))
 
 
 def enumerate_se(g: int, filters: Filters | None = None) -> list[SeDataSet]:
     """All valid canonical side-exchanging data sets of genus g, sorted."""
-    return list(chain.from_iterable(
-        _sets(SeDataSet, blocks) for blocks in se_blocks(g, filters)))
+    return block_sets("se", se_blocks(g, filters))
 
 
 def _l_free_flags_hold(report: ValidationReport) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .datasets import DataSet, SeDataSet, SpDataSet, _essential, genus_se, genus_sp
-from .enumeration import Filters, enumerate_se, enumerate_sp, se_blocks, sp_blocks
+from .enumeration import Filters, class_counts, enumerate_se, enumerate_sp
 
 
 @dataclass(frozen=True)
@@ -88,25 +88,18 @@ class AuditResult:
 def audit(g: int, kind: str) -> AuditResult:
     """Run the matching laws over the full enumeration at genus g.
 
-    Each (order, l, g0, cone count) class of the enumerator's blocks is
-    checked once; only an (order, l, g0) group with a failing class is
-    listed and checked set by set, in listing order, for its witnesses.
+    The laws read a set's order, l, g0 and cone count alone, so each
+    (order, l, g0, cone count) class of `class_counts` is checked once, and
+    `checked` is the sum of its counts: a clean audit lists no set.  Only an
+    (order, l, g0) group with a failing class is listed and checked set by
+    set, in listing order, for its witnesses.
     """
-    if kind not in ("sp", "se"):
-        raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
-    blocks_of, laws, listing, checker = (
-        (sp_blocks, _sp_laws, enumerate_sp, check_sp_laws) if kind == "sp"
-        else (se_blocks, _se_laws, enumerate_se, check_se_laws))
-    checked, failing = 0, set()
-    for blocks in blocks_of(g):
-        classes = set()
-        for (order, l, g0, *_), cones in blocks:
-            checked += len(cones)
-            classes.update([(order, l, g0, m) for m in {len(c) for c in cones}])
-        for order, l, g0, m in classes:
-            if not all(holds for _, holds in laws(order, l, g0, m, g)):
-                failing.add((order, l, g0))
+    counts = class_counts(g, kind)  # refuses a kind other than "sp" or "se"
+    laws, listing, checker = ((_sp_laws, enumerate_sp, check_sp_laws) if kind == "sp"
+                              else (_se_laws, enumerate_se, check_se_laws))
+    failing = {(order, l, g0) for order, l, g0, m in counts
+               if not all(holds for _, holds in laws(order, l, g0, m, g))}
     violations = [r for order, l, g0 in sorted(failing)
                   for d in listing(g, Filters(exponent=(l, order), g0=g0))
                   for r in checker(d) if not r.holds]
-    return AuditResult(g, kind, checked, tuple(violations))
+    return AuditResult(g, kind, sum(counts.values()), tuple(violations))

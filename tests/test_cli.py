@@ -667,6 +667,29 @@ def test_enumerate_oracle_prints_the_plain_listing(flags, fmt):
     assert run_cli(*argv, "--oracle") == (0, listing)
 
 
+def test_enumerate_oracle_lists_the_blocks_once(monkeypatch):
+    import twistfrac.cli as cli_mod
+    import twistfrac.enumeration as enumeration_mod
+
+    calls = []
+    listing = enumeration_mod.sp_blocks
+    for module in (cli_mod, enumeration_mod):
+        monkeypatch.setattr(module, "sp_blocks", lambda g, f=None: calls.append(g) or listing(g, f))
+    _, plain = run_cli("enumerate", "--genus", "4", "--kind", "sp")
+    assert run_cli("enumerate", "--genus", "4", "--kind", "sp", "--oracle") == (0, plain)
+    assert calls == [4, 4]  # once per command
+
+
+def test_one_parser_serves_every_call():
+    import twistfrac.cli as cli_mod
+
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    # a usage error leaves the shared parser usable
+    assert run_cli("enumerate", "--genus", "x")[0] == 1
+    assert run_cli("spectra", "--from", "4", "--to", "4", "--format", "csv") == (
+        0, "surface_genus,e_sp,e_se,n_sp,n_se\n5,13,22,26,33\n")
+
+
 GENUS_4_SP = SpDataSet(1, 9, 0, 2, 2, (ConePair(5, 9),))  # in no genus-3 listing
 
 
@@ -682,8 +705,8 @@ def test_enumerate_oracle_mismatch_of_the_same_sets_is_explained(mangle, err, mo
                                                                  capsys):
     import twistfrac.cli as cli_mod
 
-    listing = cli_mod.enumerate_sp
-    monkeypatch.setattr(cli_mod, "enumerate_sp", lambda g, f: mangle(listing(g, f)))
+    listing = cli_mod.block_sets
+    monkeypatch.setattr(cli_mod, "block_sets", lambda kind, chunks: mangle(listing(kind, chunks)))
     code, out = run_cli("enumerate", "--genus", "3", "--kind", "sp", "--oracle")
     assert (code, out) == (3, "")
     assert capsys.readouterr().err == err

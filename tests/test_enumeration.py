@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import chain, combinations_with_replacement, product
 from math import gcd
 
@@ -22,7 +23,15 @@ from twistfrac import (
 )
 from twistfrac import enumeration
 from twistfrac.arith import cone_signatures, divisors, units_mod
-from twistfrac.enumeration import _assignments, _odd_cofactors, se_blocks, sp_blocks
+from twistfrac.enumeration import (
+    _assignments,
+    _odd_cofactors,
+    _run_counts,
+    _twist_counts,
+    class_counts,
+    se_blocks,
+    sp_blocks,
+)
 from conftest import flat_keys
 from reference_data import SE_ESSENTIAL_G4, SP_ESSENTIAL_G4
 
@@ -228,7 +237,7 @@ def _signature_union(order, g0, residual, g, side_exchanging):
     for sig in cone_signatures(order, target) if target > 0 else ():
         if side_exchanging and not (g0 or _odd_cofactors(order, sig)):
             continue  # over a sphere, sets generate only through an odd cofactor
-        union.extend(_assignments(order, [sig]).get(residual, ()))
+        union.extend(_assignments(order, [sig], {residual}).get(residual, ()))
     return sorted(union)
 
 
@@ -263,13 +272,67 @@ def test_assignments_match_brute_force():
     for ambient in range(2, 31):
         for target in range(0, 3 * ambient, 2):
             for signature in cone_signatures(ambient, target, 3):
-                got = _assignments(ambient, [signature])
+                got = _assignments(ambient, [signature], range(ambient))
                 assert got == _brute_assignments(ambient, signature)
                 assert all(len(set(bucket)) == len(bucket) for bucket in got.values())
                 checked += 1
-        assert _assignments(ambient, [()]) == {0: [()]}
-        assert _assignments(ambient, []) == {}
+        assert _assignments(ambient, [()], range(ambient)) == {0: [()]}
+        assert _assignments(ambient, [], range(ambient)) == {}
     assert checked > 400  # 469 signatures, 29 of them empty
+
+
+def test_assignments_file_only_the_residuals_asked_for():
+    for ambient in range(2, 31):
+        for target in range(0, 3 * ambient, 2):
+            for signature in cone_signatures(ambient, target, 3):
+                every = _assignments(ambient, [signature], range(ambient))
+                for residuals in (set(), {0}, set(range(0, ambient, 2)), set(range(ambient))):
+                    # no empty list for a residual asked for but not reached
+                    assert _assignments(ambient, [signature], residuals) == {
+                        r: cones for r, cones in every.items() if r in residuals}
+
+
+def test_run_counts_are_the_twist_sums_of_the_runs():
+    # long runs too: an order-7 run of 12 cones is 6,188 multisets
+    for order in range(2, 41):
+        for count in range(13 if order < 8 else 5):
+            runs = combinations_with_replacement(units_mod(order), count)
+            assert _run_counts(order, count) == Counter(sum(run) % order for run in runs)
+
+
+def test_twist_counts_are_the_brute_force_bucket_sizes():
+    checked = 0
+    for ambient in range(2, 31):
+        for target in range(0, 3 * ambient, 2):
+            for signature in cone_signatures(ambient, target, 3):
+                buckets = _brute_assignments(ambient, signature)
+                assert _twist_counts(ambient, signature) == {
+                    r: len(bucket) for r, bucket in buckets.items()}
+                checked += 1
+        assert _twist_counts(ambient, ()) == {0: 1}
+    assert checked > 400
+
+
+def _class_tally(chunks):
+    """Sets per (order, l, g0, cone count), tallied from listed blocks."""
+    tally = Counter()
+    for blocks in chunks:
+        for (order, l, g0, *_), cones in blocks:
+            tally.update([(order, l, g0, len(c)) for c in cones])
+    return dict(tally)
+
+
+@pytest.mark.parametrize("g", range(1, 21))
+def test_class_counts_equal_the_listing_tally(g):
+    assert class_counts(g, "sp") == _class_tally(sp_blocks(g))
+    assert class_counts(g, "se") == _class_tally(se_blocks(g))
+
+
+def test_class_counts_refuse_a_bad_kind_or_genus():
+    with pytest.raises(ValueError):
+        class_counts(3, "all")
+    with pytest.raises(ValueError):
+        class_counts(0, "sp")
 
 
 def test_assignment_residuals_have_the_parity_of_odd_cofactors():
@@ -281,7 +344,8 @@ def test_assignment_residuals_have_the_parity_of_odd_cofactors():
         for size in range(5):
             for signature in combinations_with_replacement(parts, size):
                 parity = _odd_cofactors(ambient, signature) % 2
-                assert all(r % 2 == parity for r in _assignments(ambient, [signature]))
+                assert all(r % 2 == parity
+                           for r in _assignments(ambient, [signature], range(ambient)))
                 checked += 1
         # ... and that count is even for every signature of an even weight,
         # so no solved signature can be skipped for parity
@@ -387,7 +451,7 @@ def test_two_cone_counts_do_not_depend_on_the_unit():
             for signature in cone_signatures(two_n, target, 2):
                 if len(signature) != 2 or not _odd_cofactors(two_n, signature):
                     continue
-                assignments = _assignments(two_n, [signature])
+                assignments = _assignments(two_n, [signature], range(two_n))
                 counts = {len(assignments.get(-2 * a % two_n, ())) for a in units_mod(n)}
                 assert len(counts) == 1, (two_n, signature, counts)
                 checked += 1
