@@ -16,6 +16,12 @@ to write stdout with exit 1 and one line.
 Text listings group data sets under 'Exponent l/order' headers ascending
 by (order, l); json-lines output round-trips through `from_record`.  Every
 listing format is one `datasets.SYNTAXES` row of templates, written by `_write`.
+
+`enumerate`, `spectra` and `audit` write each order or genus as soon as it
+is computed, and `audit` flushes the process's own stdout after each genus.
+`validate` and `enumerate --oracle` write nothing until the whole input has
+parsed or the engines agree.  `--output PATH` replaces PATH only once the
+command has written everything.
 """
 
 from __future__ import annotations
@@ -331,18 +337,16 @@ def cmd_spectra(args, out) -> int:
     genera = _genus_range(args)
     if genera.stop - 1 > SPECTRA_MAX_GENUS:
         raise _Refused(f"spectra is capped at genus {SPECTRA_MAX_GENUS}")
-    rows = [(r.genus_plus_one, r.e_sp, r.e_se, r.n_sp, r.n_se) for r in map(spectra, genera)]
     with _open_output(args.output, out) as sink:
-        if args.format == "text":
-            sink.write("  ".join(SPECTRA_COLUMNS) + "\n")
-            for r in rows:
+        if args.format != "json-lines":
+            sink.write(("  " if args.format == "text" else ",").join(SPECTRA_COLUMNS) + "\n")
+        for r in map(spectra, genera):
+            r = (r.genus_plus_one, r.e_sp, r.e_se, r.n_sp, r.n_se)
+            if args.format == "text":
                 sink.write("{:>13}  {:>4}  {:>4}  {:>4}  {:>4}\n".format(*r))
-        elif args.format == "json-lines":
-            for r in rows:
+            elif args.format == "json-lines":
                 sink.write(_json_line(dict(zip(SPECTRA_COLUMNS, r))) + "\n")
-        else:
-            sink.write(",".join(SPECTRA_COLUMNS) + "\n")
-            for r in rows:
+            else:
                 sink.write(",".join(map(str, r)) + "\n")
     return 0
 
@@ -416,31 +420,36 @@ def cmd_families(args, out) -> int:
 
 def cmd_audit(args, out) -> int:
     kinds = ("sp", "se") if args.kind == "both" else (args.kind,)
-    results = [audit(g, kind) for g in _genus_range(args) for kind in kinds]
-    total_violations = sum(len(r.violations) for r in results)
+    genera = _genus_range(args)
+    total_violations = 0
     with _open_output(args.output, out) as sink:
-        if args.format == "text":
-            for r in results:
-                sink.write(f"genus {r.genus} {r.kind}: {r.checked} sets, "
-                           f"{len(r.violations)} violations\n")
-                for v in r.violations:
-                    sink.write(f"  {v.law}: {v.witness}\n")
-            sink.write(f"total violations: {total_violations}\n")
-        elif args.format == "json-lines":
-            for r in results:
-                sink.write(_json_line({
-                    "genus": r.genus,
-                    "kind": r.kind,
-                    "checked": r.checked,
-                    "violations": [
-                        {"law": v.law, "witness": to_record(v.witness)}
-                        for v in r.violations
-                    ],
-                }) + "\n")
-        else:
+        if args.format == "csv":
             sink.write("genus,kind,checked,violations\n")
-            for r in results:
-                sink.write(f"{r.genus},{r.kind},{r.checked},{len(r.violations)}\n")
+        for g in genera:
+            for kind in kinds:
+                r = audit(g, kind)
+                total_violations += len(r.violations)
+                if args.format == "text":
+                    sink.write(f"genus {r.genus} {r.kind}: {r.checked} sets, "
+                               f"{len(r.violations)} violations\n")
+                    for v in r.violations:
+                        sink.write(f"  {v.law}: {v.witness}\n")
+                elif args.format == "json-lines":
+                    sink.write(_json_line({
+                        "genus": r.genus,
+                        "kind": r.kind,
+                        "checked": r.checked,
+                        "violations": [
+                            {"law": v.law, "witness": to_record(v.witness)}
+                            for v in r.violations
+                        ],
+                    }) + "\n")
+                else:
+                    sink.write(f"{r.genus},{r.kind},{r.checked},{len(r.violations)}\n")
+            if sink is sys.stdout:  # a reader sees each genus; a caller's sink may lack flush
+                sink.flush()
+        if args.format == "text":
+            sink.write(f"total violations: {total_violations}\n")
     return 3 if total_violations else 0
 
 

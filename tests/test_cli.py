@@ -10,6 +10,7 @@ import select
 import stat
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -1191,6 +1192,57 @@ def test_audit_violation_exits_3(monkeypatch):
     assert out.endswith("total violations: 1\n")
 
 
+AUDIT_DIGESTS = {  # audit --from 1 --to 24 --kind both
+    "text": "13bcff271b9fcb4fd090367441a580df71d75ab1f7443211bb61a8987e759924",
+    "json-lines": "631bb681e48ca7daf0b00698c97593ac9d7259d75e265dd9b421e3eb55226012",
+    "csv": "212fa46653612bbefb644522c52b2c991063d388f1eb423f79d7bee77a854292",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(AUDIT_DIGESTS))
+def test_audit_bytes_are_pinned(fmt):
+    code, out = run_cli("audit", "--from", "1", "--to", "24", "--kind", "both", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGESTS[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json-lines", "csv"])
+@pytest.mark.parametrize("command, kinds", [("audit", 2), ("spectra", 1)])
+def test_tables_write_each_genus_before_the_next(command, kinds, fmt, monkeypatch):
+    import twistfrac.cli as cli_mod
+
+    real = getattr(cli_mod, command)
+    out = io.StringIO()
+    progress = []  # (genus, lines written) whenever a genus is computed
+
+    def watched(g, *args):
+        progress.append((g, len(out.getvalue().splitlines())))
+        return real(g, *args)
+
+    monkeypatch.setattr(cli_mod, command, watched)
+    argv = [command, "--from", "3", "--to", "8", "--format", fmt]
+    assert main(argv, stdout=out) == 0
+    header = int(fmt == "csv" or (fmt == "text" and command == "spectra"))
+    # every row of genus 3..k is out before genus k + 1 is computed
+    firsts = {g: written for g, written in reversed(progress)}
+    assert firsts == {g: header + kinds * (g - 3) for g in range(3, 9)}
+    assert len(progress) == 6 * kinds
+
+
+def test_audit_into_a_sink_without_flush_exits_0():
+    class WriteOnly:
+        def __init__(self):
+            self.parts = []
+
+        def write(self, text):
+            self.parts.append(text)
+            return len(text)
+
+    sink = WriteOnly()
+    assert main(["audit", "--from", "1", "--to", "3"], stdout=sink) == 0
+    assert "".join(sink.parts) == run_cli("audit", "--from", "1", "--to", "3")[1]
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_argparse_errors_map_to_exit_1():
@@ -1344,6 +1396,26 @@ def test_stdout_closed_mid_output_ends_quietly(argv, lines_read, tmp_path):
             assert proc.stdout.readline()
         proc.stdout.close()
         assert proc.wait(timeout=120) == 1
+        err.seek(0)
+        assert err.read() == b""
+
+
+def test_stdout_closed_mid_audit_ends_the_audit_early(tmp_path):
+    # the audit flushes stdout per genus, so the first line arrives before genus 2
+    # is computed, and a closed pipe stops the run long before genus 128
+    deadline = time.monotonic() + 10
+    with open(tmp_path / "stderr.txt", "w+b") as err:
+        proc = subprocess.Popen(STRICT_CLI + ["audit", "--from", "1", "--to", "128",
+                                              "--kind", "both"],
+                                stdout=subprocess.PIPE, stderr=err, env=_child_env())
+        try:
+            assert select.select([proc.stdout], [], [], 10)[0], "no line within 10 s"
+            assert proc.stdout.readline() == b"genus 1 sp: 4 sets, 0 violations\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=max(0, deadline - time.monotonic())) == 1
+        finally:
+            proc.kill()
+            proc.wait()
         err.seek(0)
         assert err.read() == b""
 
@@ -1549,6 +1621,39 @@ def test_output_failure_mid_listing_leaves_no_file(error, tmp_path, monkeypatch,
         with pytest.raises(RuntimeError):
             run_cli(*argv)
     # the first chunk went to a temporary file beside the target ...
+    assert len(during) == 2 and target in during
+    # ... which is gone, and the target is as it was
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "previous\n"
+
+
+@pytest.mark.parametrize("error", [RuntimeError("audit failed"),
+                                   OSError(errno.ENOSPC, "No space left on device")])
+@pytest.mark.parametrize("command", ["audit", "spectra"])
+def test_output_failure_mid_table_leaves_the_old_file(command, error, tmp_path, monkeypatch,
+                                                      capsys):
+    import twistfrac.cli as cli_mod
+
+    real = getattr(cli_mod, command)
+    during = []
+
+    def failing(g, *args):
+        if g == 2:
+            during.extend(tmp_path.iterdir())
+            raise error
+        return real(g, *args)
+
+    monkeypatch.setattr(cli_mod, command, failing)
+    target = tmp_path / "table.txt"
+    target.write_text("previous\n")
+    argv = [command, "--from", "1", "--to", "3", "--output", str(target)]
+    if isinstance(error, OSError):
+        assert run_cli(*argv) == (1, "")
+        assert len(capsys.readouterr().err.splitlines()) == 1
+    else:
+        with pytest.raises(RuntimeError):
+            run_cli(*argv)
+    # genus 1 went to a temporary file beside the target ...
     assert len(during) == 2 and target in during
     # ... which is gone, and the target is as it was
     assert list(tmp_path.iterdir()) == [target]
