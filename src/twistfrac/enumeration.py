@@ -10,7 +10,13 @@ Two independent engines produce the same sets:
   joins the two per (order, g0); the twist assignments of all its
   signatures are listed once into one residue table (`_assignments`),
   only at the residuals some head reads, so condition (iv) is a lookup.
-  Only valid tuples are built.
+  Only valid tuples are built.  Each order keeps one table of runs while
+  it is listed (`_run_choices`): one (m, k) pair per unit twist k of each
+  cone order m, and the (residue sum, cones) choices of each run of
+  `count` cones of order m, built once per (m, count) from those pairs.
+  Every signature of the order reads its runs there, so every cones
+  tuple of the order points to the shared pairs; the table is dropped
+  when the order ends.
 
 * `enumerate_oracle` walks every order N in the same hard range, every
   admissible quotient genus and every divisor multiset within the
@@ -37,7 +43,8 @@ residual share one list object, so an order builds one tuple per head,
 not per set, and sorts its heads alone (they are unique).  Orders are
 visited ascending, so `sp_blocks` / `se_blocks` stream the sorted
 listing, one block list per order, without building a data set; only
-`block_sets` builds them, for `enumerate_sp` / `enumerate_se`.
+`block_sets` builds them, for `enumerate_sp` / `enumerate_se`, with one
+ConePair per (order, twist) pair.
 
 `class_counts` folds the same join over counts instead of lists: the
 number of a signature's assignments per residual (`_twist_counts`) comes
@@ -153,18 +160,29 @@ def _odd_cofactors(ambient: int, signature) -> int:
     return sum((ambient // m) % 2 for m in signature)
 
 
-def _run_choices(ambient: int, order: int, count: int) -> list[tuple]:
+def _run_choices(ambient: int, order: int, count: int, table: dict) -> list[tuple]:
     """(residue sum, cones) of each canonical twist run of `count` cones of one order.
 
-    The twists are `combinations_with_replacement` of the units, so they do
-    not decrease and the cones tuples come ascending.
+    `table` belongs to one ambient order, and this fills it: under `order`
+    it keeps one (order, twist) pair per unit twist, and under (order,
+    count) the run's choices, so each is built once per ambient order and
+    every cones tuple made from them points to the same pairs.  The twists
+    are `combinations_with_replacement` of the units, so they do not
+    decrease and the cones tuples come ascending.
     """
-    step = ambient // order
-    return [(step * sum(twists), tuple([(order, k) for k in twists]))
-            for twists in combinations_with_replacement(_units(order), count)]
+    choices = table.get((order, count))
+    if choices is None:
+        units = _units(order)
+        pairs = table.get(order) or table.setdefault(order, [(order, k) for k in units])
+        step = ambient // order
+        choices = table[order, count] = [
+            (step * sum(twists), run) for twists, run in zip(
+                combinations_with_replacement(units, count),
+                combinations_with_replacement(pairs, count))]
+    return choices
 
 
-def _assignments(ambient: int, signatures: list, residuals) -> dict[int, list[tuple]]:
+def _assignments(ambient: int, signatures: list, residuals, table: dict) -> dict[int, list[tuple]]:
     """Canonical twist assignments for the cones of the signatures, by residual.
 
     Maps each residual r in `residuals` that some assignment reaches to the
@@ -174,17 +192,20 @@ def _assignments(ambient: int, signatures: list, residuals) -> dict[int, list[tu
 
         sum (ambient/order) * twist = r  (mod ambient).
 
-    One pass per signature lists each canonical assignment once and files
-    it under its residual, so every residue pair with the same residual
-    shares the work.  The last run's choices are grouped by residue, so a
-    prefix is completed only by the runs that reach a residual asked for,
-    and no residual gets an empty list.  One signature files its tuples
-    ascending; the tuples of several interleave (they differ, as their
-    signatures do), so then each list is sorted.
+    The runs come from `table`, the ambient order's table of
+    `_run_choices`, so signatures that share a run share its choices, and
+    every tuple listed holds the table's pairs.  One pass per signature
+    lists each canonical assignment once and files it under its residual,
+    so every residue pair with the same residual shares the work.  The last
+    run's choices are grouped by residue, so a prefix is completed only by
+    the runs that reach a residual asked for, and no residual gets an empty
+    list.  One signature files its tuples ascending; the tuples of several
+    interleave (they differ, as their signatures do), so then each list is
+    sorted.
     """
     by_residual: dict[int, list[tuple]] = {}
     for signature in signatures:
-        *runs, last = ([_run_choices(ambient, order, count)
+        *runs, last = ([_run_choices(ambient, order, count, table)
                         for order, count in _runs(signature)] or [[(0, ())]])
         partial = [(0, ())]  # (residue sum, cones) of the runs so far, ascending
         for choices in runs:
@@ -225,7 +246,7 @@ def _run_counts(order: int, count: int) -> dict[int, int]:
 def _twist_counts(ambient: int, signature) -> dict[int, int]:
     """The number of canonical twist assignments of the signature, by residual.
 
-    Counts what `_assignments(ambient, [signature], range(ambient))` lists
+    Counts what `_assignments(ambient, [signature], range(ambient), {})` lists
     without building a cones tuple: the counts of each run's twist sums
     (`_run_counts`), scaled by ambient/order, are convolved mod ambient.
     No residual maps to 0.
@@ -321,8 +342,9 @@ def _order_blocks(g: int, f: Filters, kind: str, order: int) -> list[tuple]:
     listed.
     """
     blocks: list[tuple] = []
+    table: dict = {}  # the order's (order, twist) pairs and runs, for every g0
     for signatures, heads in _groups(g, f, kind, order):
-        by_residual = _assignments(order, signatures, {residual for _, residual in heads})
+        by_residual = _assignments(order, signatures, {residual for _, residual in heads}, table)
         for head, residual in heads:
             cones = by_residual.get(residual)
             if cones:
@@ -357,15 +379,21 @@ def class_counts(g: int, kind: str) -> dict[tuple, int]:
     return classes
 
 
-def _sets(cls, blocks: list[tuple]) -> list:
-    """The `cls` data sets of one order's sorted blocks."""
+def _sets(cls, blocks: list[tuple], cone_pairs: dict) -> list:
+    """The `cls` data sets of one order's sorted blocks.
+
+    `cone_pairs` maps each (order, twist) pair met so far to its one
+    ConePair, so every set with that cone shares it.
+    """
     pairs_of: dict = {}  # id of a shared cones list -> its ConePair tuples
     out = []
     for (order, l, *residues), cones in blocks:
         pairs = pairs_of.get(id(cones))
         if pairs is None:
-            pairs = pairs_of[id(cones)] = [tuple([ConePair(k, m) for m, k in c])
-                                           for c in cones]
+            pairs = pairs_of[id(cones)] = [
+                tuple([cone_pairs.get(p) or cone_pairs.setdefault(p, ConePair(p[1], p[0]))
+                       for p in c])
+                for c in cones]
         out.extend([cls(l, order, *residues, p) for p in pairs])
     return out
 
@@ -385,9 +413,13 @@ def se_blocks(g: int, filters: Filters | None = None):
 
 
 def block_sets(kind: str, chunks) -> list:
-    """The `kind` data sets of `chunks`, lists of blocks as `sp_blocks` / `se_blocks` yield."""
+    """The `kind` data sets of `chunks`, lists of blocks as `sp_blocks` / `se_blocks` yield.
+
+    Sets with equal cones share their ConePair objects.
+    """
     cls = SpDataSet if kind == "sp" else SeDataSet
-    return list(chain.from_iterable(_sets(cls, blocks) for blocks in chunks))
+    cone_pairs: dict = {}  # (order, twist) -> its ConePair
+    return list(chain.from_iterable(_sets(cls, blocks, cone_pairs) for blocks in chunks))
 
 
 def enumerate_sp(g: int, filters: Filters | None = None) -> list[SpDataSet]:

@@ -28,6 +28,7 @@ from twistfrac.enumeration import (
     _odd_cofactors,
     _run_counts,
     _twist_counts,
+    block_sets,
     class_counts,
     se_blocks,
     sp_blocks,
@@ -226,6 +227,26 @@ def test_heads_of_one_order_g0_and_residual_share_one_list(g):
     assert shared > 0  # some list serves several heads
 
 
+@pytest.mark.parametrize("g", [1, 2, 5, 8, 12])
+def test_equal_cone_pairs_are_one_object(g):
+    repeats = 0
+    for kind, blocks_of in (("sp", sp_blocks), ("se", se_blocks)):
+        # within one order, each (order, twist) pair is one tuple ...
+        for blocks in blocks_of(g):
+            pairs = {}
+            for _, cones in blocks:
+                for pair in chain.from_iterable(cones):
+                    assert pairs.setdefault(pair, pair) is pair
+                    repeats += 1
+            repeats -= len(pairs)
+        # ... and a listing's data sets share one ConePair per cone
+        cone_pairs = {}
+        for d in block_sets(kind, blocks_of(g)):
+            for cone in d.cones:
+                assert cone_pairs.setdefault(cone, cone) is cone
+    assert repeats > 0  # some pairs serve several cones
+
+
 def _signature_union(order, g0, residual, g, side_exchanging):
     """The sorted union of the `_assignments` buckets at `residual` over the
     signatures of one order and g0, solved here from the genus identity."""
@@ -237,7 +258,7 @@ def _signature_union(order, g0, residual, g, side_exchanging):
     for sig in cone_signatures(order, target) if target > 0 else ():
         if side_exchanging and not (g0 or _odd_cofactors(order, sig)):
             continue  # over a sphere, sets generate only through an odd cofactor
-        union.extend(_assignments(order, [sig], {residual}).get(residual, ()))
+        union.extend(_assignments(order, [sig], {residual}, {}).get(residual, ()))
     return sorted(union)
 
 
@@ -272,12 +293,12 @@ def test_assignments_match_brute_force():
     for ambient in range(2, 31):
         for target in range(0, 3 * ambient, 2):
             for signature in cone_signatures(ambient, target, 3):
-                got = _assignments(ambient, [signature], range(ambient))
+                got = _assignments(ambient, [signature], range(ambient), {})
                 assert got == _brute_assignments(ambient, signature)
                 assert all(len(set(bucket)) == len(bucket) for bucket in got.values())
                 checked += 1
-        assert _assignments(ambient, [()], range(ambient)) == {0: [()]}
-        assert _assignments(ambient, [], range(ambient)) == {}
+        assert _assignments(ambient, [()], range(ambient), {}) == {0: [()]}
+        assert _assignments(ambient, [], range(ambient), {}) == {}
     assert checked > 400  # 469 signatures, 29 of them empty
 
 
@@ -285,10 +306,10 @@ def test_assignments_file_only_the_residuals_asked_for():
     for ambient in range(2, 31):
         for target in range(0, 3 * ambient, 2):
             for signature in cone_signatures(ambient, target, 3):
-                every = _assignments(ambient, [signature], range(ambient))
+                every = _assignments(ambient, [signature], range(ambient), {})
                 for residuals in (set(), {0}, set(range(0, ambient, 2)), set(range(ambient))):
                     # no empty list for a residual asked for but not reached
-                    assert _assignments(ambient, [signature], residuals) == {
+                    assert _assignments(ambient, [signature], residuals, {}) == {
                         r: cones for r, cones in every.items() if r in residuals}
 
 
@@ -345,7 +366,7 @@ def test_assignment_residuals_have_the_parity_of_odd_cofactors():
             for signature in combinations_with_replacement(parts, size):
                 parity = _odd_cofactors(ambient, signature) % 2
                 assert all(r % 2 == parity
-                           for r in _assignments(ambient, [signature], range(ambient)))
+                           for r in _assignments(ambient, [signature], range(ambient), {}))
                 checked += 1
         # ... and that count is even for every signature of an even weight,
         # so no solved signature can be skipped for parity
@@ -451,7 +472,7 @@ def test_two_cone_counts_do_not_depend_on_the_unit():
             for signature in cone_signatures(two_n, target, 2):
                 if len(signature) != 2 or not _odd_cofactors(two_n, signature):
                     continue
-                assignments = _assignments(two_n, [signature], range(two_n))
+                assignments = _assignments(two_n, [signature], range(two_n), {})
                 counts = {len(assignments.get(-2 * a % two_n, ())) for a in units_mod(n)}
                 assert len(counts) == 1, (two_n, signature, counts)
                 checked += 1
