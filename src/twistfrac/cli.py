@@ -54,12 +54,11 @@ from .enumeration import (
     Filters,
     OracleBoundError,
     block_sets,
+    blocks,
     enumerate_oracle,
     # not called here, but perfbench's tracer wraps cli.enumerate_sp / cli.enumerate_se
     enumerate_se,
     enumerate_sp,
-    se_blocks,
-    sp_blocks,
     spectra,
 )
 from .laws import audit
@@ -296,8 +295,8 @@ def cmd_enumerate(args, out) -> int:
         raise _Refused(str(exc))
 
     # Lazy: the blocks of each order are written as they are enumerated.
-    kinds = [(kind, blocks(args.genus, filters)) for kind, blocks
-             in (("sp", sp_blocks), ("se", se_blocks)) if args.kind in (kind, "both")]
+    kinds = [(kind, blocks(args.genus, kind, filters)) for kind in ("sp", "se")
+             if args.kind in (kind, "both")]
     if args.oracle:
         if args.kind == "both":
             raise _Refused("--oracle needs --kind sp or --kind se")

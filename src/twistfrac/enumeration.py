@@ -3,20 +3,21 @@
 Two independent engines produce the same sets:
 
 * `enumerate_sp` / `enumerate_se` prune hard: orders are capped by the
-  proven bounds (n <= 4g side-preserving, 2n <= 4g+2 side-exchanging),
-  one filtered signature walk (`_signatures`) solves the cone signatures
-  from the genus identity, and `_heads` solves l from the twist relation
-  and gives each head the residual its cones must sum to.  `_groups`
-  joins the two per (order, g0); the twist assignments of all its
-  signatures are listed once into one residue table (`_assignments`),
-  only at the residuals some head reads, so condition (iv) is a lookup.
-  Only valid tuples are built.  Each order keeps one table of runs while
-  it is listed (`_run_choices`): one (m, k) pair per unit twist k of each
-  cone order m, and the (residue sum, cones) choices of each run of
-  `count` cones of order m, built once per (m, count) from those pairs.
-  Every signature of the order reads its runs there, so every cones
-  tuple of the order points to the shared pairs; the table is dropped
-  when the order ends.
+  proven bounds (n <= 4g side-preserving, 2n <= 4g+2 side-exchanging,
+  `_orders`, which also checks the arguments).  Each order is one join:
+  `_groups` solves the cone signatures of each quotient genus g0 from the
+  genus identity, one filtered `cone_signatures` call per g0, and
+  `_heads` solves l from the twist relation once per order and gives each
+  head the residual its cones must sum to; no head reads g0.  At each g0
+  the twist assignments of all its signatures are listed once into one
+  residue table (`_assignments`), only at the residuals some head reads,
+  so condition (iv) is a lookup.  Only valid tuples are built.  Each
+  order keeps one table of runs while it is listed (`_run_choices`): one
+  (m, k) pair per unit twist k of each cone order m, and the (residue
+  sum, cones) choices of each run of `count` cones of order m, built once
+  per (m, count) from those pairs.  Every signature of the order reads
+  its runs there, so every cones tuple of the order points to the shared
+  pairs; the table is dropped when the order ends.
 
 * `enumerate_oracle` walks every order N in the same hard range, every
   admissible quotient genus and every divisor multiset within the
@@ -39,12 +40,12 @@ sorted by (order, l, g0, residues, cones).  The pruned engine works one
 order at a time, in blocks: a block is a head, a set's sort key without
 its cones, (n, l, g0, a, b) or (2n, l, g0, a), and the ascending list of
 the cones tuples that complete it.  The heads of one (order, g0) with one
-residual share one list object, so an order builds one tuple per head,
-not per set, and sorts its heads alone (they are unique).  Orders are
-visited ascending, so `sp_blocks` / `se_blocks` stream the sorted
-listing, one block list per order, without building a data set; only
-`block_sets` builds them, for `enumerate_sp` / `enumerate_se`, with one
-ConePair per (order, twist) pair.
+residual share one list object, so an order builds one tuple per head
+that gets cones, not per set, and sorts its heads alone (they are
+unique).  Orders are visited ascending, so `blocks` streams the sorted
+listing of either kind, one block list per order, without building a
+data set; only `block_sets` builds them, for `enumerate_sp` /
+`enumerate_se`, with one ConePair per (order, twist) pair.
 
 `class_counts` folds the same join over counts instead of lists: the
 number of a signature's assignments per residual (`_twist_counts`) comes
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby, product
 from math import gcd, prod
 from operator import itemgetter
 
@@ -262,39 +263,55 @@ def _twist_counts(ambient: int, signature) -> dict[int, int]:
     return counts
 
 
-def _signatures(f: Filters, order: int, targets: range, essential_cones: int):
-    """The (g0, signature) pairs of one order that the filters `f` keep.
+def _orders(g: int, kind: str) -> range:
+    """The orders of the `kind` sets of genus g: n <= 4g (SP), 2n <= 4g + 2 (SE).
+
+    The one argument check of `blocks` and `class_counts`: it refuses a
+    genus below 1 and a kind other than "sp" or "se".
+    """
+    _check_genus(g)
+    if kind == "sp":
+        return range(2, 4 * g + 1)
+    if kind == "se":
+        return range(4, 4 * g + 3, 2)
+    raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
+
+
+def _groups(g: int, f: Filters, kind: str, order: int):
+    """(g0, signatures), g0 ascending, where the `kind` sets of genus g and `order` have cones.
 
     `targets[g0]` is the cone weight sum (order/m)(m-1) the genus asks of
     quotient genus g0; valid sets have cones, so a target <= 0 yields none.
-    Essential sets have g0 = 0 and exactly `essential_cones` cones.
+    The signatures are those the filters `f` keep: essential sets have
+    g0 = 0 and exactly `essential_cones` cones.  Over a sphere, SE sets
+    generate only through an odd cofactor.  No g0 yields an empty list.
     """
-    if f.exponent is not None and f.exponent[1] != order:
-        return
+    if kind == "sp":
+        targets, essential_cones = range(2 * g, -1, -2 * order), 1  # 2(g - g0 n)
+    else:
+        targets, essential_cones = range(2 * g + order, -1, -2 * order), 2  # 2(g + n) - 4 g0 n
     count = essential_cones if f.essential_only else f.cone_count
-    if f.cone_count not in (None, count):
-        return  # essential sets have another cone count
+    if (f.exponent is not None and f.exponent[1] != order) or f.cone_count not in (None, count):
+        return  # another order, or essential sets have another cone count
     for g0, target in enumerate(targets[:1] if f.essential_only else targets):
         if target <= 0 or (f.g0 is not None and g0 != f.g0):
             continue
-        for sig in cone_signatures(order, target, count):
-            if count is None or len(sig) == count:
-                yield g0, sig
+        signatures = [sig for sig in cone_signatures(order, target, count)
+                      if (count is None or len(sig) == count)
+                      and (kind == "sp" or g0 or _odd_cofactors(order, sig))]
+        if signatures:
+            yield g0, signatures
 
 
-def _orders(g: int, kind: str) -> range:
-    """The orders of the `kind` sets of genus g: n <= 4g (SP), 2n <= 4g + 2 (SE)."""
-    return range(2, 4 * g + 1) if kind == "sp" else range(4, 4 * g + 3, 2)
+def _heads(kind: str, f: Filters, order: int) -> list[tuple]:
+    """(l, residues, residual) of each head of one order that the exponent filter keeps.
 
-
-def _heads(kind: str, f: Filters, order: int, g0: int) -> list[tuple]:
-    """(head, residual) of each head of one order and g0 that the exponent filter keeps.
-
-    A head is a set's sort key without its cones, and its sets are its
-    completions by the twist assignments of the residual.  SP: (n, l, g0,
-    a, b) for unit pairs a <= b, l fixed by the twist relation a+b = l*a*b,
-    residual -(a+b).  SE: (2n, l, g0, a) for each exponent l of a unit a mod
-    n, residual -2a.
+    A head is a set's sort key without its cones, (order, l, g0, *residues),
+    and its sets are its completions by the twist assignments of the
+    residual.  SP: residues (a, b) for unit pairs a <= b, l fixed by the
+    twist relation a+b = l*a*b, residual -(a+b).  SE: residue (a,) for each
+    exponent l of a unit a mod n, residual -2a.  None of it reads g0, so
+    one list serves every g0 of the order.
     """
     wanted = None if f.exponent is None else f.exponent[0]
     heads = []
@@ -305,31 +322,13 @@ def _heads(kind: str, f: Filters, order: int, g0: int) -> list[tuple]:
             for b, inverse_b in zip(units[i:], inverse[i:]):
                 l = (a + b) * inverse[i] * inverse_b % order
                 if l and (wanted is None or l == wanted):
-                    heads.append(((order, l, g0, a, b), -(a + b) % order))
+                    heads.append((l, (a, b), -(a + b) % order))
     else:
         n = order // 2
         for a in _units(n):
-            heads.extend([((order, l, g0, a), -2 * a % order) for l in _se_exponents(a, n)
+            heads.extend([(l, (a,), -2 * a % order) for l in _se_exponents(a, n)
                           if wanted is None or l == wanted])
     return heads
-
-
-def _groups(g: int, f: Filters, kind: str, order: int):
-    """(signatures, heads) of each g0 at which the `kind` sets of genus g and `order` have cones.
-
-    The signatures are those `_signatures` keeps, the heads those of
-    `_heads`; a head's sets are its completions over all the signatures.
-    Over a sphere, SE sets generate only through an odd cofactor.
-    """
-    if kind == "sp":
-        targets, essential_cones = range(2 * g, -1, -2 * order), 1  # 2(g - g0 n)
-    else:
-        targets, essential_cones = range(2 * g + order, -1, -2 * order), 2  # 2(g + n) - 4 g0 n
-    for g0, group in groupby(_signatures(f, order, targets, essential_cones), key=itemgetter(0)):
-        signatures = [sig for _, sig in group
-                      if kind == "sp" or g0 or _odd_cofactors(order, sig)]
-        if signatures:
-            yield signatures, _heads(kind, f, order, g0)
 
 
 def _order_blocks(g: int, f: Filters, kind: str, order: int) -> list[tuple]:
@@ -337,20 +336,25 @@ def _order_blocks(g: int, f: Filters, kind: str, order: int) -> list[tuple]:
 
     `cones` lists the ascending (order, twist) tuples of `_assignments`
     that complete the head, so head + (c,) is a set's sort_key() for each
-    c in it.  Every head reads the list of its residual at its g0, which
-    all heads with that residual share; only residuals some head reads are
-    listed.
+    c in it.  The order's heads and their residuals are solved at its first
+    g0 group; at each g0 only those residuals are listed, every head with
+    one residual shares its list, and a head tuple is built only for a
+    head that gets cones.
     """
-    blocks: list[tuple] = []
+    out: list[tuple] = []
     table: dict = {}  # the order's (order, twist) pairs and runs, for every g0
-    for signatures, heads in _groups(g, f, kind, order):
-        by_residual = _assignments(order, signatures, {residual for _, residual in heads}, table)
-        for head, residual in heads:
+    heads = None
+    for g0, signatures in _groups(g, f, kind, order):
+        if heads is None:
+            heads = _heads(kind, f, order)
+            residuals = {residual for *_, residual in heads}
+        by_residual = _assignments(order, signatures, residuals, table)
+        for l, residues, residual in heads:
             cones = by_residual.get(residual)
             if cones:
-                blocks.append((head, cones))
-    blocks.sort(key=itemgetter(0))
-    return blocks
+                out.append(((order, l, g0, *residues), cones))
+    out.sort(key=itemgetter(0))
+    return out
 
 
 def class_counts(g: int, kind: str) -> dict[tuple, int]:
@@ -361,75 +365,67 @@ def class_counts(g: int, kind: str) -> dict[tuple, int]:
     its residual at each cone count.  No set or cones tuple is built, and
     no class maps to 0.
     """
-    _check_genus(g)
-    if kind not in ("sp", "se"):
-        raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
+    f = Filters()
     classes: dict[tuple, int] = {}
     for order in _orders(g, kind):
-        for signatures, heads in _groups(g, Filters(), kind, order):
+        heads = None
+        for g0, signatures in _groups(g, f, kind, order):
+            if heads is None:
+                heads = _heads(kind, f, order)
             by_residual: dict[int, dict] = {}  # residual -> cone count -> sets
             for signature in signatures:
                 for residual, sets in _twist_counts(order, signature).items():
                     by_count = by_residual.setdefault(residual, {})
                     by_count[len(signature)] = by_count.get(len(signature), 0) + sets
-            for head, residual in heads:
+            for l, _, residual in heads:
                 for m, sets in by_residual.get(residual, {}).items():
-                    key = (*head[:3], m)
+                    key = (order, l, g0, m)
                     classes[key] = classes.get(key, 0) + sets
     return classes
 
 
-def _sets(cls, blocks: list[tuple], cone_pairs: dict) -> list:
-    """The `cls` data sets of one order's sorted blocks.
+def blocks(g: int, kind: str, filters: Filters | None = None):
+    """The blocks of the `kind` sets of genus g, one sorted list per order, lazily.
 
-    `cone_pairs` maps each (order, twist) pair met so far to its one
-    ConePair, so every set with that cone shares it.
+    Bad arguments are refused at the call, not at the first list.
     """
-    pairs_of: dict = {}  # id of a shared cones list -> its ConePair tuples
-    out = []
-    for (order, l, *residues), cones in blocks:
-        pairs = pairs_of.get(id(cones))
-        if pairs is None:
-            pairs = pairs_of[id(cones)] = [
-                tuple([cone_pairs.get(p) or cone_pairs.setdefault(p, ConePair(p[1], p[0]))
-                       for p in c])
-                for c in cones]
-        out.extend([cls(l, order, *residues, p) for p in pairs])
-    return out
-
-
-def sp_blocks(g: int, filters: Filters | None = None):
-    """The blocks of `enumerate_sp`'s sets, one sorted list per order, lazily."""
-    _check_genus(g)
-    f = filters or Filters()
-    return (_order_blocks(g, f, "sp", n) for n in _orders(g, "sp"))
-
-
-def se_blocks(g: int, filters: Filters | None = None):
-    """The blocks of `enumerate_se`'s sets, one sorted list per order, lazily."""
-    _check_genus(g)
-    f = filters or Filters()
-    return (_order_blocks(g, f, "se", two_n) for two_n in _orders(g, "se"))
+    orders, f = _orders(g, kind), filters or Filters()
+    return (_order_blocks(g, f, kind, order) for order in orders)
 
 
 def block_sets(kind: str, chunks) -> list:
-    """The `kind` data sets of `chunks`, lists of blocks as `sp_blocks` / `se_blocks` yield.
+    """The `kind` data sets of `chunks`, lists of blocks as `blocks` yields.
 
-    Sets with equal cones share their ConePair objects.
+    Sets with equal cones share their ConePair objects: each (order, twist)
+    pair makes one ConePair, and the heads that share a cones list share
+    its tuples of them.
     """
     cls = SpDataSet if kind == "sp" else SeDataSet
     cone_pairs: dict = {}  # (order, twist) -> its ConePair
-    return list(chain.from_iterable(_sets(cls, blocks, cone_pairs) for blocks in chunks))
+    out = []
+    for chunk in chunks:
+        # id of a shared cones list -> its ConePair tuples; kept per chunk,
+        # as a freed list's id may be reused
+        pairs_of: dict = {}
+        for (order, l, *residues), cones in chunk:
+            pairs = pairs_of.get(id(cones))
+            if pairs is None:
+                pairs = pairs_of[id(cones)] = [
+                    tuple([cone_pairs.get(p) or cone_pairs.setdefault(p, ConePair(p[1], p[0]))
+                           for p in c])
+                    for c in cones]
+            out.extend([cls(l, order, *residues, p) for p in pairs])
+    return out
 
 
 def enumerate_sp(g: int, filters: Filters | None = None) -> list[SpDataSet]:
     """All valid canonical side-preserving data sets of genus g, sorted."""
-    return block_sets("sp", sp_blocks(g, filters))
+    return block_sets("sp", blocks(g, "sp", filters))
 
 
 def enumerate_se(g: int, filters: Filters | None = None) -> list[SeDataSet]:
     """All valid canonical side-exchanging data sets of genus g, sorted."""
-    return block_sets("se", se_blocks(g, filters))
+    return block_sets("se", blocks(g, "se", filters))
 
 
 def _l_free_flags_hold(report: ValidationReport) -> bool:

@@ -39,7 +39,7 @@ from twistfrac.datasets import (
     parse_record_line,
     record_fields,
 )
-from twistfrac.enumeration import se_blocks, sp_blocks
+from twistfrac.enumeration import blocks
 from conftest import SRC, flat_keys
 
 
@@ -673,9 +673,10 @@ def test_enumerate_oracle_lists_the_blocks_once(monkeypatch):
     import twistfrac.enumeration as enumeration_mod
 
     calls = []
-    listing = enumeration_mod.sp_blocks
+    listing = enumeration_mod.blocks
     for module in (cli_mod, enumeration_mod):
-        monkeypatch.setattr(module, "sp_blocks", lambda g, f=None: calls.append(g) or listing(g, f))
+        monkeypatch.setattr(module, "blocks",
+                            lambda g, kind, f=None: calls.append(g) or listing(g, kind, f))
     _, plain = run_cli("enumerate", "--genus", "4", "--kind", "sp")
     assert run_cli("enumerate", "--genus", "4", "--kind", "sp", "--oracle") == (0, plain)
     assert calls == [4, 4]  # once per command
@@ -796,8 +797,8 @@ def _csv_cells(key):
 
 def _listing_key_by_key(g, filters, fmt):
     """`enumerate --kind both` rendered one set at a time, with no cache."""
-    kinds = (("side-preserving:", flat_keys(sp_blocks(g, filters))),
-             ("side-exchanging:", flat_keys(se_blocks(g, filters))))
+    kinds = (("side-preserving:", flat_keys(blocks(g, "sp", filters))),
+             ("side-exchanging:", flat_keys(blocks(g, "se", filters))))
     out = io.StringIO()
     if fmt == "text":
         for heading, keys in kinds:
@@ -914,16 +915,15 @@ def test_every_format_writes_in_batches(fmt, monkeypatch):
         keys = flat_keys([chunk])
         return len(keys) + (fmt == "text") * len({key[:2] for key in keys})
 
-    def watched(blocks):
-        def watched_blocks(*args, **kwargs):
-            for chunk in blocks(*args, **kwargs):
-                before = sink.writes
-                yield chunk
-                windows.append((lines(chunk), sink.writes - before))
-        return watched_blocks
+    real_blocks = cli_mod.blocks
 
-    monkeypatch.setattr(cli_mod, "sp_blocks", watched(cli_mod.sp_blocks))
-    monkeypatch.setattr(cli_mod, "se_blocks", watched(cli_mod.se_blocks))
+    def watched_blocks(*args, **kwargs):
+        for chunk in real_blocks(*args, **kwargs):
+            before = sink.writes
+            yield chunk
+            windows.append((lines(chunk), sink.writes - before))
+
+    monkeypatch.setattr(cli_mod, "blocks", watched_blocks)
     argv = ["enumerate", "--genus", "6", "--kind", "both", "--format", fmt]
     assert main(argv, stdout=sink) == 0
     assert sink.getvalue() == _materialised_listing(6, "both", fmt, Filters())
@@ -956,13 +956,13 @@ def test_no_command_writes_an_empty_string(fmt, tmp_path):
 def test_enumerate_writes_each_order_before_the_next(fmt, monkeypatch):
     import twistfrac.cli as cli_mod
 
-    real_sp_blocks = cli_mod.sp_blocks
+    real_blocks = cli_mod.blocks
     out = io.StringIO()
     progress = []  # (sets enumerated, set lines written) whenever a chunk is asked for
 
-    def watched_sp_blocks(*args, **kwargs):
+    def watched_blocks(*args, **kwargs):
         enumerated = 0
-        for chunk in real_sp_blocks(*args, **kwargs):
+        for chunk in real_blocks(*args, **kwargs):
             yield chunk
             enumerated += len(flat_keys([chunk]))
             lines = out.getvalue().splitlines()
@@ -972,7 +972,7 @@ def test_enumerate_writes_each_order_before_the_next(fmt, monkeypatch):
                 written = len(lines) - (fmt == "csv")
             progress.append((enumerated, written))
 
-    monkeypatch.setattr(cli_mod, "sp_blocks", watched_sp_blocks)
+    monkeypatch.setattr(cli_mod, "blocks", watched_blocks)
     argv = ["enumerate", "--genus", "5", "--kind", "sp", "--format", fmt]
     assert main(argv, stdout=out) == 0
     assert len(progress) == 19  # orders 2..20
@@ -981,6 +981,7 @@ def test_enumerate_writes_each_order_before_the_next(fmt, monkeypatch):
 
 
 def test_listings_build_no_data_sets(monkeypatch):
+    import twistfrac.cli as cli_mod
     import twistfrac.enumeration as enumeration_mod
 
     formats = ("text", "json-lines", "csv")
@@ -989,7 +990,8 @@ def test_listings_build_no_data_sets(monkeypatch):
     def no_sets(*args, **kwargs):
         raise AssertionError("the listing built data sets")
 
-    monkeypatch.setattr(enumeration_mod, "_sets", no_sets)
+    for module in (cli_mod, enumeration_mod):
+        monkeypatch.setattr(module, "block_sets", no_sets)
     monkeypatch.setattr(SpDataSet, "__init__", no_sets)
     monkeypatch.setattr(SeDataSet, "__init__", no_sets)
     for fmt in formats:
@@ -1600,16 +1602,16 @@ def test_output_file_mode_follows_umask(tmp_path):
 def test_output_failure_mid_listing_leaves_no_file(error, tmp_path, monkeypatch, capsys):
     import twistfrac.cli as cli_mod
 
-    real_sp_blocks = cli_mod.sp_blocks
+    real_blocks = cli_mod.blocks
     during = []
 
-    def failing_sp_blocks(*args, **kwargs):
-        chunks = (chunk for chunk in real_sp_blocks(*args, **kwargs) if chunk)
+    def failing_blocks(*args, **kwargs):
+        chunks = (chunk for chunk in real_blocks(*args, **kwargs) if chunk)
         yield next(chunks)
         during.extend(tmp_path.iterdir())
         raise error
 
-    monkeypatch.setattr(cli_mod, "sp_blocks", failing_sp_blocks)
+    monkeypatch.setattr(cli_mod, "blocks", failing_blocks)
     target = tmp_path / "listing.txt"
     target.write_text("previous\n")
     argv = ["enumerate", "--genus", "4", "--kind", "sp", "--output", str(target)]

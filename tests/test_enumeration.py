@@ -25,13 +25,13 @@ from twistfrac import enumeration
 from twistfrac.arith import cone_signatures, divisors, units_mod
 from twistfrac.enumeration import (
     _assignments,
+    _groups,
     _odd_cofactors,
     _run_counts,
     _twist_counts,
     block_sets,
+    blocks,
     class_counts,
-    se_blocks,
-    sp_blocks,
 )
 from conftest import flat_keys
 from reference_data import SE_ESSENTIAL_G4, SP_ESSENTIAL_G4
@@ -174,11 +174,17 @@ def test_enumeration_rejects_bad_genus():
         enumerate_sp(0)
     with pytest.raises(ValueError):
         enumerate_se(-1)
-    # the streaming forms refuse when called, not at their first chunk
-    with pytest.raises(ValueError):
-        sp_blocks(0)
-    with pytest.raises(ValueError):
-        se_blocks(0)
+    # the streaming form refuses when called, not at its first chunk
+    for kind in ("sp", "se"):
+        with pytest.raises(ValueError, match=r"^genus must be >= 1, got 0$"):
+            blocks(0, kind)
+
+
+def test_blocks_and_class_counts_refuse_a_bad_kind_when_called():
+    with pytest.raises(ValueError, match=r"^kind must be 'sp' or 'se', got 'both'$"):
+        blocks(3, "both")
+    with pytest.raises(ValueError, match=r"^kind must be 'sp' or 'se', got 'both'$"):
+        class_counts(3, "both")
 
 
 @pytest.mark.parametrize("g", range(1, 11))
@@ -187,8 +193,8 @@ def test_keys_are_the_sort_keys_of_the_sets(g):
                     Filters(exponent=(2, 4))):
         sp_sets = enumerate_sp(g, filters)
         se_sets = enumerate_se(g, filters)
-        assert flat_keys(sp_blocks(g, filters)) == [d.sort_key() for d in sp_sets]
-        assert flat_keys(se_blocks(g, filters)) == [d.sort_key() for d in se_sets]
+        assert flat_keys(blocks(g, "sp", filters)) == [d.sort_key() for d in sp_sets]
+        assert flat_keys(blocks(g, "se", filters)) == [d.sort_key() for d in se_sets]
         assert all(len(d.sort_key()) == 6 for d in sp_sets)
         assert all(len(d.sort_key()) == 5 for d in se_sets)
 
@@ -205,43 +211,68 @@ def _residual(head):
 @pytest.mark.parametrize("g", [1, 2, 5, 8, 12])
 def test_heads_are_unique_and_ascending_within_an_order(g):
     for filters in BLOCK_FILTERS:
-        for blocks in chain(sp_blocks(g, filters), se_blocks(g, filters)):
-            heads = [head for head, _ in blocks]
+        for chunk in chain(blocks(g, "sp", filters), blocks(g, "se", filters)):
+            heads = [head for head, _ in chunk]
             assert all(first < second for first, second in zip(heads, heads[1:]))
             assert len({head[0] for head in heads}) <= 1
-            assert all(cones for _, cones in blocks)
+            assert all(cones for _, cones in chunk)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_heads_are_solved_once_per_order_with_groups(g, monkeypatch):
+    solved = []  # the order of each _heads call
+    heads = enumeration._heads
+    monkeypatch.setattr(enumeration, "_heads",
+                        lambda kind, f, order: solved.append(order) or heads(kind, f, order))
+    for kind in ("sp", "se"):
+        for filters in (ESSENTIAL,) + BLOCK_FILTERS:
+            grouped = []  # the orders at which _groups yields
+            for order in enumeration._orders(g, kind):
+                groups = list(_groups(g, filters, kind, order))
+                g0s = [g0 for g0, _ in groups]
+                assert all(first < second for first, second in zip(g0s, g0s[1:]))
+                assert all(signatures for _, signatures in groups)
+                if groups:
+                    grouped.append(order)
+            solved.clear()
+            list(blocks(g, kind, filters))
+            assert solved == grouped
+        solved.clear()
+        class_counts(g, kind)
+        assert solved == [order for order in enumeration._orders(g, kind)
+                          if any(_groups(g, Filters(), kind, order))]
 
 
 @pytest.mark.parametrize("g", [1, 2, 5, 8, 12])
 def test_heads_of_one_order_g0_and_residual_share_one_list(g):
     shared = 0
     for filters in BLOCK_FILTERS:
-        for blocks in chain(sp_blocks(g, filters), se_blocks(g, filters)):
+        for chunk in chain(blocks(g, "sp", filters), blocks(g, "se", filters)):
             lists = {}  # (order, g0, residual) -> ids of its heads' lists
-            for head, cones in blocks:
+            for head, cones in chunk:
                 lists.setdefault((head[0], head[2], _residual(head)), set()).add(id(cones))
             assert all(len(ids) == 1 for ids in lists.values())
             # and no two groups share a list
             assert len(set().union(*lists.values())) == len(lists)
-            shared += len(blocks) > len(lists)
+            shared += len(chunk) > len(lists)
     assert shared > 0  # some list serves several heads
 
 
 @pytest.mark.parametrize("g", [1, 2, 5, 8, 12])
 def test_equal_cone_pairs_are_one_object(g):
     repeats = 0
-    for kind, blocks_of in (("sp", sp_blocks), ("se", se_blocks)):
+    for kind in ("sp", "se"):
         # within one order, each (order, twist) pair is one tuple ...
-        for blocks in blocks_of(g):
+        for chunk in blocks(g, kind):
             pairs = {}
-            for _, cones in blocks:
+            for _, cones in chunk:
                 for pair in chain.from_iterable(cones):
                     assert pairs.setdefault(pair, pair) is pair
                     repeats += 1
             repeats -= len(pairs)
         # ... and a listing's data sets share one ConePair per cone
         cone_pairs = {}
-        for d in block_sets(kind, blocks_of(g)):
+        for d in block_sets(kind, blocks(g, kind)):
             for cone in d.cones:
                 assert cone_pairs.setdefault(cone, cone) is cone
     assert repeats > 0  # some pairs serve several cones
@@ -265,8 +296,8 @@ def _signature_union(order, g0, residual, g, side_exchanging):
 def test_each_list_is_the_sorted_union_of_its_signatures_buckets():
     merged = 0
     for g in (1, 2, 5, 8, 12):
-        for blocks in chain(sp_blocks(g), se_blocks(g)):
-            for head, cones in blocks:
+        for chunk in chain(blocks(g, "sp"), blocks(g, "se")):
+            for head, cones in chunk:
                 order, _, g0, *residues = head
                 union = _signature_union(order, g0, _residual(head), g, len(residues) == 1)
                 assert cones == union
@@ -337,16 +368,16 @@ def test_twist_counts_are_the_brute_force_bucket_sizes():
 def _class_tally(chunks):
     """Sets per (order, l, g0, cone count), tallied from listed blocks."""
     tally = Counter()
-    for blocks in chunks:
-        for (order, l, g0, *_), cones in blocks:
+    for chunk in chunks:
+        for (order, l, g0, *_), cones in chunk:
             tally.update([(order, l, g0, len(c)) for c in cones])
     return dict(tally)
 
 
 @pytest.mark.parametrize("g", range(1, 21))
 def test_class_counts_equal_the_listing_tally(g):
-    assert class_counts(g, "sp") == _class_tally(sp_blocks(g))
-    assert class_counts(g, "se") == _class_tally(se_blocks(g))
+    assert class_counts(g, "sp") == _class_tally(blocks(g, "sp"))
+    assert class_counts(g, "se") == _class_tally(blocks(g, "se"))
 
 
 def test_class_counts_refuse_a_bad_kind_or_genus():
@@ -485,7 +516,7 @@ def test_spectra_needs_no_signature_walk(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("spectra walked the cone signatures")
 
-    for name in ("cone_signatures", "_signatures", "Filters"):
+    for name in ("cone_signatures", "_groups", "Filters"):
         monkeypatch.setattr(enumeration, name, fail)
     assert [spectra(g) for g in (1, 4, 19, 40)] == expected
 

@@ -18,7 +18,7 @@ from twistfrac import (
     enumerate_sp,
     validate_se,
 )
-from twistfrac.enumeration import Filters, se_blocks, sp_blocks
+from twistfrac.enumeration import Filters, blocks
 from twistfrac.cli import main
 from twistfrac.datasets import _essential
 from twistfrac.laws import LawReport, _se_laws, _sp_laws
@@ -171,9 +171,9 @@ def test_every_bound_law_is_attained():
     # set reaches it, so no bound is slack and no extreme set goes unlisted.
     for g in range(1, 17):
         classes = {kind: {(order, l, g0, len(c))
-                          for chunk in blocks(g) for (order, l, g0, *_), cones in chunk
+                          for chunk in blocks(g, kind) for (order, l, g0, *_), cones in chunk
                           for c in cones}
-                   for kind, blocks in (("sp", sp_blocks), ("se", se_blocks))}
+                   for kind in ("sp", "se")}
         attained = {row for row, equal in LAW_EQUALITIES.items()
                     if any(equal(*c, g) for c in classes[row[:2]])}
         # 5n = 4g needs 5 | g
@@ -251,7 +251,7 @@ def test_clean_audit_builds_no_data_set(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a clean audit built or validated a data set")
 
-    monkeypatch.setattr(twistfrac.enumeration, "_sets", forbidden)
+    monkeypatch.setattr(twistfrac.enumeration, "block_sets", forbidden)
     for name in ("_sp_report", "_se_report"):
         monkeypatch.setattr(twistfrac.datasets, name, forbidden)
     for name in ("enumerate_sp", "enumerate_se", "genus_sp", "genus_se",
