@@ -47,10 +47,11 @@ listing of either kind, one block list per order, without building a
 data set; only `block_sets` builds them, for `enumerate_sp` /
 `enumerate_se`, with one ConePair per (order, twist) pair.
 
-`class_counts` folds the same join over counts instead of lists: the
-number of a signature's assignments per residual (`_twist_counts`) comes
-from convolving the residue counts of its runs, so it gives the sets of
-each (order, l, g0, cone count) class without building one; `laws.audit`
+`class_counts` folds the same heads over counts, from a walk of its own
+that builds no signature: `_cone_counts` counts each g0's assignments by
+cone count, residual and odd cofactor in one memoised recursion per
+order, dropped when the order ends.  So it gives the sets of each
+(order, l, g0, cone count) class without building one; `laws.audit`
 reads it.  `spectra` lists nothing either: it reads the essential
 signatures off cofactor divisors and counts their sets without the
 signature walk.
@@ -61,10 +62,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
-from math import gcd, prod
+from math import gcd, inf, prod
 from operator import itemgetter
 
-from .arith import cone_signatures, divisors, prime_factors, units_mod
+from .arith import cone_signatures, cone_weight, divisors, prime_factors, units_mod
 from .datasets import (
     ConePair,
     DataSet,
@@ -244,23 +245,53 @@ def _run_counts(order: int, count: int) -> dict[int, int]:
     return {s: w for s, w in enumerate(ways[count]) if w}
 
 
-def _twist_counts(ambient: int, signature) -> dict[int, int]:
-    """The number of canonical twist assignments of the signature, by residual.
+@lru_cache(maxsize=None)
+def _cone_parts(order: int) -> tuple[tuple, ...]:
+    """(m, order/m, weight, odd order/m, the next part's weight) per cone order m > 1 of `order`.
 
-    Counts what `_assignments(ambient, [signature], range(ambient), {})` lists
-    without building a cones tuple: the counts of each run's twist sums
-    (`_run_counts`), scaled by ambient/order, are convolved mod ambient.
-    No residual maps to 0.
+    The parts ascend, and so do their weights (order/m)(m-1); past the
+    last part the next weight is inf.
     """
-    counts = {0: 1}
-    for order, count in _runs(signature):
-        step, convolved = ambient // order, {}
-        for total, sets in counts.items():
-            for more, runs in _run_counts(order, count).items():
-                residual = (total + step * more) % ambient
-                convolved[residual] = convolved.get(residual, 0) + sets * runs
-        counts = convolved
-    return counts
+    ms = divisors(order)[1:]
+    weights = [cone_weight(order, m) for m in ms]
+    return tuple((m, order // m, weight, order // m % 2 == 1, following)
+                 for m, weight, following in zip(ms, weights, weights[1:] + [inf]))
+
+
+def _cone_counts(order: int, target: int, memo: dict) -> dict[tuple, int]:
+    """What `_assignments` lists for every signature of weight `target`, counted.
+
+    Maps (cone count, residual, has an odd cofactor order/m) to the number
+    of canonical twist assignments.  The walk picks the next cone order m
+    used and its run of cones, whose twist sums `_run_counts` counts,
+    scaled by order/m; a weight left over is walked into only when it is
+    0 or at least the next part's weight.  `memo` belongs to one order and
+    keeps each suffix's counts by (start part, weight left).
+    """
+    parts = _cone_parts(order)
+
+    def walk(start: int, left: int) -> dict[tuple, int]:
+        if not left:
+            return {(0, 0, False): 1}
+        counts: dict[tuple, int] = {}
+        for i in range(start, len(parts)):
+            m, step, weight, odd, following = parts[i]
+            if weight > left:
+                break  # the weights rise
+            for count in range(1, left // weight + 1):
+                rest = left - count * weight
+                if rest and following > rest:
+                    continue  # no part left is light enough
+                suffix = memo.get((i + 1, rest))
+                if suffix is None:
+                    suffix = memo[i + 1, rest] = walk(i + 1, rest)
+                for s, ways in _run_counts(m, count).items() if suffix else ():
+                    for (cones, residual, suffix_odd), sets in suffix.items():
+                        key = (cones + count, (residual + step * s) % order, suffix_odd or odd)
+                        counts[key] = counts.get(key, 0) + sets * ways
+        return counts
+
+    return walk(0, target)
 
 
 def _orders(g: int, kind: str) -> range:
@@ -360,26 +391,31 @@ def _order_blocks(g: int, f: Filters, kind: str, order: int) -> list[tuple]:
 def class_counts(g: int, kind: str) -> dict[tuple, int]:
     """The number of `kind` sets of genus g in each (order, l, g0, cone count) class.
 
-    The same join as the listing, folded over counts: each signature's sets
-    by residual come from `_twist_counts`, and each head adds the count of
-    its residual at each cone count.  No set or cones tuple is built, and
-    no class maps to 0.
+    The same heads as the listing, folded over the counts of `_cone_counts`,
+    whose memo serves every g0 of an order: each head adds the count of its
+    residual at each cone count.  Over a sphere, SE counts only assignments
+    with an odd cofactor, as `_groups` keeps.  No set or signature is built,
+    and no class maps to 0.
     """
-    f = Filters()
     classes: dict[tuple, int] = {}
     for order in _orders(g, kind):
+        memo: dict = {}  # the order's suffix counts
         heads = None
-        for g0, signatures in _groups(g, f, kind, order):
-            if heads is None:
-                heads = _heads(kind, f, order)
+        # the cone weight sum of each g0, as in `_groups`
+        targets = range(2 * g if kind == "sp" else 2 * g + order, 0, -2 * order)
+        for g0, target in enumerate(targets):
             by_residual: dict[int, dict] = {}  # residual -> cone count -> sets
-            for signature in signatures:
-                for residual, sets in _twist_counts(order, signature).items():
+            for (cones, residual, odd), sets in _cone_counts(order, target, memo).items():
+                if kind == "sp" or g0 or odd:
                     by_count = by_residual.setdefault(residual, {})
-                    by_count[len(signature)] = by_count.get(len(signature), 0) + sets
+                    by_count[cones] = by_count.get(cones, 0) + sets
+            if not by_residual:
+                continue
+            if heads is None:
+                heads = _heads(kind, Filters(), order)
             for l, _, residual in heads:
-                for m, sets in by_residual.get(residual, {}).items():
-                    key = (order, l, g0, m)
+                for cones, sets in by_residual.get(residual, {}).items():
+                    key = (order, l, g0, cones)
                     classes[key] = classes.get(key, 0) + sets
     return classes
 

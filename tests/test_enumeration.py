@@ -25,10 +25,10 @@ from twistfrac import enumeration
 from twistfrac.arith import cone_signatures, divisors, units_mod
 from twistfrac.enumeration import (
     _assignments,
+    _cone_counts,
     _groups,
     _odd_cofactors,
     _run_counts,
-    _twist_counts,
     block_sets,
     blocks,
     class_counts,
@@ -353,16 +353,20 @@ def test_run_counts_are_the_twist_sums_of_the_runs():
 
 
 def test_twist_counts_are_the_brute_force_bucket_sizes():
+    # every signature of a target, with no cap on cone count, counted by
+    # cone count, residual and odd cofactor; one memo serves each ambient
     checked = 0
     for ambient in range(2, 31):
+        memo = {}
         for target in range(0, 3 * ambient, 2):
-            for signature in cone_signatures(ambient, target, 3):
-                buckets = _brute_assignments(ambient, signature)
-                assert _twist_counts(ambient, signature) == {
-                    r: len(bucket) for r, bucket in buckets.items()}
+            expected = Counter()
+            for signature in cone_signatures(ambient, target):
+                odd = _odd_cofactors(ambient, signature) > 0
+                for residual, bucket in _brute_assignments(ambient, signature).items():
+                    expected[len(signature), residual, odd] += len(bucket)
                 checked += 1
-        assert _twist_counts(ambient, ()) == {0: 1}
-    assert checked > 400
+            assert _cone_counts(ambient, target, memo) == dict(expected), (ambient, target)
+    assert checked > 600  # 676 signatures, 29 of them empty
 
 
 def _class_tally(chunks):
@@ -378,6 +382,19 @@ def _class_tally(chunks):
 def test_class_counts_equal_the_listing_tally(g):
     assert class_counts(g, "sp") == _class_tally(blocks(g, "sp"))
     assert class_counts(g, "se") == _class_tally(blocks(g, "se"))
+
+
+def test_class_counts_walk_no_listing_signature(monkeypatch):
+    # the listing tally, taken before the listing's walk is forbidden
+    expected = {(g, kind): _class_tally(blocks(g, kind))
+                for g in range(1, 13) for kind in ("sp", "se")}
+
+    def fail(*args, **kwargs):
+        raise AssertionError("class_counts walked the listing's signatures")
+
+    for name in ("cone_signatures", "_groups", "_assignments"):
+        monkeypatch.setattr(enumeration, name, fail)
+    assert {key: class_counts(*key) for key in expected} == expected
 
 
 def test_class_counts_refuse_a_bad_kind_or_genus():
