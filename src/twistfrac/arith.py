@@ -8,12 +8,15 @@ Everything here is pure and deterministic.  The one nontrivial piece is
 over multisets of divisors ``m_i > 1`` of ``order``.  That sum is the
 branching contribution of the cone points in the genus identities, so the
 solver is what turns "find all quotient orbifolds of a given genus" into a
-finite search.
+finite search.  It walks `_cone_parts`, each order's table of parts and
+weights, one run of equal parts at a time; the count engine,
+`enumeration._cone_counts`, walks the same table the same way.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, inf, isqrt
 
 # A cone signature is the multiset of cone-point orders, kept as an
 # ascending tuple so equal multisets compare equal.
@@ -66,43 +69,50 @@ def cone_weight(order: int, m: int) -> int:
     return (order // m) * (m - 1)
 
 
+@lru_cache(maxsize=None)
+def _cone_parts(order: int) -> tuple[tuple, ...]:
+    """(m, order/m, weight, odd order/m, the next part's weight) per cone order m > 1 of `order`.
+
+    The parts ascend, and so do their weights (order/m)(m-1); past the
+    last part the next weight is inf.
+    """
+    ms = divisors(order)[1:]
+    weights = [cone_weight(order, m) for m in ms]
+    return tuple((m, order // m, weight, order // m % 2 == 1, following)
+                 for m, weight, following in zip(ms, weights, weights[1:] + [inf]))
+
+
 def cone_signatures(
     order: int, target: int, max_count: int | None = None
 ) -> set[ConeSignature]:
     """All multisets of divisors m > 1 of `order` whose weights sum to `target`.
 
-    Each part m weighs (order/m)*(m-1) >= order/2, rising with m, so a
-    signature has at most 2*target/order parts.  Parts are chosen in
-    ascending order; each level solves the remaining weight as one last
-    part and recurses only into parts that leave room for one no lighter.
-    Returns {()} exactly when target = 0.  `max_count`, when given, also
-    caps the multiset size.
+    Each part m weighs (order/m)*(m-1) >= order/2, rising with m.  The walk
+    picks the next cone order used from `_cone_parts` and its run of equal
+    cones; a weight left over is walked into only when it is 0 or at least
+    the next part's weight.  Returns {()} exactly when target = 0.
+    `max_count`, when given, also caps the multiset size.
     """
     if order < 2:
         raise ValueError(f"cone_signatures() needs order >= 2, got {order}")
     if target < 0:
         raise ValueError(f"cone_signatures() needs target >= 0, got {target}")
 
-    parts = [(m, cone_weight(order, m)) for m in divisors(order)[1:]]  # ascending in both
-    limit = min(2 * target // order, target if max_count is None else max_count)
-
-    found: set[ConeSignature] = {()} if target == 0 else set()
-    chosen: list[int] = []
-
-    def extend(start: int, remaining: int) -> None:
-        rest = order - remaining  # a last part m weighs order - order/m
-        last = order // rest if 0 < rest and order % rest == 0 else 0
-        if last >= parts[start][0] and len(chosen) < limit:
-            found.add((*chosen, last))
-        if len(chosen) + 2 > limit:
-            return
-        for idx in range(start, len(parts)):
-            m, w = parts[idx]
-            if 2 * w > remaining:
-                break  # the weights rise: no later part leaves room either
-            chosen.append(m)
-            extend(idx, remaining - w)  # idx again: parts may repeat
-            chosen.pop()
-
-    extend(0, target)
+    parts = _cone_parts(order)
+    room = target if max_count is None else max_count  # every part weighs >= 1
+    found: set[ConeSignature] = set()
+    stack = [((), 0, target)]  # (orders chosen, next part, weight left)
+    while stack:
+        chosen, start, left = stack.pop()
+        if not left:
+            found.add(chosen)
+            continue
+        for i in range(start, len(parts)):
+            m, _, weight, _, following = parts[i]
+            if weight > left:
+                break  # the weights rise
+            for count in range(1, min(left // weight, room - len(chosen)) + 1):
+                rest = left - count * weight
+                if not rest or following <= rest:
+                    stack.append((chosen + (m,) * count, i + 1, rest))
     return found

@@ -4,20 +4,21 @@ Two independent engines produce the same sets:
 
 * `enumerate_sp` / `enumerate_se` prune hard: orders are capped by the
   proven bounds (n <= 4g side-preserving, 2n <= 4g+2 side-exchanging,
-  `_orders`, which also checks the arguments).  Each order is one join:
-  `_groups` solves the cone signatures of each quotient genus g0 from the
-  genus identity, one filtered `cone_signatures` call per g0, and
-  `_heads` solves l from the twist relation once per order and gives each
-  head the residual its cones must sum to; no head reads g0.  At each g0
-  the twist assignments of all its signatures are listed once into one
-  residue table (`_assignments`), only at the residuals some head reads,
-  so condition (iv) is a lookup.  Only valid tuples are built.  Each
-  order keeps one table of runs while it is listed (`_run_choices`): one
-  (m, k) pair per unit twist k of each cone order m, and the (residue
-  sum, cones) choices of each run of `count` cones of order m, built once
-  per (m, count) from those pairs.  Every signature of the order reads
-  its runs there, so every cones tuple of the order points to the shared
-  pairs; the table is dropped when the order ends.
+  `_orders`, which also checks the arguments).  Each order is one join
+  in `_order_blocks`: the cone signatures of each quotient genus g0 come
+  from the genus identity, one filtered `cone_signatures` call per g0
+  target (`_targets`), and `_heads` solves l from the twist relation once
+  per order and gives each head the residual its cones must sum to; no
+  head reads g0.  At each g0 the twist assignments of all its signatures
+  are listed once into one residue table (`_assignments`), only at the
+  residuals some head reads, so condition (iv) is a lookup.  Only valid
+  tuples are built.  Each order keeps one table of runs while it is
+  listed (`_run_choices`): one (m, k) pair per unit twist k of each cone
+  order m, and the (residue sum, cones) choices of each run of `count`
+  cones of order m, built once per (m, count) from those pairs.  Every
+  signature of the order reads its runs there, so every cones tuple of
+  the order points to the shared pairs; the table is dropped when the
+  order ends.
 
 * `enumerate_oracle` walks every order N in the same hard range, every
   admissible quotient genus and every divisor multiset within the
@@ -47,10 +48,11 @@ listing of either kind, one block list per order, without building a
 data set; only `block_sets` builds them, for `enumerate_sp` /
 `enumerate_se`, with one ConePair per (order, twist) pair.
 
-`class_counts` folds the same heads over counts, from a walk of its own
-that builds no signature: `_cone_counts` counts each g0's assignments by
-cone count, residual and odd cofactor in one memoised recursion per
-order, dropped when the order ends.  So it gives the sets of each
+`class_counts` folds the same heads over counts, from a walk that builds
+no signature: `_cone_counts` counts each g0's assignments by cone count,
+residual and odd cofactor in one memoised recursion per order, dropped
+when the order ends.  It walks the part table `arith._cone_parts` run by
+run, as `cone_signatures` does.  So it gives the sets of each
 (order, l, g0, cone count) class without building one; `laws.audit`
 reads it.  `spectra` lists nothing either: it reads the essential
 signatures off cofactor divisors and counts their sets without the
@@ -62,10 +64,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
-from math import gcd, inf, prod
+from math import gcd, prod
 from operator import itemgetter
 
-from .arith import cone_signatures, cone_weight, divisors, prime_factors, units_mod
+from .arith import _cone_parts, cone_signatures, divisors, prime_factors, units_mod
 from .datasets import (
     ConePair,
     DataSet,
@@ -73,6 +75,7 @@ from .datasets import (
     SpDataSet,
     ValidationReport,
     _check_genus,
+    _essential,
     _se_report,
     _sp_report,
     is_essential,
@@ -245,60 +248,46 @@ def _run_counts(order: int, count: int) -> dict[int, int]:
     return {s: w for s, w in enumerate(ways[count]) if w}
 
 
-@lru_cache(maxsize=None)
-def _cone_parts(order: int) -> tuple[tuple, ...]:
-    """(m, order/m, weight, odd order/m, the next part's weight) per cone order m > 1 of `order`.
-
-    The parts ascend, and so do their weights (order/m)(m-1); past the
-    last part the next weight is inf.
-    """
-    ms = divisors(order)[1:]
-    weights = [cone_weight(order, m) for m in ms]
-    return tuple((m, order // m, weight, order // m % 2 == 1, following)
-                 for m, weight, following in zip(ms, weights, weights[1:] + [inf]))
-
-
-def _cone_counts(order: int, target: int, memo: dict) -> dict[tuple, int]:
-    """What `_assignments` lists for every signature of weight `target`, counted.
+def _cone_counts(order: int, left: int, memo: dict, start: int = 0) -> dict[tuple, int]:
+    """What `_assignments` lists for every signature of weight `left`, counted.
 
     Maps (cone count, residual, has an odd cofactor order/m) to the number
-    of canonical twist assignments.  The walk picks the next cone order m
-    used and its run of cones, whose twist sums `_run_counts` counts,
-    scaled by order/m; a weight left over is walked into only when it is
-    0 or at least the next part's weight.  `memo` belongs to one order and
-    keeps each suffix's counts by (start part, weight left).
+    of canonical twist assignments of the signatures made of the parts of
+    `_cone_parts` from `start` on.  It walks as `cone_signatures` does:
+    it picks the next cone order m used and its run of cones, whose twist
+    sums `_run_counts` counts, scaled by order/m, and walks a weight left
+    over only when it is 0 or at least the next part's weight.  `memo`
+    belongs to one order and keeps each suffix's counts by (start part,
+    weight left).
     """
+    if not left:
+        return {(0, 0, False): 1}
     parts = _cone_parts(order)
-
-    def walk(start: int, left: int) -> dict[tuple, int]:
-        if not left:
-            return {(0, 0, False): 1}
-        counts: dict[tuple, int] = {}
-        for i in range(start, len(parts)):
-            m, step, weight, odd, following = parts[i]
-            if weight > left:
-                break  # the weights rise
-            for count in range(1, left // weight + 1):
-                rest = left - count * weight
-                if rest and following > rest:
-                    continue  # no part left is light enough
-                suffix = memo.get((i + 1, rest))
-                if suffix is None:
-                    suffix = memo[i + 1, rest] = walk(i + 1, rest)
-                for s, ways in _run_counts(m, count).items() if suffix else ():
-                    for (cones, residual, suffix_odd), sets in suffix.items():
-                        key = (cones + count, (residual + step * s) % order, suffix_odd or odd)
-                        counts[key] = counts.get(key, 0) + sets * ways
-        return counts
-
-    return walk(0, target)
+    counts: dict[tuple, int] = {}
+    for i in range(start, len(parts)):
+        m, step, weight, odd, following = parts[i]
+        if weight > left:
+            break  # the weights rise
+        for count in range(1, left // weight + 1):
+            rest = left - count * weight
+            if rest and following > rest:
+                continue  # no part left is light enough
+            suffix = memo.get((i + 1, rest))
+            if suffix is None:
+                suffix = memo[i + 1, rest] = _cone_counts(order, rest, memo, i + 1)
+            for s, ways in _run_counts(m, count).items() if suffix else ():
+                for (cones, residual, suffix_odd), sets in suffix.items():
+                    key = (cones + count, (residual + step * s) % order, suffix_odd or odd)
+                    counts[key] = counts.get(key, 0) + sets * ways
+    return counts
 
 
 def _orders(g: int, kind: str) -> range:
     """The orders of the `kind` sets of genus g: n <= 4g (SP), 2n <= 4g + 2 (SE).
 
-    The one argument check of `blocks` and `class_counts`: it refuses a
-    genus below 1 and a kind other than "sp" or "se".
+    The one argument check of `blocks`, `class_counts` and
+    `enumerate_oracle`: it refuses a genus below 1 and a kind other than
+    "sp" or "se".
     """
     _check_genus(g)
     if kind == "sp":
@@ -308,30 +297,13 @@ def _orders(g: int, kind: str) -> range:
     raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
 
 
-def _groups(g: int, f: Filters, kind: str, order: int):
-    """(g0, signatures), g0 ascending, where the `kind` sets of genus g and `order` have cones.
+def _targets(g: int, kind: str, order: int) -> range:
+    """The cone weight sum (order/m)(m-1) that genus g asks of each quotient genus g0 = 0, 1, ...
 
-    `targets[g0]` is the cone weight sum (order/m)(m-1) the genus asks of
-    quotient genus g0; valid sets have cones, so a target <= 0 yields none.
-    The signatures are those the filters `f` keep: essential sets have
-    g0 = 0 and exactly `essential_cones` cones.  Over a sphere, SE sets
-    generate only through an odd cofactor.  No g0 yields an empty list.
+    It is 2(g - g0 n) for SP and 2(g + n) - 4 g0 n for SE.  Valid sets
+    have cones, so the targets stop above 0.
     """
-    if kind == "sp":
-        targets, essential_cones = range(2 * g, -1, -2 * order), 1  # 2(g - g0 n)
-    else:
-        targets, essential_cones = range(2 * g + order, -1, -2 * order), 2  # 2(g + n) - 4 g0 n
-    count = essential_cones if f.essential_only else f.cone_count
-    if (f.exponent is not None and f.exponent[1] != order) or f.cone_count not in (None, count):
-        return  # another order, or essential sets have another cone count
-    for g0, target in enumerate(targets[:1] if f.essential_only else targets):
-        if target <= 0 or (f.g0 is not None and g0 != f.g0):
-            continue
-        signatures = [sig for sig in cone_signatures(order, target, count)
-                      if (count is None or len(sig) == count)
-                      and (kind == "sp" or g0 or _odd_cofactors(order, sig))]
-        if signatures:
-            yield g0, signatures
+    return range(2 * g + (order if kind == "se" else 0), 0, -2 * order)
 
 
 def _heads(kind: str, f: Filters, order: int) -> list[tuple]:
@@ -365,17 +337,30 @@ def _heads(kind: str, f: Filters, order: int) -> list[tuple]:
 def _order_blocks(g: int, f: Filters, kind: str, order: int) -> list[tuple]:
     """Sorted blocks (head, cones) of the `kind` sets of genus g and `order`.
 
+    At each g0 the signatures of its target that the filters `f` keep are
+    listed; over a sphere, SE sets generate only through an odd cofactor.
     `cones` lists the ascending (order, twist) tuples of `_assignments`
     that complete the head, so head + (c,) is a set's sort_key() for each
     c in it.  The order's heads and their residuals are solved at its first
-    g0 group; at each g0 only those residuals are listed, every head with
-    one residual shares its list, and a head tuple is built only for a
-    head that gets cones.
+    g0 with a signature; at each g0 only those residuals are listed, every
+    head with one residual shares its list, and a head tuple is built only
+    for a head that gets cones.
     """
     out: list[tuple] = []
+    if f.exponent is not None and f.exponent[1] != order:
+        return out
     table: dict = {}  # the order's (order, twist) pairs and runs, for every g0
     heads = None
-    for g0, signatures in _groups(g, f, kind, order):
+    count = 2 if f.essential_only else f.cone_count  # essential sets have at most two cones
+    for g0, target in enumerate(_targets(g, kind, order)):
+        if f.g0 not in (None, g0) or (f.essential_only and g0):
+            continue  # essential sets lie over a sphere
+        signatures = [sig for sig in cone_signatures(order, target, count)
+                      if f.cone_count in (None, len(sig))
+                      and (not f.essential_only or _essential(g0, len(sig), kind == "se"))
+                      and (kind == "sp" or g0 or _odd_cofactors(order, sig))]
+        if not signatures:
+            continue
         if heads is None:
             heads = _heads(kind, f, order)
             residuals = {residual for *_, residual in heads}
@@ -394,16 +379,14 @@ def class_counts(g: int, kind: str) -> dict[tuple, int]:
     The same heads as the listing, folded over the counts of `_cone_counts`,
     whose memo serves every g0 of an order: each head adds the count of its
     residual at each cone count.  Over a sphere, SE counts only assignments
-    with an odd cofactor, as `_groups` keeps.  No set or signature is built,
-    and no class maps to 0.
+    with an odd cofactor, as `_order_blocks` keeps.  No set or signature is
+    built, and no class maps to 0.
     """
     classes: dict[tuple, int] = {}
     for order in _orders(g, kind):
         memo: dict = {}  # the order's suffix counts
         heads = None
-        # the cone weight sum of each g0, as in `_groups`
-        targets = range(2 * g if kind == "sp" else 2 * g + order, 0, -2 * order)
-        for g0, target in enumerate(targets):
+        for g0, target in enumerate(_targets(g, kind, order)):
             by_residual: dict[int, dict] = {}  # residual -> cone count -> sets
             for (cones, residual, odd), sets in _cone_counts(order, target, memo).items():
                 if kind == "sp" or g0 or odd:
@@ -478,12 +461,12 @@ def _oracle(g: int, kind: str) -> list:
     """`enumerate_oracle`'s sets, unsorted; it reads its kernels by name at each call."""
     if kind == "sp":  # residues (a, b), a <= b, mod n; exponents from 1
         cls, report, genus_if_valid, l_min = SpDataSet, _sp_report, sp_genus_if_valid, 1
-        orders, width, fold, extra = range(2, 4 * g + 1), 2, 1, 0
+        width, fold, extra = 2, 1, 0
     else:  # residue a mod n at order 2n; exponents from 2
         cls, report, genus_if_valid, l_min = SeDataSet, _se_report, se_genus_if_valid, 2
-        orders, width, fold, extra = range(4, 4 * g + 3, 2), 1, 2, 1
+        width, fold, extra = 1, 2, 1
     out = []
-    for order in orders:
+    for order in _orders(g, kind):
         choices = list(combinations_with_replacement(_units(order // fold), width))
         parts = [m for m in divisors(order) if m > 1]
         weight_cap = 2 * g + extra * order  # = 2 g0 N + sum (N/m)(m-1) at N = order
@@ -521,12 +504,10 @@ def _oracle_twists(signature):
 def enumerate_oracle(g: int, kind: str,
                      max_genus: int = ORACLE_MAX_GENUS) -> list:
     """Naive re-enumeration for cross-checking; refuses large genus."""
-    _check_genus(g)
+    _orders(g, kind)  # refuses a bad genus or kind
     if g > max_genus:
         raise OracleBoundError(
             f"oracle enumeration is bounded to genus <= {max_genus}, got {g}")
-    if kind not in ("sp", "se"):
-        raise ValueError(f"kind must be 'sp' or 'se', got {kind!r}")
     return sorted(_oracle(g, kind), key=lambda d: d.sort_key())
 
 

@@ -1,9 +1,10 @@
 from itertools import combinations_with_replacement
+from math import inf
 
 import pytest
 
 from twistfrac import NotInvertibleError, cone_signatures, divisors, mod_inverse, units_mod
-from twistfrac.arith import cone_weight, prime_factors
+from twistfrac.arith import _cone_parts, cone_weight, prime_factors
 
 
 def test_divisors_basics():
@@ -178,3 +179,15 @@ def test_cone_signatures_cap_filters_uncapped(order):
         for max_count in range(4):
             assert cone_signatures(order, target, max_count) == {
                 s for s in uncapped if len(s) <= max_count}
+
+
+def test_cone_parts_table():
+    for order in range(2, 201):
+        parts = _cone_parts(order)
+        assert [m for m, *_ in parts] == [m for m in divisors(order) if m > 1]
+        weights = [weight for _, _, weight, _, _ in parts]
+        assert weights == [(order // m) * (m - 1) for m, *_ in parts]
+        assert all(first < second for first, second in zip(weights, weights[1:]))
+        for (m, cofactor, _, odd, following), later in zip(parts, weights[1:] + [inf]):
+            assert cofactor == order // m and following == later
+            assert odd is (cofactor % 2 == 1)

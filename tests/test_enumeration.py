@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import chain, combinations_with_replacement, product
 from math import gcd
@@ -26,7 +27,6 @@ from twistfrac.arith import cone_signatures, divisors, units_mod
 from twistfrac.enumeration import (
     _assignments,
     _cone_counts,
-    _groups,
     _odd_cofactors,
     _run_counts,
     block_sets,
@@ -169,6 +169,18 @@ def test_oracle_rejects_bad_kind():
         enumerate_oracle(2, "both")
 
 
+@pytest.mark.parametrize("g, kind, error, text", [
+    (0, "sp", ValueError, "genus must be >= 1, got 0"),
+    (2, "both", ValueError, "kind must be 'sp' or 'se', got 'both'"),
+    (25, "both", ValueError, "kind must be 'sp' or 'se', got 'both'"),  # the kind comes first
+    (25, "sp", OracleBoundError, "oracle enumeration is bounded to genus <= 24, got 25"),
+])
+def test_oracle_refuses_with_exact_texts(g, kind, error, text):
+    with pytest.raises(ValueError) as caught:
+        enumerate_oracle(g, kind)
+    assert type(caught.value) is error and str(caught.value) == text
+
+
 def test_enumeration_rejects_bad_genus():
     with pytest.raises(ValueError):
         enumerate_sp(0)
@@ -218,6 +230,21 @@ def test_heads_are_unique_and_ascending_within_an_order(g):
             assert all(cones for _, cones in chunk)
 
 
+def _kept_orders(g, kind, f):
+    """The orders of genus g at which some g0 has a cone signature the filters `f` keep."""
+    se = kind == "se"
+    kept = []
+    for order in enumeration._orders(g, kind):
+        targets = range(2 * g + se * order, 0, -2 * order)  # 2(g - g0 n), 2(g + n) - 4 g0 n
+        if any((f.exponent is None or f.exponent[1] == order)
+               and f.g0 in (None, g0) and f.cone_count in (None, len(sig))
+               and (not f.essential_only or (g0 == 0 and len(sig) == 1 + se))
+               and (not se or g0 or _odd_cofactors(order, sig))  # a sphere needs an odd cofactor
+               for g0, target in enumerate(targets) for sig in cone_signatures(order, target)):
+            kept.append(order)
+    return kept
+
+
 @pytest.mark.parametrize("g", range(1, 9))
 def test_heads_are_solved_once_per_order_with_groups(g, monkeypatch):
     solved = []  # the order of each _heads call
@@ -226,21 +253,12 @@ def test_heads_are_solved_once_per_order_with_groups(g, monkeypatch):
                         lambda kind, f, order: solved.append(order) or heads(kind, f, order))
     for kind in ("sp", "se"):
         for filters in (ESSENTIAL,) + BLOCK_FILTERS:
-            grouped = []  # the orders at which _groups yields
-            for order in enumeration._orders(g, kind):
-                groups = list(_groups(g, filters, kind, order))
-                g0s = [g0 for g0, _ in groups]
-                assert all(first < second for first, second in zip(g0s, g0s[1:]))
-                assert all(signatures for _, signatures in groups)
-                if groups:
-                    grouped.append(order)
             solved.clear()
             list(blocks(g, kind, filters))
-            assert solved == grouped
+            assert solved == _kept_orders(g, kind, filters)
         solved.clear()
         class_counts(g, kind)
-        assert solved == [order for order in enumeration._orders(g, kind)
-                          if any(_groups(g, Filters(), kind, order))]
+        assert solved == _kept_orders(g, kind, Filters())
 
 
 @pytest.mark.parametrize("g", [1, 2, 5, 8, 12])
@@ -392,9 +410,26 @@ def test_class_counts_walk_no_listing_signature(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("class_counts walked the listing's signatures")
 
-    for name in ("cone_signatures", "_groups", "_assignments"):
+    for name in ("cone_signatures", "_assignments", "_order_blocks"):
         monkeypatch.setattr(enumeration, name, fail)
     assert {key: class_counts(*key) for key in expected} == expected
+
+
+def test_walks_leave_no_reference_cycle():
+    # a walk that refers to itself keeps its memo or found set alive until
+    # a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        cone_signatures(60, 90)
+        assert gc.collect() == 0
+        for kind in ("sp", "se"):
+            list(blocks(24, kind))
+            assert gc.collect() == 0
+            class_counts(24, kind)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_class_counts_refuse_a_bad_kind_or_genus():
@@ -533,7 +568,7 @@ def test_spectra_needs_no_signature_walk(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("spectra walked the cone signatures")
 
-    for name in ("cone_signatures", "_groups", "Filters"):
+    for name in ("cone_signatures", "_order_blocks", "Filters"):
         monkeypatch.setattr(enumeration, name, fail)
     assert [spectra(g) for g in (1, 4, 19, 40)] == expected
 
