@@ -22,6 +22,14 @@ is computed, and `audit` flushes the process's own stdout after each genus.
 `validate` and `enumerate --oracle` write nothing until the whole input has
 parsed or the engines agree.  `--output PATH` replaces PATH only once the
 command has written everything.
+
+`validate PATH` cuts a regular file of at least two ranges of
+`_split._RANGE_MIN_BYTES` after newline bytes, into at most one range per
+available CPU: this process checks the first and forked workers the
+others, each sending back its distinct report lines and a 4-byte index per
+record.  Any refusal or failed worker re-checks the file in one serial
+pass, which stdin and smaller files always take, so the output bytes never
+depend on the split.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import stat
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext, suppress
-from itertools import islice
+from itertools import chain, islice
 
 from .datasets import (
     CSV_COLUMNS,
@@ -211,7 +219,8 @@ def _file_mode(path: str) -> int:
 # --------------------------------------------------------------- commands
 
 def cmd_validate(args, out) -> int:
-    if args.file is not None and args.file != "-":
+    named = args.file not in (None, "-")
+    if named:
         try:
             stream = open(args.file, encoding="utf-8")
         except OSError as exc:
@@ -220,47 +229,64 @@ def cmd_validate(args, out) -> int:
         stream = nullcontext(sys.stdin)
 
     kind = None if args.kind == "auto" else args.kind
-    # A listing holds few distinct reports: each is rendered once, and
-    # `lines` holds the shared output line of every record.  Listings also
-    # repeat cone texts, which `record_fields` reads through a bounded memo.
-    # A line is stripped once here: stripping it again in `record_fields`
-    # returns the same string.
-    rendered = {}
-    lines = []
-    all_valid = True
     try:
         with stream as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    shape, fields = record_fields(line, kind)
-                except (ValueError, RecursionError) as exc:
-                    raise _Refused(f"line {number}: {exc}")
-                report = (_sp_report if shape == "sp" else _se_report)(*fields)
-                text = rendered.get(report)
-                if text is None:
-                    try:
-                        text = rendered[report] = _report_line(report, args.format)
-                    except ValueError:
-                        # str() refuses ints past sys.get_int_max_str_digits()
-                        raise _Refused(f"line {number}: genus has too many digits to print")
-                    all_valid = all_valid and report.valid
-                lines.append(text)
+            ranges = None
+            if named:
+                # imported here, so no other command compiles or loads it
+                from ._split import split_pass
+
+                # it reads the file with pread: `handle` stays at its start
+                ranges = split_pass(handle.fileno(), kind, args.format)
+            ranges = ranges or [_check_records(handle, kind, args.format)]
     except UnicodeDecodeError as exc:
         # raised by the reads, which decode ahead of the line being parsed
         raise _Refused(f"input is not UTF-8 text: {exc}")
     except OSError as exc:
-        name = "stdin" if args.file in (None, "-") else args.file
+        name = args.file if named else "stdin"
         raise _Refused(f"cannot read {name}: {exc}")
 
     # Nothing is written before the whole input has parsed.
     with _open_output(args.output, out) as sink:
         if args.format == "csv":
             sink.write("valid,genus,failed\n")
-        _write(sink, lines)
-    return 0 if all_valid else 2
+        _write(sink, chain.from_iterable(map(texts.__getitem__, indexes)
+                                         for texts, indexes, _ in ranges))
+    return 0 if all(valid for _, _, valid in ranges) else 2
+
+
+def _check_records(lines, kind: str | None, fmt: str):
+    """Check each record of `lines`, an iterable of text lines; raise at the first refusal.
+
+    Returns the distinct report lines in `fmt` (a listing holds few distinct
+    reports, so each is rendered once), a 4-byte index into them per record,
+    and whether every record is valid.  Listings also repeat cone texts,
+    which `record_fields` reads through a bounded memo.  A line is stripped
+    once here: stripping it again in `record_fields` returns the same string.
+    """
+    from array import array
+
+    rendered, texts, indexes, all_valid = {}, [], array("I"), True
+    for number, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            shape, fields = record_fields(line, kind)
+        except (ValueError, RecursionError) as exc:
+            raise _Refused(f"line {number}: {exc}")
+        report = (_sp_report if shape == "sp" else _se_report)(*fields)
+        index = rendered.get(report)
+        if index is None:
+            try:
+                texts.append(_report_line(report, fmt))
+            except ValueError:
+                # str() refuses ints past sys.get_int_max_str_digits()
+                raise _Refused(f"line {number}: genus has too many digits to print")
+            index = rendered[report] = len(texts) - 1
+            all_valid = all_valid and report.valid
+        indexes.append(index)
+    return texts, indexes, all_valid
 
 
 def _report_line(report, fmt: str) -> str:

@@ -543,12 +543,16 @@ def test_validate_bytes_equal_the_per_report_rendering(fmt, per_write, tmp_path,
 def test_validate_bytes_do_not_depend_on_the_cone_memo(fmt, tmp_path):
     # The genus 9 listing, each set also with a -> a+1, validated twice in one
     # process: the cone memo cold, then warm.
+    from twistfrac import _split
+
     sets = [e for d in enumerate_sp(9) + enumerate_se(9) for e in (d, replace(d, a=d.a + 1))]
     expected = _rendered_reports([validate(d) for d in sets], fmt)
     assert expected[0] == 2
     for syntax, render in (("json", lambda d: json.dumps(to_record(d))), ("text", str)):
         path = tmp_path / f"{syntax}.txt"
         path.write_text("".join(render(d) + "\n" for d in sets))
+        # too small to split: the counted memo is this process's, not a worker's
+        assert path.stat().st_size < 2 * _split._RANGE_MIN_BYTES
         _cone_memo.cache_clear()
         cold = run_cli("validate", str(path), "--format", fmt)
         hits = _cone_memo.cache_info().hits
@@ -561,6 +565,7 @@ def test_validate_bytes_do_not_depend_on_the_cone_memo(fmt, tmp_path):
 def test_validate_csv_row_needs_no_quoting(tmp_path, monkeypatch):
     # One report per subset of failed conditions, with and without a genus.
     import twistfrac.cli as cli_mod
+    from twistfrac import _split
 
     fields = list(CONDITION_LABELS)
     reports = [
@@ -572,6 +577,8 @@ def test_validate_csv_row_needs_no_quoting(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "_sp_report", lambda *fields: next(supply))
     path = tmp_path / "records.txt"
     path.write_text("((1, 9), 0, (2, 2); (5, 9))\n" * len(reports))
+    # too small to split: the kernel patched is this process's, not a worker's
+    assert path.stat().st_size < 2 * _split._RANGE_MIN_BYTES
     assert run_cli("validate", str(path), "--format", "csv") == _rendered_reports(
         reports, "csv")
 
@@ -1252,7 +1259,8 @@ def test_argparse_errors_map_to_exit_1():
     assert run_cli("no-such-command")[0] == 1
     assert run_cli("--help")[0] == 0
     assert run_cli("enumerate", "--genus", "0")[0] == 1
-    # --jobs is gone: every command is one serial engine
+    # --jobs is gone: no command takes a worker count; `validate` alone splits a
+    # large file, one range per available CPU
     assert run_cli("enumerate", "--genus", "4", "--jobs", "2")[0] == 1
     assert run_cli("spectra", "--from", "1", "--to", "1", "--jobs", "2")[0] == 1
     assert run_cli("audit", "--from", "1", "--to", "1", "--jobs", "2")[0] == 1
