@@ -29,7 +29,14 @@ available CPU: this process checks the first and forked workers the
 others, each sending back its distinct report lines and a 4-byte index per
 record.  Any refusal or failed worker re-checks the file in one serial
 pass, which stdin and smaller files always take, so the output bytes never
-depend on the split.
+depend on the split.  Stdin is read as a path is: UTF-8, universal newlines.
+
+`enumerate` at genus _SPLIT_MIN_GENUS or more, without --oracle or
+--exponent, writes its orders from the front until the first set is out,
+then shares the orders left with one forked worker that lists them from
+the back into a temporary file (`_split.split_listing`).  A failed worker's
+orders are listed here, so those output bytes never depend on the split
+either; a process that may use one CPU lists alone.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import re
 import stat
 import sys
 import tempfile
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from itertools import chain, islice
 
 from .datasets import (
@@ -82,6 +89,15 @@ from .relations import (
 
 FORMATS = ("text", "json-lines", "csv")
 SPECTRA_COLUMNS = ("surface_genus", "e_sp", "e_se", "n_sp", "n_se")
+
+# An `enumerate` listing of at least this genus may share its orders with a
+# forked worker (`render_listing`).  The fork, the temporary file, the copy
+# back and compiling `_split` where no .pyc is written add 3-5 ms on a 2-core
+# Linux host.  Measured there in fresh processes (medians of 11 pairs),
+# `--kind both --format json-lines` lists genus 16 in 17 ms split against
+# 13 ms in one process, genus 18 in 21 against 19, genus 20 in 22 against
+# 23, and genus 22 in 25 against 27.
+_SPLIT_MIN_GENUS = 20
 
 # Listings and `validate` output are written in strings of at most this many
 # lines, so a large order chunk or input is not rendered into one string.
@@ -135,14 +151,19 @@ def _rendered(chunk, heads, pairs, separator, ending, grouped):
         yield from map((indent + heads[len(head)].format(*head)).__add__, rest)
 
 
-def _write(out, lines) -> None:
-    """Write `lines` to `out`, at most RECORDS_PER_WRITE a write; never write ''."""
-    lines = iter(lines)
+def _write(out, lines) -> bool:
+    """Write `lines` to `out`, at most RECORDS_PER_WRITE a write; never write ''.
+
+    Returns whether it wrote any line.
+    """
+    lines, wrote = iter(lines), False
     while text := "".join(islice(lines, RECORDS_PER_WRITE)):
         out.write(text)
+        wrote = True
+    return wrote
 
 
-def render_listing(kinds, fmt: str, out) -> None:
+def render_listing(kinds, fmt: str, out, split: bool = False) -> None:
     """Write a listing to `out`, each chunk of sets as soon as it arrives.
 
     `kinds` holds (kind, chunks) pairs, "sp" first; `chunks` iterates, maybe
@@ -152,18 +173,45 @@ def render_listing(kinds, fmt: str, out) -> None:
     headings.  Each (order, twist) pair's text is made once per listing.
     Each chunk is deleted once written, so it is freed before the next one
     is built.
+
+    With `split`, each `chunks` is a sequence, as `blocks` returns.  Once
+    the listing's first set is written, and not before, since a fork would
+    delay it, the chunks left, if at least two, are tasks that this process
+    may share with a forked worker (`_split.split_listing`), which writes
+    the same bytes.
     """
     heads, template, separator, closing = SYNTAXES[fmt]
     pairs, ending = _PairTexts(template), closing + "\n"
+    grouped = fmt == "text"
+    headed = grouped and len(kinds) == 2
     if fmt == "csv":
         out.write(CSV_COLUMNS + "\n")
-    grouped = fmt == "text"
-    for kind, chunks in kinds:
-        if grouped and len(kinds) == 2:
+    for number, (kind, chunks) in enumerate(kinds):
+        if headed:
             out.write(_KIND_HEADINGS[kind])
-        for chunk in chunks:
-            _write(out, _rendered(chunk, heads, pairs, separator, ending, grouped))
+        for index, chunk in enumerate(chunks):
+            wrote = _write(out, _rendered(chunk, heads, pairs, separator, ending, grouped))
             del chunk
+            if not (split and wrote):
+                continue
+            # the tasks left: the kind's chunks after this one, then every later kind's
+            tasks = [(kind, i, chunks) for i in range(index + 1, len(chunks))]
+            tasks += [(k, i, c) for k, c in kinds[number + 1:] for i in range(len(c))]
+            if len(tasks) < 2:  # nothing to share
+                split = False
+                continue
+
+            def write(sink, task) -> None:
+                """Write one task: chunk i of kind k, after k's heading if it is the first."""
+                k, i, c = task
+                if headed and i == 0:
+                    sink.write(_KIND_HEADINGS[k])
+                _write(sink, _rendered(c[i], heads, pairs, separator, ending, grouped))
+
+            from ._split import split_listing  # imported here: a listing that stays whole skips it
+
+            split_listing(tasks, write, out)
+            return
 
 
 class _Refused(Exception):
@@ -226,7 +274,7 @@ def cmd_validate(args, out) -> int:
         except OSError as exc:
             raise _Refused(f"cannot open {args.file}: {exc}")
     else:
-        stream = nullcontext(sys.stdin)
+        stream = _stdin_text()
 
     kind = None if args.kind == "auto" else args.kind
     try:
@@ -253,6 +301,26 @@ def cmd_validate(args, out) -> int:
         _write(sink, chain.from_iterable(map(texts.__getitem__, indexes)
                                          for texts, indexes, _ in ranges))
     return 0 if all(valid for _, _, valid in ranges) else 2
+
+
+@contextmanager
+def _stdin_text():
+    """stdin read as `validate` reads a path: UTF-8, with universal newlines.
+
+    On POSIX `sys.stdin` ends lines at "\\n" alone, so its bytes are read
+    through a wrapper of their own, which is detached at the end: stdin
+    stays open.  A stdin without bytes beneath, such as a StringIO, is read
+    as it is.
+    """
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        yield sys.stdin
+        return
+    text = io.TextIOWrapper(buffer, encoding="utf-8")
+    try:
+        yield text
+    finally:
+        text.detach()
 
 
 def _check_records(lines, kind: str | None, fmt: str):
@@ -346,8 +414,10 @@ def cmd_enumerate(args, out) -> int:
                       f"({len(sets)} listed, {len(expected)} expected)", file=sys.stderr)
             return 3
 
+    # an exponent keeps the sets of one order: there is nothing to share
+    split = not (args.oracle or exponent) and args.genus >= _SPLIT_MIN_GENUS
     with _open_output(args.output, out) as sink:
-        render_listing(kinds, args.format, sink)
+        render_listing(kinds, args.format, sink, split)
     return 0
 
 

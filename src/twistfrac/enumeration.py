@@ -403,13 +403,26 @@ def class_counts(g: int, kind: str) -> dict[tuple, int]:
     return classes
 
 
-def blocks(g: int, kind: str, filters: Filters | None = None):
+class _Blocks:
+    """A sequence of one sorted list of blocks per order, each built when it is asked for."""
+
+    def __init__(self, g: int, kind: str, f: Filters):
+        self.orders, self.args = _orders(g, kind), (g, f, kind)
+
+    def __len__(self) -> int:
+        return len(self.orders)
+
+    def __getitem__(self, index: int) -> list[tuple]:
+        return _order_blocks(*self.args, self.orders[index])
+
+
+def blocks(g: int, kind: str, filters: Filters | None = None) -> _Blocks:
     """The blocks of the `kind` sets of genus g, one sorted list per order, lazily.
 
-    Bad arguments are refused at the call, not at the first list.
+    Any order's list can be asked for, in any order, and is built anew each
+    time.  Bad arguments are refused at the call, not at the first list.
     """
-    orders, f = _orders(g, kind), filters or Filters()
-    return (_order_blocks(g, f, kind, order) for order in orders)
+    return _Blocks(g, kind, filters or Filters())
 
 
 def block_sets(kind: str, chunks) -> list:

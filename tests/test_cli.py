@@ -1259,8 +1259,9 @@ def test_argparse_errors_map_to_exit_1():
     assert run_cli("no-such-command")[0] == 1
     assert run_cli("--help")[0] == 0
     assert run_cli("enumerate", "--genus", "0")[0] == 1
-    # --jobs is gone: no command takes a worker count; `validate` alone splits a
-    # large file, one range per available CPU
+    # --jobs is gone: no command takes a worker count; `validate` splits a large
+    # file, one range per available CPU, and `enumerate` shares the orders of a
+    # large listing with one forked worker, both on their own
     assert run_cli("enumerate", "--genus", "4", "--jobs", "2")[0] == 1
     assert run_cli("spectra", "--from", "1", "--to", "1", "--jobs", "2")[0] == 1
     assert run_cli("audit", "--from", "1", "--to", "1", "--jobs", "2")[0] == 1
@@ -1392,8 +1393,10 @@ STRICT_CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "twistfrac.cli"]
 
 @pytest.mark.parametrize("argv, lines_read", [
     (["enumerate", "--genus", "12", "--kind", "both", "--format", "text"], 1),
+    # at a genus that shares its orders with a forked worker
+    (["enumerate", "--genus", "24", "--kind", "both", "--format", "text"], 1),
     (["validate", "LISTING"], 2),
-], ids=["enumerate", "validate"])
+], ids=["enumerate", "enumerate-split", "validate"])
 def test_stdout_closed_mid_output_ends_quietly(argv, lines_read, tmp_path):
     # both outputs outgrow the pipe buffer, so a write meets the closed pipe
     listing = tmp_path / "listing.jsonl"

@@ -10,6 +10,7 @@ import io
 import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -215,6 +216,27 @@ def test_a_refusal_in_any_range_gives_the_serial_message(parts, later, tmp_path,
     assert len(cuts) == 4
     assert sum(at >= cuts[1] for at in refusals) == later
     assert len({sum(at >= cut for cut in cuts) for at in refusals}) == len(refusals)
+
+
+def test_a_cr_only_file_on_stdin_gives_the_path_bytes(tmp_path, monkeypatch, capsys):
+    # POSIX stdin ends lines at "\n" alone; `validate -` reads its bytes as a path is read
+    path = tmp_path / "records.txt"
+    data = SP_LINE + b"\r" + SP_INVALID + b"\r" + SP_LINE + b"\r"
+    path.write_bytes(data)
+    split, cuts = _run_split(path, [], 3, monkeypatch, capsys)
+    assert split == (2, "valid genus=4\ninvalid: condition (ii), condition (iii), condition (iv)\n"
+                        "valid genus=4\n", "")
+    assert cuts == [0, len(data)]  # no newline byte to cut after
+    # Python's own stdin on POSIX
+    with open(path, "rb") as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert _run(["validate", "-"], capsys) == split
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    with open(path, "rb") as stdin:
+        child = subprocess.run([sys.executable, "-m", "twistfrac.cli", "validate", "-"],
+                               stdin=stdin, capture_output=True, text=True, timeout=120,
+                               env={**os.environ, "PYTHONPATH": src})
+    assert (child.returncode, child.stdout, child.stderr) == split
 
 
 @pytest.mark.parametrize("death", ["killed", "exit-3"])
