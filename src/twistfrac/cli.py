@@ -25,18 +25,20 @@ command has written everything.
 
 `validate PATH` cuts a regular file of at least two ranges of
 `_split._RANGE_MIN_BYTES` after newline bytes, into at most one range per
-available CPU: this process checks the first and forked workers the
-others, each sending back its distinct report lines and a 4-byte index per
-record.  Any refusal or failed worker re-checks the file in one serial
-pass, which stdin and smaller files always take, so the output bytes never
-depend on the split.  Stdin is read as a path is: UTF-8, universal newlines.
+available CPU, and checks them in this process and one forked worker
+(`_split.check_ranges`).  Their report lines go to a spool, an unlinked
+temporary file in TMPDIR, copied out once every range has parsed; a failed
+worker's ranges are checked here.  Any refusal re-checks the file in one
+serial pass, which stdin and smaller files always take, so the output
+bytes never depend on the split.  Stdin is read as a path is: UTF-8,
+universal newlines.
 
-`enumerate` at genus _SPLIT_MIN_GENUS or more, without --oracle or
---exponent, writes its orders from the front until the first set is out,
-then shares the orders left with one forked worker that lists them from
-the back into a temporary file (`_split.split_listing`).  A failed worker's
-orders are listed here, so those output bytes never depend on the split
-either; a process that may use one CPU lists alone.
+`enumerate` at genus _SPLIT_MIN_GENUS or more, without --oracle, writes
+its orders from the front until the first set is out, then shares the
+orders left with one forked worker that lists them from the back into a
+temporary file (`_split.share`).  A failed worker's orders are listed
+here, so those output bytes never depend on the split either; a process
+that may use one CPU lists alone.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ import re
 import stat
 import sys
 import tempfile
-from contextlib import contextmanager, suppress
-from itertools import chain, islice
+from contextlib import contextmanager, nullcontext, suppress
+from itertools import islice
 
 from .datasets import (
     CSV_COLUMNS,
@@ -177,8 +179,8 @@ def render_listing(kinds, fmt: str, out, split: bool = False) -> None:
     With `split`, each `chunks` is a sequence, as `blocks` returns.  Once
     the listing's first set is written, and not before, since a fork would
     delay it, the chunks left, if at least two, are tasks that this process
-    may share with a forked worker (`_split.split_listing`), which writes
-    the same bytes.
+    may share with a forked worker (`_split.share`), which writes the same
+    bytes.
     """
     heads, template, separator, closing = SYNTAXES[fmt]
     pairs, ending = _PairTexts(template), closing + "\n"
@@ -208,9 +210,9 @@ def render_listing(kinds, fmt: str, out, split: bool = False) -> None:
                     sink.write(_KIND_HEADINGS[k])
                 _write(sink, _rendered(c[i], heads, pairs, separator, ending, grouped))
 
-            from ._split import split_listing  # imported here: a listing that stays whole skips it
+            from ._split import share  # imported here: a listing that stays whole skips it
 
-            split_listing(tasks, write, out)
+            share(tasks, write, out)
             return
 
 
@@ -279,14 +281,17 @@ def cmd_validate(args, out) -> int:
     kind = None if args.kind == "auto" else args.kind
     try:
         with stream as handle:
-            ranges = None
+            split = None
             if named:
                 # imported here, so no other command compiles or loads it
-                from ._split import split_pass
+                from ._split import check_ranges, copy_lines
 
                 # it reads the file with pread: `handle` stays at its start
-                ranges = split_pass(handle.fileno(), kind, args.format)
-            ranges = ranges or [_check_records(handle, kind, args.format)]
+                split = check_ranges(handle.fileno(), kind, args.format)
+            if split is None:
+                texts, indexes, valid = _check_records(handle, kind, args.format)
+            else:
+                spool, valid = split
     except UnicodeDecodeError as exc:
         # raised by the reads, which decode ahead of the line being parsed
         raise _Refused(f"input is not UTF-8 text: {exc}")
@@ -295,12 +300,14 @@ def cmd_validate(args, out) -> int:
         raise _Refused(f"cannot read {name}: {exc}")
 
     # Nothing is written before the whole input has parsed.
-    with _open_output(args.output, out) as sink:
+    with nullcontext() if split is None else spool, _open_output(args.output, out) as sink:
         if args.format == "csv":
             sink.write("valid,genus,failed\n")
-        _write(sink, chain.from_iterable(map(texts.__getitem__, indexes)
-                                         for texts, indexes, _ in ranges))
-    return 0 if all(valid for _, _, valid in ranges) else 2
+        if split is None:
+            _write(sink, map(texts.__getitem__, indexes))
+        else:
+            copy_lines(spool, 0, spool.tell(), sink)
+    return 0 if valid else 2
 
 
 @contextmanager
@@ -414,8 +421,7 @@ def cmd_enumerate(args, out) -> int:
                       f"({len(sets)} listed, {len(expected)} expected)", file=sys.stderr)
             return 3
 
-    # an exponent keeps the sets of one order: there is nothing to share
-    split = not (args.oracle or exponent) and args.genus >= _SPLIT_MIN_GENUS
+    split = not args.oracle and args.genus >= _SPLIT_MIN_GENUS
     with _open_output(args.output, out) as sink:
         render_listing(kinds, args.format, sink, split)
     return 0

@@ -347,8 +347,6 @@ def _order_blocks(g: int, f: Filters, kind: str, order: int) -> list[tuple]:
     for a head that gets cones.
     """
     out: list[tuple] = []
-    if f.exponent is not None and f.exponent[1] != order:
-        return out
     table: dict = {}  # the order's (order, twist) pairs and runs, for every g0
     heads = None
     count = 2 if f.essential_only else f.cone_count  # essential sets have at most two cones
@@ -408,6 +406,8 @@ class _Blocks:
 
     def __init__(self, g: int, kind: str, f: Filters):
         self.orders, self.args = _orders(g, kind), (g, f, kind)
+        if f.exponent is not None:  # the exponent's order alone, if the genus has it
+            self.orders = [f.exponent[1]] if f.exponent[1] in self.orders else []
 
     def __len__(self) -> int:
         return len(self.orders)
@@ -419,8 +419,9 @@ class _Blocks:
 def blocks(g: int, kind: str, filters: Filters | None = None) -> _Blocks:
     """The blocks of the `kind` sets of genus g, one sorted list per order, lazily.
 
-    Any order's list can be asked for, in any order, and is built anew each
-    time.  Bad arguments are refused at the call, not at the first list.
+    An exponent filter keeps its order's list alone, or none.  Any order's
+    list can be asked for, in any order, and is built anew each time.  Bad
+    arguments are refused at the call, not at the first list.
     """
     return _Blocks(g, kind, filters or Filters())
 

@@ -29,7 +29,7 @@ from twistfrac import (
     to_record,
     validate,
 )
-from twistfrac.cli import main
+from twistfrac.cli import _SPLIT_MIN_GENUS, main
 from twistfrac.datasets import (
     CONDITION_LABELS,
     _cone_memo,
@@ -1389,6 +1389,37 @@ def test_validate_reads_stdin():
 
 
 STRICT_CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "twistfrac.cli"]
+
+# Runs `cli.main` on its arguments after setting `cli._SPLIT_MIN_GENUS` from
+# the first, if not empty, and fails if the run loaded the splitter.
+UNSPLIT_CHILD = """
+import sys
+from twistfrac import cli
+if sys.argv[1]:
+    cli._SPLIT_MIN_GENUS = int(sys.argv[1])
+code = cli.main(sys.argv[2:])
+sys.stdout.flush()
+if "twistfrac._split" in sys.modules:
+    sys.exit("twistfrac._split was loaded")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, min_genus, stdin", [
+    (["spectra", "--from", "1", "--to", "12"], "", None),
+    (["audit", "--from", "1", "--to", "6"], "", None),
+    (["enumerate", "--genus", str(_SPLIT_MIN_GENUS - 1), "--kind", "sp"], "", None),
+    # a genus that would split, were the listing not checked by the oracle
+    (["enumerate", "--genus", "8", "--kind", "sp", "--oracle"], "8", None),
+    (["validate", "-"], "", "((1, 9), 0, (2, 2); (5, 9))\n" * 3),
+], ids=["spectra", "audit", "enumerate", "enumerate-oracle", "validate-stdin"])
+def test_the_splitter_is_not_loaded_where_nothing_splits(argv, min_genus, stdin):
+    # every module a run loads is compiled and held by it, and so moves its peak RSS
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", UNSPLIT_CHILD,
+                           min_genus, *argv], input=stdin, capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
 
 
 @pytest.mark.parametrize("argv, lines_read", [

@@ -41,18 +41,18 @@ def spy(monkeypatch, tmp_path):
     """
     monkeypatch.setattr(cli, "_SPLIT_MIN_GENUS", 1)
     monkeypatch.setattr(_split.tempfile, "tempdir", str(tmp_path))
-    seen = {"forks": [], "copies": []}
-    start, text = _split._Workers.start, _split._text
+    seen = {"forks": [], "copies": []}  # the name of the worker's job at each fork
+    fork, text = os.fork, _split._text
 
-    def recorded_start(self, job, *args):
-        seen["forks"].append(job.__name__)
-        return start(self, job, *args)
+    def recorded_fork():
+        seen["forks"].append(_split._worker.__name__)
+        return fork()
 
     def recorded_text(fd, begin, end, *rest, **kwargs):
         seen["copies"].append((begin, end))
         return text(fd, begin, end, *rest, **kwargs)
 
-    monkeypatch.setattr(_split._Workers, "start", recorded_start)
+    monkeypatch.setattr(os, "fork", recorded_fork)
     monkeypatch.setattr(_split, "_text", recorded_text)
     return seen
 
@@ -91,9 +91,26 @@ def test_split_listing_gives_the_one_process_bytes(fmt, kind, filters, spy, monk
     assert alone[0] == 0 and alone[2] == "" and spy["forks"] == []
     assert _split_run(argv, monkeypatch, capsys, tmp_path) == alone
     # an exponent keeps the sets of one order, so that listing does not split
-    assert spy["forks"] == ([] if "--exponent" in filters else ["_listing_worker"])
+    assert spy["forks"] == ([] if "--exponent" in filters else ["_worker"])
     if not filters:
         assert spy["copies"], "the worker listed no order"
+
+
+def test_share_returns_the_value_of_each_task_in_task_order(spy, monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    tasks = list(range(40))
+
+    def write(sink, task):
+        sink.write(f"{task}\n")
+        return task * task
+
+    sink = _SlowSink()
+    assert _split.share(tasks, write, sink) == [task * task for task in tasks]
+    assert sink.getvalue() == "".join(f"{task}\n" for task in tasks)
+    assert spy["forks"] == ["_worker"] and spy["copies"], "the worker wrote no task"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_the_worker_takes_orders_from_the_back(spy, monkeypatch, capsys, tmp_path):
@@ -117,7 +134,7 @@ def test_a_process_with_one_cpu_lists_alone(fmt, spy, monkeypatch, capsys, tmp_p
 
 def test_a_listing_below_the_genus_does_not_split(spy, monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(cli, "_SPLIT_MIN_GENUS", int(GENUS) + 1)
-    monkeypatch.setattr(_split, "split_listing", None)  # calling it would raise
+    monkeypatch.setattr(_split, "share", None)  # calling it would raise
     argv = ["enumerate", "--genus", GENUS]
     alone = _one_process(argv, monkeypatch, capsys, tmp_path)
     assert _split_run(argv, monkeypatch, capsys, tmp_path) == alone
@@ -129,7 +146,7 @@ def test_oracle_listing_never_forks(spy, monkeypatch, capsys, tmp_path):
         plain = _one_process(["enumerate", "--genus", "5", "--kind", kind],
                              monkeypatch, capsys, tmp_path)
         with monkeypatch.context() as patch:
-            patch.setattr(_split, "split_listing", None)  # calling it would raise
+            patch.setattr(_split, "share", None)  # calling it would raise
             argv = ["enumerate", "--genus", "5", "--kind", kind, "--oracle"]
             assert _split_run(argv, monkeypatch, capsys, tmp_path) == plain
     assert spy["forks"] == []
@@ -138,13 +155,13 @@ def test_oracle_listing_never_forks(spy, monkeypatch, capsys, tmp_path):
 def test_no_fork_before_the_first_set_is_written(spy, monkeypatch, capsys, tmp_path):
     sink = _SlowSink()
     written = []  # what the sink held at each fork
-    start = _split._Workers.start
+    fork = os.fork
 
-    def watched_start(self, job, *args):
+    def watched_fork():
         written.append(sink.getvalue())
-        return start(self, job, *args)
+        return fork()
 
-    monkeypatch.setattr(_split._Workers, "start", watched_start)
+    monkeypatch.setattr(os, "fork", watched_fork)
     for fmt, first in [("text", "  ("), ("json-lines", "{"), ("csv", '"SP"')]:
         sink.seek(0)
         sink.truncate()
@@ -174,7 +191,7 @@ def test_a_dead_worker_gives_the_one_process_bytes(death, spy, monkeypatch, caps
             os.kill(os.getpid(), signal.SIGKILL)
         os._exit(3)
 
-    monkeypatch.setattr(_split, "_listing_worker", dying_worker)
+    monkeypatch.setattr(_split, "_worker", dying_worker)
     argv = ["enumerate", "--genus", GENUS, "--kind", "both", "--format", "text"]
     alone = _one_process(argv, monkeypatch, capsys, tmp_path)
     assert _split_run(argv, monkeypatch, capsys, tmp_path) == alone
@@ -229,7 +246,7 @@ def test_a_closed_stdout_kills_and_reaps_the_worker(spy, monkeypatch, capsys, tm
     def stalled_worker(*args):
         time.sleep(60)
 
-    monkeypatch.setattr(_split, "_listing_worker", stalled_worker)
+    monkeypatch.setattr(_split, "_worker", stalled_worker)
     began = time.monotonic()
     argv = ["enumerate", "--genus", GENUS, "--kind", "both", "--format", "json-lines"]
     code, _, err = _split_run(argv, monkeypatch, capsys, tmp_path, _ClosedAfter(3))

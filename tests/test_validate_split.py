@@ -1,9 +1,10 @@
-"""`validate` of a large regular file, cut into ranges checked by forked workers.
+"""`validate` of a large regular file, cut into ranges shared with one forked worker.
 
 Every test here shrinks `_RANGE_MIN_BYTES` so that small files split, fixes
 the CPU count that bounds the number of ranges, and compares the split run
 with the serial pass over the same file read from stdin: the same stdout
-bytes, exit code and stderr.  After every run no child process is left.
+bytes, exit code and stderr.  Temporary files go to a directory of their
+own.  After every run no child process and no temporary file is left.
 """
 
 import io
@@ -12,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import replace
@@ -41,16 +43,33 @@ def _record_lines(kind: str) -> list[str]:
     return lines
 
 
+@pytest.fixture(autouse=True)
+def spools(tmp_path, monkeypatch):
+    """A directory of its own for the temporary files of each test."""
+    spools = tmp_path / "spools"
+    spools.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spools))
+
+
 def _run(argv, capsys):
     out = io.StringIO()
     code = cli.main(argv, stdout=out)
     _assert_no_child_left()
+    _assert_no_temporary_file_left()
     return code, out.getvalue(), capsys.readouterr().err
 
 
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_no_temporary_file_left():
+    spools = tempfile.gettempdir()
+    if os.path.isdir(spools):
+        assert os.listdir(spools) == []
+    else:  # a TMPDIR that does not exist is not made
+        assert not os.path.exists(spools)
 
 
 def _run_serial(path, args, monkeypatch, capsys):
@@ -139,7 +158,7 @@ def test_one_range_per_line_gives_the_serial_bytes(tmp_path, monkeypatch, capsys
     serial = _run_serial(path, [], monkeypatch, capsys)
     split, cuts = _run_split(path, [], 64, monkeypatch, capsys)
     assert split == serial
-    assert cuts == [0, *_newline_ends(data)]  # seven workers and this process
+    assert cuts == [0, *_newline_ends(data)]  # eight ranges, for 64 CPUs
 
 
 def test_stdin_is_read_in_one_serial_pass(tmp_path, monkeypatch, capsys):
@@ -147,7 +166,7 @@ def test_stdin_is_read_in_one_serial_pass(tmp_path, monkeypatch, capsys):
     path.write_text("".join(line + "\n" for line in _record_lines("auto")))
     split, cuts = _run_split(path, [], 3, monkeypatch, capsys)
     assert len(cuts) == 4
-    monkeypatch.setattr(_split, "split_pass", None)  # calling it would raise
+    monkeypatch.setattr(_split, "check_ranges", None)  # calling it would raise
     assert _run_serial(path, [], monkeypatch, capsys) == split  # stdin is a regular file here
 
 
@@ -249,8 +268,8 @@ def test_a_dead_worker_gives_the_serial_bytes(death, tmp_path, monkeypatch, caps
     parent, check_range = os.getpid(), _split._check_range
 
     def dying_check_range(fd, start, stop, *rest):
-        if os.getpid() != parent and stop < len(data):
-            # the worker of the middle range dies before it writes its result
+        if os.getpid() != parent:
+            # the worker dies in its first range, before it sends anything back
             if death == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
             os._exit(3)
@@ -278,5 +297,31 @@ def test_a_refusal_in_the_first_range_kills_the_workers(tmp_path, monkeypatch, c
     start = time.monotonic()
     split, cuts = _run_split(path, [], 3, monkeypatch, capsys)
     assert time.monotonic() - start < 30
+    assert split == serial
+    assert len(cuts) == 4
+
+
+@pytest.mark.parametrize("spool", ["missing-tmpdir", "full-disk"])
+def test_a_spool_that_cannot_be_written_gives_the_serial_bytes(spool, tmp_path, monkeypatch,
+                                                               capsys):
+    path = tmp_path / "records.txt"
+    path.write_text("".join(line + "\n" for line in _record_lines("auto")))
+    serial = _run_serial(path, [], monkeypatch, capsys)
+    if spool == "missing-tmpdir":
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full to fail writes with ENOSPC")
+        made, temporary_file = [], tempfile.TemporaryFile
+
+        def full_spool(*args, **kwargs):
+            """The first temporary file, the spool, fails its writes with ENOSPC."""
+            made.append(args)
+            if len(made) == 1:
+                return open("/dev/full", *args, **kwargs)
+            return temporary_file(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", full_spool)
+    split, cuts = _run_split(path, [], 3, monkeypatch, capsys)
     assert split == serial
     assert len(cuts) == 4
