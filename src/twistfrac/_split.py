@@ -8,12 +8,12 @@ the back into a temporary file, which the process copies out once they
 meet.  Any task of a failed worker the process writes itself.
 
 A listing's tasks are its orders left, written to the listing's sink.
-`validate PATH` cuts a large regular file after newline bytes into at most
-one range per CPU the process may run on, and shares the ranges, whose
-report lines go to a spool, an unlinked temporary file that `cmd_validate`
-copies out once every range has parsed (`check_ranges`).  Any refusal
-makes `check_ranges` return None, and `validate` then checks the file in
-one serial pass.
+`validate PATH` cuts a large regular file into ranges of at least
+_RANGE_MIN_BYTES, each of which moves its ends past newline bytes as it is
+read, and shares the ranges, whose report lines go to a spool, an
+unlinked temporary file that `cmd_validate` copies out once every range
+has parsed (`check_ranges`).  Any refusal makes `check_ranges` return
+None, and `validate` then checks the file in one serial pass.
 """
 
 from __future__ import annotations
@@ -46,17 +46,18 @@ _SPILL_MAX_BYTES = 1 << 28
 _COPY_CHARS = 1 << 16
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on, or 1 where it must not fork.
+def _may_fork() -> bool:
+    """Whether this process may fork a worker that runs beside it.
 
-    It must not fork where the platform cannot fork or count its CPUs, or
-    where the process has another thread, which a fork would not copy.
+    It may not where the platform cannot fork or count its CPUs, where it
+    may run on one CPU only, or where the process has another thread, which
+    a fork would not copy.
     """
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         with suppress(OSError):
             if len(os.listdir("/proc/self/task")) == 1:
-                return len(os.sched_getaffinity(0))
-    return 1
+                return len(os.sched_getaffinity(0)) > 1
+    return False
 
 
 class _Range(io.RawIOBase):
@@ -103,15 +104,15 @@ def share(tasks: list, write, out) -> list:
     temporary file and stops once that holds more than _SPILL_MAX_BYTES.
     When the bytes run out the process reaps the worker, writes every task
     that neither side took, and copies the worker's tasks out in ascending
-    order.  When it cannot fork (`_cpus`), make the pipe or the file, or
-    the worker fails, it writes the worker's tasks itself, so the bytes
-    written never depend on the split.  If this process fails, it kills
-    and reaps the worker before the failure leaves.
+    order.  When it may not fork (`_may_fork`) or cannot make the pipe or
+    the file, or the worker fails, it writes the worker's tasks itself, so
+    the bytes written never depend on the split.  If this process fails, it
+    kills and reaps the worker before the failure leaves.
     """
     values, ends, theirs, pid = [], [], [], None
     try:
         with ExitStack() as stack:
-            if _cpus() > 1:
+            if _may_fork():
                 with suppress(OSError):
                     claims = stack.enter_context(_claims(len(tasks)))
                     spill = stack.enter_context(
@@ -173,57 +174,50 @@ def _worker(tasks: list, write, claims, spill, reply):
 
 # ---------------------------------------------------------------- validate
 
-def _check_range(fd: int, start: int, stop: int, kind: str | None, fmt: str):
-    """`_check_records` over bytes start..stop of the file, decoded as `open` decodes it."""
-    with _text(fd, start, stop) as lines:
-        return _check_records(lines, kind, fmt)
+def _line_start(fd: int, at: int, size: int) -> int:
+    """Where a range cut at offset `at` of the file's `size` bytes begins.
 
-
-def _cuts(fd: int, size: int, count: int) -> list[int]:
-    """Offsets that cut the file's `size` bytes into at most `count` near-equal ranges.
-
-    Each cut falls after a newline byte, so no range splits a line, a CRLF
-    or a UTF-8 character; a file without one is not cut.
+    That is 0, `size`, or just past the first newline byte at or after
+    `at - 1`, so no range splits a line, a CRLF or a UTF-8 character; on a
+    file that shrank the search stops at its end.
     """
-    cuts = [0]
-    for i in range(1, count):
-        at = max(size * i // count - 1, cuts[-1])
-        while at < size:
-            chunk = os.pread(fd, 1 << 16, at)
-            if not chunk:  # the file shrank
-                return cuts + [size]
-            found = chunk.find(b"\n")
-            if found >= 0:
-                at += found + 1
-                break
-            at += len(chunk)
-        if at >= size:
-            break
-        cuts.append(at)
-    return cuts + [size]
+    if at == 0:
+        return 0
+    at -= 1
+    # an empty read ends the search at `size`, or where the file shrank
+    while chunk := os.pread(fd, min(1 << 16, size - at), at):
+        found = chunk.find(b"\n")
+        if found >= 0:
+            return at + found + 1
+        at += len(chunk)
+    return size
+
+
+def _check_range(fd: int, start: int, stop: int, size: int, kind: str | None, fmt: str):
+    """`_check_records` over the lines that begin in bytes start..stop of a file of `size`."""
+    with _text(fd, _line_start(fd, start, size), _line_start(fd, stop, size)) as lines:
+        return _check_records(lines, kind, fmt)
 
 
 def check_ranges(fd: int, kind: str | None, fmt: str):
     """The report lines of a large regular file, checked in ranges through `share`.
 
-    The file is cut into at most one range per available CPU (`_cpus`),
-    each of at least _RANGE_MIN_BYTES.  Returns the spool that holds the
-    report lines, an unlinked temporary file, flushed and open, and whether
-    every record is valid.  Returns None, and the caller checks the file in
-    one serial pass, when the file does not split: it is not a regular
-    file, it is too small, or the process must not fork.  Returns None as
-    well when any range refuses or the spool cannot be made or written, so
-    the serial pass reports exactly what it always has.  A range checks its
-    records deeper in the stack than the serial pass, so JSON nested too
-    deeply for the serial pass is refused in a range too.
+    The file is cut every _RANGE_MIN_BYTES, the last range taking the rest,
+    and each range checks the lines that begin in it (`_line_start`).
+    Returns the spool that holds the report lines, an unlinked temporary
+    file, flushed and open, and whether every record is valid.  Returns
+    None, and the caller checks the file in one serial pass, when the file
+    does not split: it is not a regular file, it is smaller than two
+    ranges, or the process may not fork.  Returns None as well when any
+    range refuses or the spool cannot be made or written, so the serial
+    pass reports exactly what it always has.  A range checks its records
+    deeper in the stack than the serial pass, so JSON nested too deeply
+    for the serial pass is refused in a range too.
     """
     try:
         info = os.fstat(fd)
-        count = min(_cpus(), info.st_size // _RANGE_MIN_BYTES)
-        if not stat.S_ISREG(info.st_mode) or count < 2:
-            return None
-        cuts = _cuts(fd, info.st_size, count)
-        if len(cuts) < 3:
+        size = info.st_size
+        if not (stat.S_ISREG(info.st_mode) and size >= 2 * _RANGE_MIN_BYTES and _may_fork()):
             return None
         spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
     except OSError:
@@ -231,10 +225,11 @@ def check_ranges(fd: int, kind: str | None, fmt: str):
 
     def write(sink, bounds) -> bool:
         """Check one range and write its report lines to `sink`; whether every record is valid."""
-        texts, indexes, valid = _check_range(fd, *bounds, kind, fmt)
+        texts, indexes, valid = _check_range(fd, *bounds, size, kind, fmt)
         _write(sink, map(texts.__getitem__, indexes))
         return valid
 
+    cuts = [*range(0, size - _RANGE_MIN_BYTES + 1, _RANGE_MIN_BYTES), size]
     try:
         valid = all(share(list(zip(cuts, cuts[1:])), write, spool))
         spool.flush()

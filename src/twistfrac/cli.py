@@ -24,14 +24,14 @@ parsed or the engines agree.  `--output PATH` replaces PATH only once the
 command has written everything.
 
 `validate PATH` cuts a regular file of at least two ranges of
-`_split._RANGE_MIN_BYTES` after newline bytes, into at most one range per
-available CPU, and checks them in this process and one forked worker
-(`_split.check_ranges`).  Their report lines go to a spool, an unlinked
-temporary file in TMPDIR, copied out once every range has parsed; a failed
-worker's ranges are checked here.  Any refusal re-checks the file in one
-serial pass, which stdin and smaller files always take, so the output
-bytes never depend on the split.  Stdin is read as a path is: UTF-8,
-universal newlines.
+`_split._RANGE_MIN_BYTES` into ranges of that size, the last taking the
+rest, and checks the lines that begin in each range in this process and
+one forked worker (`_split.check_ranges`).  Their report lines go to a
+spool, an unlinked temporary file in TMPDIR, copied out once every range
+has parsed; a failed worker's ranges are checked here.  Any refusal
+re-checks the file in one serial pass, which stdin and smaller files
+always take, so the output bytes never depend on the split.  Stdin is
+read as a path is: UTF-8, universal newlines.
 
 `enumerate` at genus _SPLIT_MIN_GENUS or more, without --oracle, writes
 its orders from the front until the first set is out, then shares the

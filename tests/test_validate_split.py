@@ -1,10 +1,12 @@
 """`validate` of a large regular file, cut into ranges shared with one forked worker.
 
-Every test here shrinks `_RANGE_MIN_BYTES` so that small files split, fixes
-the CPU count that bounds the number of ranges, and compares the split run
-with the serial pass over the same file read from stdin: the same stdout
-bytes, exit code and stderr.  Temporary files go to a directory of their
-own.  After every run no child process and no temporary file is left.
+Every test here shrinks `_RANGE_MIN_BYTES` so that a small file splits into
+the ranges it asks for, gives the process two CPUs or more, and compares
+the split run with the serial pass over the same file read from stdin: the
+same stdout bytes, exit code and stderr.  Each range read, in either
+process, is recorded with the bounds it was moved to.  Temporary files go
+to a directory of their own.  After every run no child process and no
+temporary file is left.
 """
 
 import io
@@ -28,7 +30,7 @@ pytestmark = pytest.mark.skipif(
 
 NEWLINES = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
 SETS = {"auto": enumerate_sp(3) + enumerate_se(3), "sp": enumerate_sp(3), "se": enumerate_se(3)}
-CUTS = _split._cuts
+TEXT = _split._text
 
 
 def _record_lines(kind: str) -> list[str]:
@@ -79,21 +81,44 @@ def _run_serial(path, args, monkeypatch, capsys):
         return _run(["validate", "-", *args], capsys)
 
 
-def _run_split(path, args, cpus, monkeypatch, capsys):
-    """`validate PATH` with every file big enough to split into up to `cpus` ranges.
+def _run_split(path, args, ranges, monkeypatch, capsys, cpus=2):
+    """`validate PATH` with the file cut every size // `ranges` bytes, on `cpus` CPUs.
 
-    Returns the run's (exit code, stdout, stderr) and the range bounds it cut.
+    Returns the run's (exit code, stdout, stderr) and the sorted bounds of
+    the ranges read in either process, as `_text` was asked for them.
     """
-    monkeypatch.setattr(_split, "_RANGE_MIN_BYTES", 1)
+    monkeypatch.setattr(_split, "_RANGE_MIN_BYTES", path.stat().st_size // ranges)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    cuts = []
+    log, parent = _log(path), os.getpid()
+    log.write_text("")
 
-    def recorded_cuts(*cut_args):
-        cuts[:] = CUTS(*cut_args)
-        return cuts
+    def recorded_text(fd, start, stop, *rest, **kwargs):
+        if os.path.samestat(os.fstat(fd), os.stat(path)):  # a range, not the spool
+            with open(log, "a") as reads:  # appended to by both processes
+                reads.write(f"{start} {stop} {os.getpid() != parent}\n")
+        return TEXT(fd, start, stop, *rest, **kwargs)
 
-    monkeypatch.setattr(_split, "_cuts", recorded_cuts)
-    return _run(["validate", str(path), *args], capsys), cuts
+    monkeypatch.setattr(_split, "_text", recorded_text)
+    result = _run(["validate", str(path), *args], capsys)
+    return result, sorted((int(start), int(stop)) for start, stop, _ in _reads(path))
+
+
+def _log(path):
+    return path.with_name("ranges.log")
+
+
+def _reads(path) -> list[list[str]]:
+    """The (start, stop, read by the worker) of each range the last split run read."""
+    return [line.split() for line in _log(path).read_text().splitlines()]
+
+
+def _planned(data: bytes, ranges: int) -> list[tuple[int, int]]:
+    """The ranges of `data` cut every len(data) // `ranges` bytes, the last taking the
+    rest, each cut moved just past the first newline byte at or after it, less one."""
+    size = len(data)
+    step = size // ranges
+    cuts = [data.find(b"\n", at - 1) + 1 or size for at in range(step, size - step + 1, step)]
+    return list(zip([0, *cuts], [*cuts, size]))
 
 
 def _newline_ends(data: bytes) -> list[int]:
@@ -110,22 +135,24 @@ def test_split_file_gives_the_serial_bytes(fmt, kind, newline, tmp_path, monkeyp
     args = ["--format", fmt, "--kind", kind]
     serial = _run_serial(path, args, monkeypatch, capsys)
     assert serial[0] == 2 and serial[2] == ""
-    split, cuts = _run_split(path, args, 3, monkeypatch, capsys)
+    split, read = _run_split(path, args, 3, monkeypatch, capsys)
     assert split == serial
-    if newline == "cr":  # no newline byte to cut after: one range, the serial pass
-        assert cuts == [0, len(data)]
+    assert read == _planned(data, 3)
+    size = len(data)
+    if newline == "cr":  # no newline byte to cut after: one range holds every line
+        assert read == [(0, size), (size, size), (size, size)]
     else:
-        assert len(cuts) == 4 and set(cuts[1:-1]) <= set(_newline_ends(data))
+        assert len(read) == 3 and {stop for _, stop in read[:-1]} <= set(_newline_ends(data))
 
 
 def _padded_to_cut_at(body: str, end: int) -> tuple[str, int]:
     """`body` with spaces added so that two ranges meet at the line end `end`.
 
-    Two ranges are cut after the first newline at or past half the size,
-    less one, so the cut falls at `end` when the size is twice `end`.  The
-    spaces go at the start of the first line or before the last line's
-    ending, where every record strips them.  Returns the text and where
-    `end` moved to.
+    Two ranges of half the size are cut after the first newline at or past
+    half the size, less one, so the cut falls at `end` when the size is
+    twice `end`.  The spaces go at the start of the first line or before
+    the last line's ending, where every record strips them.  Returns the
+    text and where `end` moved to.
     """
     pad = len(body) - 2 * end
     if pad >= 0:
@@ -146,9 +173,9 @@ def test_a_cut_at_every_line_end_gives_the_serial_bytes(fmt, newline, tmp_path, 
         path = tmp_path / "records.txt"
         path.write_bytes(text.encode())
         serial = _run_serial(path, ["--format", fmt], monkeypatch, capsys)
-        split, cuts = _run_split(path, ["--format", fmt], 2, monkeypatch, capsys)
+        split, read = _run_split(path, ["--format", fmt], 2, monkeypatch, capsys)
         assert split == serial
-        assert cuts == [0, end, len(text)]
+        assert read == [(0, end), (end, len(text))]
 
 
 def test_one_range_per_line_gives_the_serial_bytes(tmp_path, monkeypatch, capsys):
@@ -156,18 +183,39 @@ def test_one_range_per_line_gives_the_serial_bytes(tmp_path, monkeypatch, capsys
     data = "".join(line + "\n" for line in _record_lines("auto")[:8]).encode()
     path.write_bytes(data)
     serial = _run_serial(path, [], monkeypatch, capsys)
-    split, cuts = _run_split(path, [], 64, monkeypatch, capsys)
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    # a range of one byte each, on 64 CPUs: every line a range of its own, and one worker
+    split, read = _run_split(path, [], len(data), monkeypatch, capsys, cpus=64)
     assert split == serial
-    assert cuts == [0, *_newline_ends(data)]  # eight ranges, for 64 CPUs
+    assert read == _planned(data, len(data))
+    ends = _newline_ends(data)
+    assert [bounds for bounds in read if bounds[0] < bounds[1]] == list(zip([0, *ends], ends))
+    assert len(forks) == 1
 
 
 def test_stdin_is_read_in_one_serial_pass(tmp_path, monkeypatch, capsys):
     path = tmp_path / "records.txt"
     path.write_text("".join(line + "\n" for line in _record_lines("auto")))
-    split, cuts = _run_split(path, [], 3, monkeypatch, capsys)
-    assert len(cuts) == 4
+    split, read = _run_split(path, [], 3, monkeypatch, capsys)
+    assert len(read) == 3
     monkeypatch.setattr(_split, "check_ranges", None)  # calling it would raise
     assert _run_serial(path, [], monkeypatch, capsys) == split  # stdin is a regular file here
+
+
+def test_a_file_smaller_than_two_ranges_is_read_in_one_serial_pass(tmp_path, monkeypatch,
+                                                                    capsys):
+    path = tmp_path / "records.txt"
+    path.write_text("".join(line + "\n" for line in _record_lines("auto")))
+    serial = _run_serial(path, [], monkeypatch, capsys)
+    assert _run_split(path, [], 1, monkeypatch, capsys) == (serial, [])  # one range's size
+    split, read = _run_split(path, [], 2, monkeypatch, capsys)  # two ranges' size: it splits
+    assert split == serial and len(read) == 2
 
 
 def test_a_process_with_another_thread_does_not_fork(tmp_path, monkeypatch, capsys):
@@ -206,7 +254,7 @@ def _with_refusals(parts) -> tuple[bytes, list[int]]:
 
 
 # Each case: the file's parts, and how many refusals fall past the first
-# of its three near-equal ranges.  Every case runs under --kind sp.
+# of its three ranges.  Every case runs under --kind sp.
 REFUSALS = [
     pytest.param((60, BAD_LINE), 1, id="bad-line"),
     pytest.param((60, b"((3, 10), 0, 4; (6, 10), (6, 10))"), 1, id="kind-mismatch"),
@@ -230,11 +278,12 @@ def test_a_refusal_in_any_range_gives_the_serial_message(parts, later, tmp_path,
     path.write_bytes(data)
     serial = _run_serial(path, ["--kind", "sp"], monkeypatch, capsys)
     assert serial[:2] == (1, "") and serial[2].count("\n") == 1
-    split, cuts = _run_split(path, ["--kind", "sp"], 3, monkeypatch, capsys)
+    split, read = _run_split(path, ["--kind", "sp"], 3, monkeypatch, capsys)
     assert split == serial
-    assert len(cuts) == 4
-    assert sum(at >= cuts[1] for at in refusals) == later
-    assert len({sum(at >= cut for cut in cuts) for at in refusals}) == len(refusals)
+    planned = _planned(data, 3)
+    assert read and set(read) <= set(planned)  # a refusal may stop a run before every range
+    assert sum(at >= planned[0][1] for at in refusals) == later
+    assert len({sum(at >= start for start, _ in planned) for at in refusals}) == len(refusals)
 
 
 def test_a_cr_only_file_on_stdin_gives_the_path_bytes(tmp_path, monkeypatch, capsys):
@@ -242,10 +291,11 @@ def test_a_cr_only_file_on_stdin_gives_the_path_bytes(tmp_path, monkeypatch, cap
     path = tmp_path / "records.txt"
     data = SP_LINE + b"\r" + SP_INVALID + b"\r" + SP_LINE + b"\r"
     path.write_bytes(data)
-    split, cuts = _run_split(path, [], 3, monkeypatch, capsys)
+    split, read = _run_split(path, [], 3, monkeypatch, capsys)
     assert split == (2, "valid genus=4\ninvalid: condition (ii), condition (iii), condition (iv)\n"
                         "valid genus=4\n", "")
-    assert cuts == [0, len(data)]  # no newline byte to cut after
+    size = len(data)
+    assert read == [(0, size), (size, size), (size, size)]  # no newline byte to cut after
     # Python's own stdin on POSIX
     with open(path, "rb") as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as stdin:
         monkeypatch.setattr(sys, "stdin", stdin)
@@ -276,9 +326,9 @@ def test_a_dead_worker_gives_the_serial_bytes(death, tmp_path, monkeypatch, caps
         return check_range(fd, start, stop, *rest)
 
     monkeypatch.setattr(_split, "_check_range", dying_check_range)
-    split, cuts = _run_split(path, [], 3, monkeypatch, capsys)
+    split, read = _run_split(path, [], 3, monkeypatch, capsys)
     assert split == serial
-    assert len(cuts) == 4
+    assert read == _planned(data, 3)  # every range read here
 
 
 def test_a_refusal_in_the_first_range_kills_the_workers(tmp_path, monkeypatch, capsys):
@@ -295,17 +345,18 @@ def test_a_refusal_in_the_first_range_kills_the_workers(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(_split, "_check_range", stalling_check_range)
     start = time.monotonic()
-    split, cuts = _run_split(path, [], 3, monkeypatch, capsys)
+    split, read = _run_split(path, [], 3, monkeypatch, capsys)
     assert time.monotonic() - start < 30
     assert split == serial
-    assert len(cuts) == 4
+    assert read == _planned(data, 3)[:1]  # the refusal in the first range ends the run
 
 
 @pytest.mark.parametrize("spool", ["missing-tmpdir", "full-disk"])
 def test_a_spool_that_cannot_be_written_gives_the_serial_bytes(spool, tmp_path, monkeypatch,
                                                                capsys):
     path = tmp_path / "records.txt"
-    path.write_text("".join(line + "\n" for line in _record_lines("auto")))
+    data = "".join(line + "\n" for line in _record_lines("auto")).encode()
+    path.write_bytes(data)
     serial = _run_serial(path, [], monkeypatch, capsys)
     if spool == "missing-tmpdir":
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
@@ -322,6 +373,51 @@ def test_a_spool_that_cannot_be_written_gives_the_serial_bytes(spool, tmp_path, 
             return temporary_file(*args, **kwargs)
 
         monkeypatch.setattr(tempfile, "TemporaryFile", full_spool)
-    split, cuts = _run_split(path, [], 3, monkeypatch, capsys)
+    split, read = _run_split(path, [], 3, monkeypatch, capsys)
     assert split == serial
-    assert len(cuts) == 4
+    assert set(read) <= set(_planned(data, 3))  # a missing TMPDIR stops the run before any
+
+
+def test_a_record_longer_than_a_range_leaves_ranges_empty(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "records.txt"
+    long_line = b" " * 600 + SP_INVALID  # the spaces are stripped from the record
+    data = _with_refusals([5, long_line, 5])[0]  # the long line is no refusal here
+    path.write_bytes(data)
+    serial = _run_serial(path, [], monkeypatch, capsys)
+    assert serial[0] == 2 and serial[1].count("\n") == 11
+    split, read = _run_split(path, [], 8, monkeypatch, capsys)
+    assert split == serial
+    assert read == _planned(data, 8)
+    assert any(start == stop for start, stop in read)  # cut inside the long line
+    assert {stop for _, stop in read} <= set(_newline_ends(data))
+
+
+def test_a_cr_only_file_takes_the_split_path_as_one_range(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "records.txt"
+    data = "\r".join(_record_lines("auto")).encode() + b"\r"
+    path.write_bytes(data)
+    serial = _run_serial(path, [], monkeypatch, capsys)
+    split, read = _run_split(path, [], 4, monkeypatch, capsys)
+    assert split == serial
+    size = len(data)
+    assert read == [(0, size)] + [(size, size)] * 3
+
+
+def test_more_ranges_than_the_pipe_holds_leaves_the_middle_to_the_process(tmp_path, monkeypatch,
+                                                                         capsys):
+    path = tmp_path / "records.txt"
+    data = "".join(line + "\n" for line in _record_lines("auto")).encode()
+    path.write_bytes(data)
+    serial = _run_serial(path, [], monkeypatch, capsys)
+    asked, claims = [], _split._claims
+
+    def few_claims(count):
+        asked.append(count)
+        return claims(min(count, 6))
+
+    monkeypatch.setattr(_split, "_claims", few_claims)
+    split, read = _run_split(path, [], 40, monkeypatch, capsys)
+    assert split == serial
+    assert asked == [40]
+    assert read == _planned(data, 40)  # each range read once, by one of the two processes
+    assert sum(by_worker == "True" for *_, by_worker in _reads(path)) <= 6
