@@ -35,9 +35,9 @@ from .cli import _check_records, _Refused, _write
 # against 3.8 ms.
 _RANGE_MIN_BYTES = 1 << 17
 
-# The worker takes no more tasks once its temporary file holds more than
-# this many bytes, so a run never puts more than about this much of the
-# worker's text on the disk of TMPDIR; the process writes the tasks left.
+# A capped worker takes no more tasks once its temporary file holds more
+# than this many bytes, so a listing puts no more than about this much of
+# the worker's text on the disk of TMPDIR; the process writes the rest.
 _SPILL_MAX_BYTES = 1 << 28
 
 # Temporary files are copied out in writes of whole lines, at most this many
@@ -93,21 +93,21 @@ def copy_lines(file, start: int, stop: int, out) -> None:
             rest = piece[cut:]
 
 
-def share(tasks: list, write, out) -> list:
-    """Write each of `tasks` to `out` in order, sharing them with a forked worker.
+def share(tasks, write, out, capped: bool = True) -> list:
+    """Write each of `tasks`, a sequence, to `out` in order, sharing them with a forked worker.
 
     `write(sink, task)` writes one task's text to `sink`; the values of the
     calls are returned in task order.  A task is claimed by reading one
     byte from a pipe that holds one byte per task, or as many as a pipe
     holds: this process takes tasks from the front and writes them to
     `out`, while the worker takes them from the back into an unlinked
-    temporary file and stops once that holds more than _SPILL_MAX_BYTES.
-    When the bytes run out the process reaps the worker, writes every task
-    that neither side took, and copies the worker's tasks out in ascending
-    order.  When it may not fork (`_may_fork`) or cannot make the pipe or
-    the file, or the worker fails, it writes the worker's tasks itself, so
-    the bytes written never depend on the split.  If this process fails, it
-    kills and reaps the worker before the failure leaves.
+    temporary file and, if `capped`, stops once that holds more than
+    _SPILL_MAX_BYTES.  When the bytes run out the process reaps the worker,
+    writes every task that neither side took, and copies the worker's tasks
+    out in ascending order.  When it may not fork (`_may_fork`) or cannot
+    make the pipe or the file, or the worker fails, it writes the worker's
+    tasks itself, so the bytes written never depend on the split.  If this
+    process fails, it kills and reaps the worker before the failure leaves.
     """
     values, ends, theirs, pid = [], [], [], None
     try:
@@ -123,7 +123,7 @@ def share(tasks: list, write, out) -> list:
                         if (pid := os.fork()) == 0:  # the worker leaves by os._exit
                             code = 1
                             try:
-                                _worker(tasks, write, claims, spill, reply)
+                                _worker(tasks, write, claims, spill, reply, capped)
                                 code = 0
                             finally:
                                 os._exit(code)
@@ -160,11 +160,11 @@ def _claims(count: int):
     return open(read_end, "rb", buffering=0)
 
 
-def _worker(tasks: list, write, claims, spill, reply):
+def _worker(tasks, write, claims, spill, reply, capped):
     """The worker's job: take tasks from the back into `spill`; send where each ends and its value."""
     ends, values = [], []
     for task in reversed(tasks):
-        if (ends and ends[-1] > _SPILL_MAX_BYTES) or not claims.read(1):
+        if (capped and ends and ends[-1] > _SPILL_MAX_BYTES) or not claims.read(1):
             break
         values.append(write(spill, task))
         ends.append(spill.tell())
@@ -174,28 +174,28 @@ def _worker(tasks: list, write, claims, spill, reply):
 
 # ---------------------------------------------------------------- validate
 
-def _line_start(fd: int, at: int, size: int) -> int:
-    """Where a range cut at offset `at` of the file's `size` bytes begins.
+def _line_start(fd: int, at: int, end: int) -> int:
+    """Where a range cut at offset `at` > 0 begins, looking no further than offset `end`.
 
-    That is 0, `size`, or just past the first newline byte at or after
-    `at - 1`, so no range splits a line, a CRLF or a UTF-8 character; on a
-    file that shrank the search stops at its end.
+    That is `end`, or just past the first newline byte at or after `at - 1`,
+    so no range splits a line, a CRLF or a UTF-8 character; on a file that
+    shrank the search stops at its end, where a read comes back empty.
     """
-    if at == 0:
-        return 0
     at -= 1
-    # an empty read ends the search at `size`, or where the file shrank
-    while chunk := os.pread(fd, min(1 << 16, size - at), at):
+    while chunk := os.pread(fd, min(1 << 16, end - at), at):
         found = chunk.find(b"\n")
         if found >= 0:
             return at + found + 1
         at += len(chunk)
-    return size
+    return end
 
 
 def _check_range(fd: int, start: int, stop: int, size: int, kind: str | None, fmt: str):
     """`_check_records` over the lines that begin in bytes start..stop of a file of `size`."""
-    with _text(fd, _line_start(fd, start, size), _line_start(fd, stop, size)) as lines:
+    first = start and _line_start(fd, start, stop)
+    if first == stop:  # no line begins here: read nothing, keeping the searches linear
+        return _check_records((), kind, fmt)
+    with _text(fd, first, _line_start(fd, stop, size)) as lines:
         return _check_records(lines, kind, fmt)
 
 
@@ -203,16 +203,18 @@ def check_ranges(fd: int, kind: str | None, fmt: str):
     """The report lines of a large regular file, checked in ranges through `share`.
 
     The file is cut every _RANGE_MIN_BYTES, the last range taking the rest,
-    and each range checks the lines that begin in it (`_line_start`).
-    Returns the spool that holds the report lines, an unlinked temporary
-    file, flushed and open, and whether every record is valid.  Returns
-    None, and the caller checks the file in one serial pass, when the file
-    does not split: it is not a regular file, it is smaller than two
-    ranges, or the process may not fork.  Returns None as well when any
-    range refuses or the spool cannot be made or written, so the serial
-    pass reports exactly what it always has.  A range checks its records
-    deeper in the stack than the serial pass, so JSON nested too deeply
-    for the serial pass is refused in a range too.
+    and each range checks the lines that begin in it (`_check_range`).  The
+    tasks are a `range` of the cuts, and the worker is not capped, as the
+    spool holds this process's share on the same disk.  Returns the spool
+    that holds the report lines, an unlinked temporary file, flushed and
+    open, and whether every record is valid.  Returns None, and the caller
+    checks the file in one serial pass, when the file does not split: it is
+    not a regular file, it is smaller than two ranges, or the process may
+    not fork.  Returns None as well when any range refuses or the spool
+    cannot be made or written, so the serial pass reports exactly what it
+    always has.  A range checks its records deeper in the stack than the
+    serial pass, so JSON nested too deeply for the serial pass is refused
+    in a range too.
     """
     try:
         info = os.fstat(fd)
@@ -223,15 +225,16 @@ def check_ranges(fd: int, kind: str | None, fmt: str):
     except OSError:
         return None
 
-    def write(sink, bounds) -> bool:
-        """Check one range and write its report lines to `sink`; whether every record is valid."""
-        texts, indexes, valid = _check_range(fd, *bounds, size, kind, fmt)
+    def write(sink, start) -> bool:
+        """Write the report lines of the range cut at `start` to `sink`; whether all are valid."""
+        stop = start + _RANGE_MIN_BYTES if start + 2 * _RANGE_MIN_BYTES <= size else size
+        texts, indexes, valid = _check_range(fd, start, stop, size, kind, fmt)
         _write(sink, map(texts.__getitem__, indexes))
         return valid
 
-    cuts = [*range(0, size - _RANGE_MIN_BYTES + 1, _RANGE_MIN_BYTES), size]
+    cuts = range(0, size - _RANGE_MIN_BYTES + 1, _RANGE_MIN_BYTES)
     try:
-        valid = all(share(list(zip(cuts, cuts[1:])), write, spool))
+        valid = all(share(cuts, write, spool, capped=False))
         spool.flush()
         return spool, valid
     except (_Refused, UnicodeDecodeError, OSError):

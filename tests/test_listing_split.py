@@ -185,7 +185,7 @@ def test_a_process_with_one_order_left_does_not_fork(spy, monkeypatch, capsys, t
 
 @pytest.mark.parametrize("death", ["killed", "exit-3"])
 def test_a_dead_worker_gives_the_one_process_bytes(death, spy, monkeypatch, capsys, tmp_path):
-    def dying_worker(tasks, write, claims, spill, reply):
+    def dying_worker(tasks, write, claims, spill, reply, capped):
         claims.read(3)  # takes three orders, then dies
         if death == "killed":
             os.kill(os.getpid(), signal.SIGKILL)

@@ -4,7 +4,8 @@ Every test here shrinks `_RANGE_MIN_BYTES` so that a small file splits into
 the ranges it asks for, gives the process two CPUs or more, and compares
 the split run with the serial pass over the same file read from stdin: the
 same stdout bytes, exit code and stderr.  Each range read, in either
-process, is recorded with the bounds it was moved to.  Temporary files go
+process, is recorded with the bounds it was moved to; a range in which no
+line begins is not read.  Temporary files go
 to a directory of their own.  After every run no child process and no
 temporary file is left.
 """
@@ -114,11 +115,14 @@ def _reads(path) -> list[list[str]]:
 
 def _planned(data: bytes, ranges: int) -> list[tuple[int, int]]:
     """The ranges of `data` cut every len(data) // `ranges` bytes, the last taking the
-    rest, each cut moved just past the first newline byte at or after it, less one."""
+    rest, each cut moved just past the first newline byte at or after it, less one.
+
+    A range in which no line begins is left out, as it is not read.
+    """
     size = len(data)
     step = size // ranges
     cuts = [data.find(b"\n", at - 1) + 1 or size for at in range(step, size - step + 1, step)]
-    return list(zip([0, *cuts], [*cuts, size]))
+    return [(start, stop) for start, stop in zip([0, *cuts], [*cuts, size]) if start < stop]
 
 
 def _newline_ends(data: bytes) -> list[int]:
@@ -140,7 +144,7 @@ def test_split_file_gives_the_serial_bytes(fmt, kind, newline, tmp_path, monkeyp
     assert read == _planned(data, 3)
     size = len(data)
     if newline == "cr":  # no newline byte to cut after: one range holds every line
-        assert read == [(0, size), (size, size), (size, size)]
+        assert read == [(0, size)]
     else:
         assert len(read) == 3 and {stop for _, stop in read[:-1]} <= set(_newline_ends(data))
 
@@ -193,9 +197,8 @@ def test_one_range_per_line_gives_the_serial_bytes(tmp_path, monkeypatch, capsys
     # a range of one byte each, on 64 CPUs: every line a range of its own, and one worker
     split, read = _run_split(path, [], len(data), monkeypatch, capsys, cpus=64)
     assert split == serial
-    assert read == _planned(data, len(data))
     ends = _newline_ends(data)
-    assert [bounds for bounds in read if bounds[0] < bounds[1]] == list(zip([0, *ends], ends))
+    assert read == _planned(data, len(data)) == list(zip([0, *ends], ends))
     assert len(forks) == 1
 
 
@@ -295,7 +298,7 @@ def test_a_cr_only_file_on_stdin_gives_the_path_bytes(tmp_path, monkeypatch, cap
     assert split == (2, "valid genus=4\ninvalid: condition (ii), condition (iii), condition (iv)\n"
                         "valid genus=4\n", "")
     size = len(data)
-    assert read == [(0, size), (size, size), (size, size)]  # no newline byte to cut after
+    assert read == [(0, size)]  # no newline byte to cut after
     # Python's own stdin on POSIX
     with open(path, "rb") as raw, io.TextIOWrapper(raw, encoding="utf-8", newline="\n") as stdin:
         monkeypatch.setattr(sys, "stdin", stdin)
@@ -388,7 +391,7 @@ def test_a_record_longer_than_a_range_leaves_ranges_empty(tmp_path, monkeypatch,
     split, read = _run_split(path, [], 8, monkeypatch, capsys)
     assert split == serial
     assert read == _planned(data, 8)
-    assert any(start == stop for start, stop in read)  # cut inside the long line
+    assert len(read) < 8  # the ranges cut inside the long line are not read
     assert {stop for _, stop in read} <= set(_newline_ends(data))
 
 
@@ -400,7 +403,58 @@ def test_a_cr_only_file_takes_the_split_path_as_one_range(tmp_path, monkeypatch,
     split, read = _run_split(path, [], 4, monkeypatch, capsys)
     assert split == serial
     size = len(data)
-    assert read == [(0, size)] + [(size, size)] * 3
+    assert read == [(0, size)]
+
+
+def test_a_cr_only_file_is_searched_for_line_starts_in_linear_time(tmp_path, monkeypatch,
+                                                                   capsys):
+    path = tmp_path / "records.txt"
+    data = b"".join((SP_INVALID if i % 3 else SP_LINE) + b"\r" for i in range(200))
+    path.write_bytes(data)
+    serial = _run_serial(path, [], monkeypatch, capsys)
+    log, pread = tmp_path / "preads.log", os.pread
+    log.write_text("")
+
+    def counted_pread(fd, length, offset):
+        chunk = pread(fd, length, offset)
+        if os.path.samestat(os.fstat(fd), os.stat(path)):  # the file, not a temporary file
+            with open(log, "a") as reads:  # appended to by both processes
+                reads.write(f"{len(chunk)}\n")
+        return chunk
+
+    monkeypatch.setattr(os, "pread", counted_pread)
+    split, read = _run_split(path, [], 64, monkeypatch, capsys)
+    assert split == serial
+    # the one range's text, its end's search, and each range's search for its start;
+    # a search of each range to the end of the file would read about 64 times the file
+    assert sum(map(int, log.read_text().split())) <= 3 * len(data) + 2 * 64
+    assert read == [(0, len(data))]
+
+
+def test_the_worker_takes_ranges_past_the_listing_cap(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "records.txt"
+    data = "".join(line + "\n" for line in _record_lines("auto")).encode()
+    path.write_bytes(data)
+    serial = _run_serial(path, [], monkeypatch, capsys)
+    monkeypatch.setattr(_split, "_SPILL_MAX_BYTES", 1)  # a capped worker would stop at two
+    parent, check_range = os.getpid(), _split._check_range
+
+    def waiting_check_range(*args):
+        if os.getpid() == parent and args[1] == 0:  # this process's first range waits
+            deadline = time.monotonic() + 30
+            while _worker_reads(path) < 4 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return check_range(*args)
+
+    monkeypatch.setattr(_split, "_check_range", waiting_check_range)
+    split, read = _run_split(path, [], 10, monkeypatch, capsys)
+    assert split == serial
+    assert read == _planned(data, 10)
+    assert _worker_reads(path) >= 4
+
+
+def _worker_reads(path) -> int:
+    return sum(by_worker == "True" for *_, by_worker in _reads(path))
 
 
 def test_more_ranges_than_the_pipe_holds_leaves_the_middle_to_the_process(tmp_path, monkeypatch,
@@ -420,4 +474,4 @@ def test_more_ranges_than_the_pipe_holds_leaves_the_middle_to_the_process(tmp_pa
     assert split == serial
     assert asked == [40]
     assert read == _planned(data, 40)  # each range read once, by one of the two processes
-    assert sum(by_worker == "True" for *_, by_worker in _reads(path)) <= 6
+    assert _worker_reads(path) <= 6
