@@ -438,17 +438,14 @@ def cmd_spectra(args, out) -> int:
     genera = _genus_range(args)
     if genera.stop - 1 > SPECTRA_MAX_GENUS:
         raise _Refused(f"spectra is capped at genus {SPECTRA_MAX_GENUS}")
+    line = {"text": "{:>13}  {:>4}  {:>4}  {:>5}  {:>5}\n".format,  # fits any row to the cap
+            "csv": lambda *r: ",".join(map(str, r)) + "\n",
+            "json-lines": lambda *r: _json_line(dict(zip(SPECTRA_COLUMNS, r))) + "\n"}[args.format]
     with _open_output(args.output, out) as sink:
         if args.format != "json-lines":
-            sink.write(("  " if args.format == "text" else ",").join(SPECTRA_COLUMNS) + "\n")
+            sink.write(line(*SPECTRA_COLUMNS))
         for r in map(spectra, genera):
-            r = (r.genus_plus_one, r.e_sp, r.e_se, r.n_sp, r.n_se)
-            if args.format == "text":
-                sink.write("{:>13}  {:>4}  {:>4}  {:>4}  {:>4}\n".format(*r))
-            elif args.format == "json-lines":
-                sink.write(_json_line(dict(zip(SPECTRA_COLUMNS, r))) + "\n")
-            else:
-                sink.write(",".join(map(str, r)) + "\n")
+            sink.write(line(r.genus_plus_one, r.e_sp, r.e_se, r.n_sp, r.n_se))
     return 0
 
 

@@ -87,8 +87,7 @@ from .datasets import (
 # (genus 24 takes about 3 s, side-preserving).
 ORACLE_MAX_GENUS = 24
 
-# Cap for the spectra table; the count above this is still exact, only slower
-# (genus 1..128 takes about 0.1 s in process).
+# Cap for the spectra table; counts above it are exact too (1..128 takes about 0.05 s).
 SPECTRA_MAX_GENUS = 128
 
 
@@ -145,12 +144,21 @@ def _runs(signature) -> list[tuple[int, int]]:
 
 
 def _se_exponents(a: int, n: int) -> tuple[int, ...]:
-    """The exponents l in [2, 2n-1] of a side-exchanging set with residue a.
-
-    The twist relation 2 = l*a (mod n) fixes l mod n.
-    """
+    """The exponents l in [2, 2n-1], l*a = 2 (mod n), of a side-exchanging set with residue a."""
     base = 2 * pow(a, -1, n) % n
     return tuple(l for l in (base, base + n) if 2 <= l <= 2 * n - 1)
+
+
+def _se_exponent_counts(n: int) -> tuple[int, int]:
+    """(all, distinct) exponents that `_se_exponents(a, n)` gives over the units a mod n.
+
+    They are l = 2/a mod n and l + n in [2, 2n-1]: at odd n, 2/a runs over
+    U(n) once and l = 1 drops out; at even n > 2, l is even and reads a mod
+    n/2 alone, which takes each unit once, or twice if 4 | n; at n = 2, l = 2.
+    """
+    units = prod(p ** (k - 1) * (p - 1) for p, k in prime_factors(n))
+    ls = 2 * units - (n % 2 == 1 or n == 2)
+    return ls, ls // 2 if n % 4 == 0 else ls
 
 
 def _odd_cofactors(ambient: int, signature) -> int:
@@ -504,49 +512,43 @@ def _oracle(g: int, kind: str) -> list:
 def _oracle_twists(signature):
     """Every canonical unit-twist assignment for a signature, unfiltered."""
     runs = _runs(signature)
-    run_choices = [
-        combinations_with_replacement(_units(order), count)
-        for order, count in runs
-    ]
-    for combo in product(*run_choices):
-        flat: list[ConePair] = []
-        for (order, _), twists in zip(runs, combo):
-            flat.extend(ConePair(k, order) for k in twists)
-        yield tuple(flat)
+    for combo in product(*[combinations_with_replacement(_units(order), count)
+                           for order, count in runs]):
+        yield tuple(ConePair(k, order) for (order, _), twists in zip(runs, combo) for k in twists)
 
 
-def enumerate_oracle(g: int, kind: str,
-                     max_genus: int = ORACLE_MAX_GENUS) -> list:
+def enumerate_oracle(g: int, kind: str, max_genus: int = ORACLE_MAX_GENUS) -> list:
     """Naive re-enumeration for cross-checking; refuses large genus."""
     _orders(g, kind)  # refuses a bad genus or kind
     if g > max_genus:
-        raise OracleBoundError(
-            f"oracle enumeration is bounded to genus <= {max_genus}, got {g}")
+        raise OracleBoundError(f"oracle enumeration is bounded to genus <= {max_genus}, got {g}")
     return sorted(_oracle(g, kind), key=lambda d: d.sort_key())
 
 
 def _essential_sp_counts(g: int) -> tuple[int, int]:
     """(exponents, sets) of the essential side-preserving sets of genus g.
 
-    Essential means g0 = 0 and one cone m of weight (n/m)(m-1) = 2g, that
-    is n - c = 2g with c = n/m: the cone exists iff c divides n = 2g + c,
-    that is iff c divides 2g, and then m = n/c >= 2.  The cone twist
-    k solves ck = -(a+b) mod n, so the sets are the unordered unit pairs
-    with a + b in c*U(m).  The ordered ones with a + b = t number
-    prod_{p^k || n} p^(k-1) (p - 1 - [p does not divide t]) (Harvey 1966);
-    adding the pairs a = b and halving counts the unordered ones.  The
-    exponents 1/a + 1/b = (a+b)/(ab) fill c*U(m): c has the parity of n,
-    so no t is odd at even n, the one case where the formula vanishes.
+    Essential means g0 = 0 and one cone m of weight (n/m)(m-1) = 2g, that is
+    n - c = 2g with c = n/m: the cone exists iff c divides n = 2g + c, that is
+    iff c divides 2g, and then m = n/c >= 2.  The cone twist k solves
+    ck = -(a+b) mod n, so the sets are the unordered unit pairs with
+    a + b = t in c*U(m), and the exponents t/(ab) fill c*U(m).  The ordered
+    pairs of one t number prod_{p^k || n} p^(k-1) (p - 1 - [p does not divide
+    t]) (Harvey 1966), as many for each t, as a prime of n divides t iff it
+    divides c.  The pairs a = b add all phi(n) = phi(m) gcd(c, m) iff c <= 2,
+    as gcd(2a, n) = gcd(2, n), gcd(t, n) = c, and c has the parity of n.
     """
     exponents = count = 0
     for c in divisors(2 * g):
         n = 2 * g + c
-        sums = {c * s for s in _units(n // c)}
-        primes = prime_factors(n)
-        ordered = sum(prod([p ** (k - 1) * (p - 1 - (t % p != 0)) for p, k in primes])
-                      for t in sums)
-        count += (ordered + sum(2 * a % n in sums for a in _units(n))) // 2
-        exponents += len(sums)
+        m = units = n // c
+        ordered = 1  # the ordered pairs of each t
+        for p, k in prime_factors(n):
+            if m % p == 0:
+                units -= units // p
+            ordered *= p ** (k - 1) * (p - 1 - (c % p != 0))
+        count += units * (ordered + (gcd(c, m) if c <= 2 else 0)) // 2
+        exponents += units
     return exponents, count
 
 
@@ -559,7 +561,7 @@ def _essential_se_counts(g: int) -> tuple[int, int]:
     both are odd.  The twists solve c1 k1 + c2 k2 = -2a (mod 2n) for a unit a
     mod n; a unit u = a (mod n) of Z/2n scales the canonical solutions for
     -2 one-to-one onto them, so each signature is solved once, and each
-    exponent l of each a makes one set per solution.
+    exponent l of each a (`_se_exponent_counts`) makes one set per solution.
     """
     exponents = count = 0
     for two_n in range(2 * g + 2, 4 * g + 3, 2):
@@ -578,9 +580,9 @@ def _essential_se_counts(g: int) -> tuple[int, int]:
                 if gcd(k2, m2) == 1 and (m1 != m2 or k1 <= k2):
                     solutions += 1
         if solutions:
-            ls = [l for a in _units(n) for l in _se_exponents(a, n)]
-            count += solutions * len(ls)
-            exponents += len(set(ls))
+            ls, distinct = _se_exponent_counts(n)
+            count += solutions * ls
+            exponents += distinct
     return exponents, count
 
 

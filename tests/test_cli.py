@@ -1034,7 +1034,7 @@ def test_spectra_text_and_json():
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("text", "7d5e4e51c36ed2c69f0dbe5658ee202bca99182eb765a97d48467b2eeefabbd8"),
+    ("text", "1772ee6bc94267b2137ec4c3e6ce33c680f2bc5e379c663f9ff9bd8529ddb4d2"),
     ("csv", "2b1fde4b15e428b4cee617eb2f154e0005c0a3507c1f2671abfd08fc2fb3812a"),
     ("json-lines", "20ab37f624aa2b4f02e4168ae4cf76900740c8f532483089f1ced9ef47b36275"),
 ])
@@ -1042,6 +1042,16 @@ def test_spectra_bytes_up_to_the_cap(fmt, digest):
     code, out = run_cli("spectra", "--from", "1", "--to", "128", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_spectra_text_fields_end_under_their_headers_up_to_the_cap():
+    code, out = run_cli("spectra", "--from", "1", "--to", "128")
+    assert code == 0
+    header, *rows = out.splitlines()
+    ends = [m.end() for m in re.finditer(r"\S+", header)]
+    assert len(rows) == 128
+    for row in rows:
+        assert [m.end() for m in re.finditer(r"\S+", row)] == ends, row
 
 
 # -------------------------------------------------------------- decompose

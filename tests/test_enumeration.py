@@ -1,7 +1,7 @@
 import gc
 from collections import Counter
 from itertools import chain, combinations_with_replacement, product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -23,12 +23,15 @@ from twistfrac import (
     validate,
 )
 from twistfrac import enumeration
-from twistfrac.arith import cone_signatures, divisors, units_mod
+from twistfrac.arith import cone_signatures, divisors, prime_factors, units_mod
 from twistfrac.enumeration import (
     _assignments,
     _cone_counts,
     _odd_cofactors,
     _run_counts,
+    _se_exponent_counts,
+    _se_exponents,
+    _units,
     block_sets,
     blocks,
     class_counts,
@@ -560,6 +563,70 @@ def test_two_cone_counts_do_not_depend_on_the_unit():
                 assert len(counts) == 1, (two_n, signature, counts)
                 checked += 1
     assert checked > 100  # 105 signatures
+
+
+def _essential_sp_counts_by_sums(g):
+    """Reference: the side-preserving closed form summed per sum t and per residue a."""
+    exponents = count = 0
+    for c in divisors(2 * g):
+        n = 2 * g + c
+        sums = {c * s for s in _units(n // c)}
+        primes = prime_factors(n)
+        ordered = sum(prod([p ** (k - 1) * (p - 1 - (t % p != 0)) for p, k in primes])
+                      for t in sums)
+        count += (ordered + sum(2 * a % n in sums for a in _units(n))) // 2
+        exponents += len(sums)
+    return exponents, count
+
+
+def _essential_se_counts_by_exponent_lists(g):
+    """Reference: the side-exchanging count with each order's exponents listed per unit a."""
+    exponents = count = 0
+    for two_n in range(2 * g + 2, 4 * g + 3, 2):
+        n = two_n // 2
+        solutions = 0
+        for c2 in divisors(two_n):
+            c1 = two_n - 2 * g - c2
+            if c2 % 2 == 0 or c1 < c2 or two_n % c1:
+                continue
+            m1, m2 = two_n // c1, two_n // c2
+            for k1 in _units(m1):
+                remainder = (-2 - c1 * k1) % two_n
+                if remainder % c2:
+                    continue
+                k2 = remainder // c2
+                if gcd(k2, m2) == 1 and (m1 != m2 or k1 <= k2):
+                    solutions += 1
+        if solutions:
+            ls = [l for a in _units(n) for l in _se_exponents(a, n)]
+            count += solutions * len(ls)
+            exponents += len(set(ls))
+    return exponents, count
+
+
+def test_spectra_equals_the_per_unit_forms_up_to_the_cap():
+    for g in range(1, enumeration.SPECTRA_MAX_GENUS + 1):
+        e_sp, n_sp = _essential_sp_counts_by_sums(g)
+        e_se, n_se = _essential_se_counts_by_exponent_lists(g)
+        assert spectra(g) == SpectraRow(g + 1, e_sp, e_se, n_sp, n_se), g
+
+
+def test_se_exponent_counts_match_the_listed_exponents():
+    # every order 2n <= 4 * 128 + 2 that spectra reaches
+    for n in range(2, 2 * enumeration.SPECTRA_MAX_GENUS + 2):
+        ls = [l for a in units_mod(n) for l in _se_exponents(a, n)]
+        assert _se_exponent_counts(n) == (len(ls), len(set(ls))), n
+
+
+def test_spectra_lists_no_side_exchanging_exponent(monkeypatch):
+    genera = (1, 2, 4, 19, 40, 127, 128)
+    expected = [spectra(g) for g in genera]
+
+    def fail(*args, **kwargs):
+        raise AssertionError("spectra listed the exponents of a unit")
+
+    monkeypatch.setattr(enumeration, "_se_exponents", fail)
+    assert [spectra(g) for g in genera] == expected
 
 
 def test_spectra_needs_no_signature_walk(monkeypatch):
