@@ -8,14 +8,15 @@ Two independent engines produce the same sets:
   in `_order_blocks`: the cone signatures of each quotient genus g0 come
   from the genus identity, one filtered `cone_signatures` call per g0
   target (`_targets`), and `_heads` solves l from the twist relation once
-  per order and gives each head the residual its cones must sum to; no
-  head reads g0.  At each g0 the twist assignments of all its signatures
-  are listed once into one residue table (`_assignments`), only at the
-  residuals some head reads, so condition (iv) is a lookup.  Only valid
-  tuples are built.  Each order keeps one table of runs while it is
-  listed (`_run_choices`): one (m, k) pair per unit twist k of each cone
-  order m, and the (residue sum, cones) choices of each run of `count`
-  cones of order m, built once per (m, count) from those pairs.  Every
+  per order and files the heads by the residual their cones must sum to;
+  no head reads g0.  At each g0 the twist assignments of all its
+  signatures are listed once into one residue table (`_assignments`),
+  only at the residuals filed, so condition (iv) is a lookup, and each
+  residual reached is joined with its heads alone.  Only valid tuples
+  are built.  Each order keeps one table of runs while it is listed
+  (`_run_choices`): one (m, k) pair per unit twist k of each cone order
+  m, and the (residue sum, cones) choices of each run of `count` cones
+  of order m, built once per (m, count) from those pairs.  Every
   signature of the order reads its runs there, so every cones tuple of
   the order points to the shared pairs; the table is dropped when the
   order ends.
@@ -48,15 +49,15 @@ listing of either kind, one block list per order, without building a
 data set; only `block_sets` builds them, for `enumerate_sp` /
 `enumerate_se`, with one ConePair per (order, twist) pair.
 
-`class_counts` folds the same heads over counts, from a walk that builds
-no signature: `_cone_counts` counts each g0's assignments by cone count,
-residual and odd cofactor in one memoised recursion per order, dropped
-when the order ends.  It walks the part table `arith._cone_parts` run by
-run, as `cone_signatures` does.  So it gives the sets of each
-(order, l, g0, cone count) class without building one; `laws.audit`
-reads it.  `spectra` lists nothing either: it reads the essential
-signatures off cofactor divisors and counts their sets without the
-signature walk.
+`class_counts` folds the same heads, residual by residual, over counts
+from a walk that builds no signature: `_cone_counts` counts each g0's
+assignments by cone count, residual and odd cofactor in one memoised
+recursion per order, dropped when the order ends.  It walks the part
+table `arith._cone_parts` run by run, as `cone_signatures` does.  So it
+gives the sets of each (order, l, g0, cone count) class without building
+one; `laws.audit` reads it.  `spectra` lists nothing either: it reads the
+essential signatures off cofactor divisors and counts their sets without
+the signature walk.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ from .datasets import (
     _essential,
     _se_report,
     _sp_report,
-    is_essential,
     se_genus_if_valid,
     sp_genus_if_valid,
 )
@@ -100,8 +100,9 @@ class Filters:
     """Enumeration filters.
 
     `exponent` is an unreduced (l, order) pair, where order means n for
-    side-preserving sets and 2n for side-exchanging ones.  `accepts` is
-    the meaning of the filters; the enumerators prune to the same sets.
+    side-preserving sets and 2n for side-exchanging ones.  Every filter
+    reads a set's class key alone, and `admits` on that key is the meaning
+    of the filters: `accepts` and the enumerators both go through it.
     """
 
     essential_only: bool = False
@@ -110,15 +111,22 @@ class Filters:
     cone_count: int | None = None
 
     def __post_init__(self):
-        if self.exponent is not None and self.exponent[1] < 2:
-            raise ValueError(f"exponent order must be >= 2, got {self.exponent[1]}")
+        if self.exponent is not None:
+            l, order = self.exponent  # exactly two values, or ValueError
+            if order < 2:
+                raise ValueError(f"exponent order must be >= 2, got {order}")
+            object.__setattr__(self, "exponent", (l, order))
+
+    def admits(self, kind: str, order: int, l: int, g0: int, cones: int) -> bool:
+        """Whether the `kind` sets of class (order, l, g0, cone count) pass every filter."""
+        return (self.exponent in (None, (l, order)) and self.g0 in (None, g0)
+                and self.cone_count in (None, cones)
+                and (not self.essential_only or _essential(g0, cones, kind == "se")))
 
     def accepts(self, d: DataSet) -> bool:
-        """Whether the data set `d` passes every filter."""
-        return ((not self.essential_only or is_essential(d))
-                and (self.exponent is None or d.exponent == self.exponent)
-                and (self.g0 is None or d.g0 == self.g0)
-                and (self.cone_count is None or len(d.cones) == self.cone_count))
+        """Whether the data set `d` passes every filter: `admits` on its class key."""
+        kind, (l, order) = "sp" if isinstance(d, SpDataSet) else "se", d.exponent
+        return self.admits(kind, order, l, d.g0, len(d.cones))
 
 
 @dataclass(frozen=True)
@@ -314,18 +322,17 @@ def _targets(g: int, kind: str, order: int) -> range:
     return range(2 * g + (order if kind == "se" else 0), 0, -2 * order)
 
 
-def _heads(kind: str, f: Filters, order: int) -> list[tuple]:
-    """(l, residues, residual) of each head of one order that the exponent filter keeps.
+def _heads(kind: str, order: int, wanted: int | None = None) -> dict[int, list[tuple]]:
+    """The heads of one order by residual: (l, residues) of each, with l = `wanted` if given.
 
     A head is a set's sort key without its cones, (order, l, g0, *residues),
     and its sets are its completions by the twist assignments of the
     residual.  SP: residues (a, b) for unit pairs a <= b, l fixed by the
     twist relation a+b = l*a*b, residual -(a+b).  SE: residue (a,) for each
     exponent l of a unit a mod n, residual -2a.  None of it reads g0, so
-    one list serves every g0 of the order.
+    one dict serves every g0 of the order; no residual maps to an empty list.
     """
-    wanted = None if f.exponent is None else f.exponent[0]
-    heads = []
+    heads: dict[int, list[tuple]] = {}
     if kind == "sp":
         units = _units(order)
         inverse = [pow(u, -1, order) for u in units]
@@ -333,48 +340,46 @@ def _heads(kind: str, f: Filters, order: int) -> list[tuple]:
             for b, inverse_b in zip(units[i:], inverse[i:]):
                 l = (a + b) * inverse[i] * inverse_b % order
                 if l and (wanted is None or l == wanted):
-                    heads.append((l, (a, b), -(a + b) % order))
+                    heads.setdefault(-(a + b) % order, []).append((l, (a, b)))
     else:
         n = order // 2
         for a in _units(n):
-            heads.extend([(l, (a,), -2 * a % order) for l in _se_exponents(a, n)
-                          if wanted is None or l == wanted])
+            for l in _se_exponents(a, n):
+                if wanted is None or l == wanted:
+                    heads.setdefault(-2 * a % order, []).append((l, (a,)))
     return heads
 
 
 def _order_blocks(g: int, f: Filters, kind: str, order: int) -> list[tuple]:
     """Sorted blocks (head, cones) of the `kind` sets of genus g and `order`.
 
-    At each g0 the signatures of its target that the filters `f` keep are
-    listed; over a sphere, SE sets generate only through an odd cofactor.
-    `cones` lists the ascending (order, twist) tuples of `_assignments`
-    that complete the head, so head + (c,) is a set's sort_key() for each
-    c in it.  The order's heads and their residuals are solved at its first
-    g0 with a signature; at each g0 only those residuals are listed, every
-    head with one residual shares its list, and a head tuple is built only
-    for a head that gets cones.
+    At each g0 the signatures whose class `f.admits` are listed; over a
+    sphere, SE sets generate only through an odd cofactor.  An exponent
+    filter's order is pinned by `_Blocks` and its l by `_heads`, so each
+    class listed is admitted.  `cones` lists the ascending (order, twist)
+    tuples of `_assignments` that complete the head, so head + (c,) is a
+    set's sort_key() for each c in it.  The order's heads are solved at its
+    first g0 with a signature; at each g0 only their residuals are listed,
+    every head with one residual shares its list, and a head tuple is built
+    only for a head that gets cones.
     """
     out: list[tuple] = []
     table: dict = {}  # the order's (order, twist) pairs and runs, for every g0
     heads = None
-    count = 2 if f.essential_only else f.cone_count  # essential sets have at most two cones
+    wanted = f.exponent and f.exponent[0]  # the exponent filter's l, or None
+    count = 2 if f.essential_only else f.cone_count  # saves work: essential sets have <= 2 cones
     for g0, target in enumerate(_targets(g, kind, order)):
         if f.g0 not in (None, g0) or (f.essential_only and g0):
-            continue  # essential sets lie over a sphere
+            continue  # saves work: essential sets lie over a sphere
         signatures = [sig for sig in cone_signatures(order, target, count)
-                      if f.cone_count in (None, len(sig))
-                      and (not f.essential_only or _essential(g0, len(sig), kind == "se"))
+                      if f.admits(kind, order, wanted, g0, len(sig))
                       and (kind == "sp" or g0 or _odd_cofactors(order, sig))]
         if not signatures:
             continue
         if heads is None:
-            heads = _heads(kind, f, order)
-            residuals = {residual for *_, residual in heads}
-        by_residual = _assignments(order, signatures, residuals, table)
-        for l, residues, residual in heads:
-            cones = by_residual.get(residual)
-            if cones:
-                out.append(((order, l, g0, *residues), cones))
+            heads = _heads(kind, order, wanted)
+        for residual, cones in _assignments(order, signatures, heads, table).items():
+            out.extend([((order, l, g0, *residues), cones) for l, residues in heads[residual]])
     out.sort(key=itemgetter(0))
     return out
 
@@ -383,10 +388,10 @@ def class_counts(g: int, kind: str) -> dict[tuple, int]:
     """The number of `kind` sets of genus g in each (order, l, g0, cone count) class.
 
     The same heads as the listing, folded over the counts of `_cone_counts`,
-    whose memo serves every g0 of an order: each head adds the count of its
-    residual at each cone count.  Over a sphere, SE counts only assignments
-    with an odd cofactor, as `_order_blocks` keeps.  No set or signature is
-    built, and no class maps to 0.
+    whose memo serves every g0 of an order: at each cone count, each
+    residual reached adds its count to each of its heads.  Over a sphere, SE
+    counts only assignments with an odd cofactor, as `_order_blocks` keeps.
+    No set or signature is built, and no class maps to 0.
     """
     classes: dict[tuple, int] = {}
     for order in _orders(g, kind):
@@ -398,14 +403,13 @@ def class_counts(g: int, kind: str) -> dict[tuple, int]:
                 if kind == "sp" or g0 or odd:
                     by_count = by_residual.setdefault(residual, {})
                     by_count[cones] = by_count.get(cones, 0) + sets
-            if not by_residual:
-                continue
-            if heads is None:
-                heads = _heads(kind, Filters(), order)
-            for l, _, residual in heads:
-                for cones, sets in by_residual.get(residual, {}).items():
-                    key = (order, l, g0, cones)
-                    classes[key] = classes.get(key, 0) + sets
+            if heads is None and by_residual:
+                heads = _heads(kind, order)
+            for residual, by_count in by_residual.items():
+                for l, _ in heads.get(residual, ()):
+                    for cones, sets in by_count.items():
+                        key = (order, l, g0, cones)
+                        classes[key] = classes.get(key, 0) + sets
     return classes
 
 
@@ -414,7 +418,7 @@ class _Blocks:
 
     def __init__(self, g: int, kind: str, f: Filters):
         self.orders, self.args = _orders(g, kind), (g, f, kind)
-        if f.exponent is not None:  # the exponent's order alone, if the genus has it
+        if f.exponent is not None:  # saves work: `f.admits` keeps the exponent's order alone
             self.orders = [f.exponent[1]] if f.exponent[1] in self.orders else []
 
     def __len__(self) -> int:

@@ -1,4 +1,5 @@
 import gc
+import random
 from collections import Counter
 from itertools import chain, combinations_with_replacement, product
 from math import gcd, prod
@@ -92,21 +93,26 @@ def test_emitted_sets_are_valid_canonical_sorted_unique(g):
             assert canonicalize(d) == d
 
 
+def _filter_grid(exponents):
+    """Each filter alone, the exponent filter at each of `exponents`, and conflicting pairs."""
+    grid = [ESSENTIAL]
+    grid += [Filters(g0=g0) for g0 in range(3)]
+    grid += [Filters(cone_count=count) for count in range(5)]
+    grid += [Filters(exponent=e) for e in sorted(exponents)]
+    # conflicting filters: each must still prune, none may override another
+    grid += [Filters(essential_only=True, cone_count=count) for count in range(5)]
+    grid.append(Filters(essential_only=True, g0=1))
+    grid += [Filters(g0=g0, cone_count=count) for g0 in range(3) for count in range(5)]
+    return grid
+
+
 def test_unfiltered_enumeration_contains_filtered():
     # The enumerators prune to exactly the sets `Filters.accepts` keeps.
     for g in range(1, 9):
         for enumerate_kind in (enumerate_sp, enumerate_se):
             full = enumerate_kind(g)
             middle = full[len(full) // 2]
-            grid = [ESSENTIAL]
-            grid += [Filters(g0=g0) for g0 in range(3)]
-            grid += [Filters(cone_count=count) for count in range(5)]
-            grid += [Filters(exponent=e) for e in sorted({d.exponent for d in full})]
-            # conflicting filters: each must still prune, none may override another
-            grid += [Filters(essential_only=True, cone_count=count) for count in range(5)]
-            grid.append(Filters(essential_only=True, g0=1))
-            grid += [Filters(g0=g0, cone_count=count)
-                     for g0 in range(3) for count in range(5)]
+            grid = _filter_grid({d.exponent for d in full})
             grid.append(Filters(essential_only=is_essential(middle),
                                 exponent=middle.exponent, g0=middle.g0,
                                 cone_count=len(middle.cones)))
@@ -252,8 +258,8 @@ def _kept_orders(g, kind, f):
 def test_heads_are_solved_once_per_order_with_groups(g, monkeypatch):
     solved = []  # the order of each _heads call
     heads = enumeration._heads
-    monkeypatch.setattr(enumeration, "_heads",
-                        lambda kind, f, order: solved.append(order) or heads(kind, f, order))
+    monkeypatch.setattr(enumeration, "_heads", lambda kind, order, wanted=None:
+                        solved.append(order) or heads(kind, order, wanted))
     for kind in ("sp", "se"):
         for filters in (ESSENTIAL,) + BLOCK_FILTERS:
             solved.clear()
@@ -405,6 +411,45 @@ def test_class_counts_equal_the_listing_tally(g):
     assert class_counts(g, "se") == _class_tally(blocks(g, "se"))
 
 
+@pytest.mark.parametrize("g", range(1, 17))
+def test_filtered_counts_equal_the_filtered_listing_tally(g):
+    for kind in ("sp", "se"):
+        counts = class_counts(g, kind)
+        for f in _filter_grid({(l, order) for order, l, _, _ in counts}):
+            kept = {key: sets for key, sets in counts.items() if f.admits(kind, *key)}
+            assert kept == _class_tally(blocks(g, kind, f)), (kind, f)
+
+
+# Fixed before any slice was read: the seed of the draw and the largest
+# slice listed, so that no draw lists more than that many sets.
+SLICE_SEED, SLICE_MAX_SETS = 1, 20_000
+
+
+@pytest.mark.parametrize("kind", ["sp", "se"])
+@pytest.mark.parametrize("g", [32, 64, 128])
+def test_sampled_exponent_slices_equal_class_counts_past_the_oracle(g, kind):
+    counts = class_counts(g, kind)
+    slices = Counter()  # (order, l) -> sets
+    for (order, l, _, _), sets in counts.items():
+        slices[order, l] += sets
+    small = sorted(exponent for exponent, sets in slices.items() if sets <= SLICE_MAX_SETS)
+    for order, l in random.Random(SLICE_SEED).sample(small, 4):
+        expected = {key: sets for key, sets in counts.items() if key[:2] == (order, l)}
+        assert _class_tally(blocks(g, kind, Filters(exponent=(l, order)))) == expected, (order, l)
+
+
+def test_essential_slice_of_class_counts_equals_spectra():
+    # the closed forms of `spectra` share no code with the count walk
+    for g in range(1, 49):
+        columns = []
+        for kind in ("sp", "se"):
+            kept = {key: sets for key, sets in class_counts(g, kind).items()
+                    if ESSENTIAL.admits(kind, *key)}
+            columns += [len({key[:2] for key in kept}), sum(kept.values())]
+        e_sp, n_sp, e_se, n_se = columns
+        assert spectra(g) == SpectraRow(g + 1, e_sp, e_se, n_sp, n_se), g
+
+
 def test_class_counts_walk_no_listing_signature(monkeypatch):
     # the listing tally, taken before the listing's walk is forbidden
     expected = {(g, kind): _class_tally(blocks(g, kind))
@@ -463,8 +508,17 @@ def test_assignment_residuals_have_the_parity_of_odd_cofactors():
 
 
 def test_filters_validate_their_fields():
-    with pytest.raises(ValueError):
-        Filters(exponent=(3, 1))
+    for exponent in ((3, 1), (4,), (1, 2, 3)):  # an order below 2, or not an (l, order) pair
+        with pytest.raises(ValueError):
+            Filters(exponent=exponent)
+
+
+def test_a_list_exponent_is_the_tuple_exponent():
+    as_list, as_tuple = Filters(exponent=[4, 12]), Filters(exponent=(4, 12))
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    sets = enumerate_sp(4, as_list)
+    assert sets and sets == enumerate_sp(4, as_tuple)
+    assert sets == [d for d in enumerate_sp(4) if as_list.accepts(d)]
 
 
 def test_spectra_genus4():
